@@ -50,11 +50,15 @@ from .oracle import (
 from .transceiver import (
     PhaseConfig,
     RateReport,
+    TrialStatistics,
     aqnm_alpha,
     cascaded_channel,
     instantaneous_sinr,
     measured_ris_power,
     monte_carlo_rate,
+    rate_from_statistics,
+    sinr_from_statistics,
+    trial_statistics,
 )
 
 __version__ = "0.1.0"

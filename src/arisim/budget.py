@@ -57,6 +57,28 @@ def path_loss(distance_m, exponent):
     return float(gain) if np.isscalar(distance_m) else gain
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; bools are rejected as counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+# SystemConfig fields that must hold an integer, and those that must hold a
+# finite real number (the tuple fields are checked entry by entry).
+_INTEGER_FIELDS = ("M", "N", "K", "trials", "seed")
+_REAL_FIELDS = (
+    "delta", "sigma_n2_dbm", "sigma_v2_dbm", "P_T_dbm", "P_SW_dbm", "P_DC_dbm", "split",
+    "pathloss_exp_user", "pathloss_exp_ris", "user_radius", "d_over_lambda",
+)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All physical and experimental parameters of one system instance.
@@ -93,10 +115,25 @@ class SystemConfig:
         object.__setattr__(self, "bs_pos", tuple(float(v) for v in self.bs_pos))
         object.__setattr__(self, "ris_pos", tuple(float(v) for v in self.ris_pos))
         object.__setattr__(self, "user_center", tuple(float(v) for v in self.user_center))
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+        if not all(map(math.isfinite, self.epsilon + self.bs_pos + self.ris_pos + self.user_center)):
+            raise ConfigurationError("Rician factors and positions must be finite")
         if self.M < 1 or self.N < 1 or self.K < 1:
             raise ConfigurationError("M, N and K must be positive")
-        if self.b != "ideal" and (not isinstance(self.b, int) or self.b < 1):
-            raise ConfigurationError(f"quantization bits must be a positive integer or 'ideal', got {self.b!r}")
+        if self.b != "ideal":
+            if not _is_integer(self.b) or self.b < 1:
+                raise ConfigurationError(
+                    f"quantization bits must be a positive integer or 'ideal', got {self.b!r}"
+                )
+            object.__setattr__(self, "b", int(self.b))
         if len(self.epsilon) != self.K:
             raise ConfigurationError(f"epsilon must have one entry per user ({self.K}), got {len(self.epsilon)}")
         if any(e < 0.0 for e in self.epsilon) or self.delta < 0.0:

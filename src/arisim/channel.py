@@ -153,10 +153,13 @@ def sample_channel_batch(
     w_nlos = np.sqrt(1.0 / (eps + 1.0))
     H1 = np.sqrt(geom.alpha) * (w_los * hbar + w_nlos * h_nlos)
 
+    # sqrt(beta) * (sqrt(d/(d+1)) Hbar2 + sqrt(1/(d+1)) H2_nlos), built in
+    # place with the same roundings: H2 is the largest array of a batch
     d = cfg.delta
-    H2 = math.sqrt(geom.beta) * (
-        math.sqrt(d / (d + 1.0)) * Hbar2 + math.sqrt(1.0 / (d + 1.0)) * H2_nlos
-    )
+    H2 = H2_nlos
+    H2 *= math.sqrt(1.0 / (d + 1.0))
+    H2 += math.sqrt(d / (d + 1.0)) * Hbar2
+    H2 *= math.sqrt(geom.beta)
     return H1, H2
 
 

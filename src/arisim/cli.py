@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -18,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import analytic
-from .analytic import closed_form_rates, compute_stats
+from .analytic import closed_form_rates, closed_form_sum_rate, compute_stats
 from .budget import (
     ConfigurationError,
     Mode,
@@ -30,7 +31,12 @@ from .budget import (
 from .channel import STREAM_PHASES, make_geometry, substream
 from .ga import GAParams, optimize_phases
 from .oracle import estimate_moments, wishart_moment_check
-from .transceiver import PhaseConfig, measured_ris_power, monte_carlo_rate
+from .transceiver import (
+    PhaseConfig,
+    measured_ris_power,
+    rate_from_statistics,
+    trial_statistics,
+)
 
 EXPERIMENTS = ("antennas-elements", "total-power", "adc-bits", "verify", "optimize")
 
@@ -99,13 +105,28 @@ def experiment_phases(cfg: SystemConfig) -> PhaseConfig:
     return PhaseConfig.random(cfg.N, substream(cfg.seed, STREAM_PHASES, cfg.N))
 
 
-def _point_rates(cfg, geom, phases, mode, trials):
-    """(analytic sum rate, MC sum rate, MC stderr, budget) at one sweep point."""
-    budget = resolve_budget(cfg, geom.alpha, mode)
-    stats = compute_stats(geom, cfg, phases)
-    analytic_sum = float(closed_form_rates(stats, budget, cfg).sum())
-    report = monte_carlo_rate(geom, cfg, phases, budget, trials=trials)
-    return analytic_sum, report.sum_rate, report.sum_std_err, budget
+def _site_rates(geom, cfg, phases, trials):
+    """Rate evaluator for the sweep points that share `geom` and `phases`.
+
+    The closed-form statistics are computed once.  The fading statistics
+    are drawn when the first live point needs them and then serve every
+    point (common random numbers), so each fading batch is drawn once per
+    site and the rates still depend only on (seed, trials).  The returned
+    function maps (point config, mode) to (analytic sum rate, MC sum rate,
+    MC stderr, budget).
+    """
+    closed = compute_stats(geom, cfg, phases)
+    fading = functools.cache(lambda: trial_statistics(geom, cfg, phases, trials))
+
+    def rates(point, mode):
+        budget = resolve_budget(point, geom.alpha, mode)
+        analytic_sum = float(closed_form_rates(closed, budget, point).sum())
+        if not budget.startup_met:
+            return analytic_sum, 0.0, 0.0, budget
+        report = rate_from_statistics(fading(), budget, point)
+        return analytic_sum, report.sum_rate, report.sum_std_err, budget
+
+    return rates
 
 
 def ga_params(cfg: SystemConfig, block: dict | None = None) -> GAParams:
@@ -122,14 +143,14 @@ def run_antennas_elements(cfg, block, out_dir, trials, optimize, mode):
         for N in sorted(n_grid):
             point = _resize(cfg, M=M, N=N)
             geom = make_geometry(point)
-            phases = experiment_phases(point)
+            rates = _site_rates(geom, point, experiment_phases(point), trials)
             for point_mode in (Mode.ACTIVE, Mode.PASSIVE):
-                a, mc, se, _ = _point_rates(point, geom, phases, point_mode, trials)
+                a, mc, se, _ = rates(point, point_mode)
                 rows.append((M, N, point_mode.value, point.b, a, mc, se, False))
             if optimize:
                 budget = resolve_budget(point, geom.alpha, Mode.ACTIVE)
                 best, _ = optimize_phases(geom, point, budget, ga_params(point, block.get("ga")))
-                a, mc, se, _ = _point_rates(point, geom, best, Mode.ACTIVE, trials)
+                a, mc, se, _ = _site_rates(geom, point, best, trials)(point, Mode.ACTIVE)
                 rows.append((M, N, Mode.ACTIVE.value, point.b, a, mc, se, True))
     path = os.path.join(out_dir, "antennas_elements.csv")
     write_csv(path, ["M", "N", "mode", "b", "analytic_sum_rate", "mc_sum_rate",
@@ -142,13 +163,12 @@ def run_total_power(cfg, block, out_dir, trials, optimize, mode):
     grid = block.get("P_T_dbm_grid",
                      [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30])
     cfg = _resize(cfg, N=n_elements)
-    geom = make_geometry(cfg)
-    phases = experiment_phases(cfg)
+    rates = _site_rates(make_geometry(cfg), cfg, experiment_phases(cfg), trials)
     rows = []
     for p_t in sorted(float(p) for p in grid):
         point = replace(cfg, P_T_dbm=p_t)
         for point_mode in (Mode.ACTIVE, Mode.PASSIVE):
-            a, mc, se, budget = _point_rates(point, geom, phases, point_mode, trials)
+            a, mc, se, budget = rates(point, point_mode)
             rows.append((p_t, n_elements, point_mode.value, point.b, budget.startup_met,
                          budget.eta, a, mc, se, False))
     path = os.path.join(out_dir, "total_power.csv")
@@ -163,13 +183,11 @@ def run_adc_bits(cfg, block, out_dir, trials, optimize, mode):
     rows = []
     for M, N in sorted(pairs):
         point = _resize(cfg, M=M, N=N)
-        geom = make_geometry(point)
-        phases = experiment_phases(point)
+        rates = _site_rates(make_geometry(point), point, experiment_phases(point), trials)
         for b in bits:
             b_val = b if b == "ideal" else int(b)
             point_mode = Mode.IDEAL_ADC if b_val == "ideal" else Mode.ACTIVE
-            bp = replace(point, b=b_val)
-            a, mc, se, _ = _point_rates(bp, geom, phases, point_mode, trials)
+            a, mc, se, _ = rates(replace(point, b=b_val), point_mode)
             rows.append((str(b_val), M, N, point_mode.value, a, mc, se, False))
     path = os.path.join(out_dir, "adc_bits.csv")
     write_csv(path, ["b", "M", "N", "mode", "analytic_sum_rate", "mc_sum_rate",
@@ -251,9 +269,8 @@ def run_optimize(cfg, block, out_dir, trials, optimize, mode):
     budget = resolve_budget(cfg, geom.alpha, mode)
     params = ga_params(cfg, block)
     best, history = optimize_phases(geom, cfg, budget, params)
-    baseline = experiment_phases(cfg)
-    a_base, _, _, _ = _point_rates(cfg, geom, baseline, mode, trials)
-    a_best, mc_best, se_best, _ = _point_rates(cfg, geom, best, mode, trials)
+    a_base = closed_form_sum_rate(geom, cfg, budget, experiment_phases(cfg))
+    a_best, mc_best, se_best, _ = _site_rates(geom, cfg, best, trials)(cfg, mode)
 
     hist_path = os.path.join(out_dir, "ga_history.csv")
     write_csv(hist_path, ["generation", "best_fitness", "mean_fitness"], history.rows())

@@ -27,13 +27,7 @@ from .channel import (
     sample_channel_batch,
     substream,
 )
-from .transceiver import BATCH, PhaseConfig
-
-
-def _batches(trials: int):
-    for b_idx in range(0, (trials + BATCH - 1) // BATCH):
-        lo = b_idx * BATCH
-        yield b_idx, lo, min(lo + BATCH, trials)
+from .transceiver import PhaseConfig, batch_ranges, trial_statistics
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,35 +60,13 @@ def estimate_moments(
     Deterministic given (seed, trials); the stream is independent of the
     rate-simulation streams so estimates never reuse simulation draws.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    K = cfg.K
-    eta = budget.eta
-    p = budget.p
-    sn2 = cfg.sigma_n2_w
-    phi = phases.phi
-
-    sig = np.empty((trials, K))
-    cross = np.empty((trials, K, K))
-    dyn = np.empty((trials, K))
-    gain = np.empty((trials, K))
-    quant = np.empty((trials, K))
-
-    for b_idx, lo, hi in _batches(trials):
-        rng = substream(seed, b_idx)
-        H1, H2 = sample_channel_batch(geom, cfg, rng, hi - lo)
-        G = eta * (H2 * phi[None, None, :]) @ H1
-        gram = np.einsum("tmk,tmi->tki", G.conj(), G)
-        norm2 = np.einsum("tkk->tk", gram).real
-        h2g = np.einsum("tmn,tmk->tnk", H2.conj(), G)
-        row_power = np.abs(G) ** 2
-        total_row = row_power.sum(axis=2)
-
-        sig[lo:hi] = norm2**2
-        cross[lo:hi] = np.abs(gram) ** 2
-        dyn[lo:hi] = np.einsum("tnk,tnk->tk", h2g.conj(), h2g).real
-        gain[lo:hi] = norm2
-        quant[lo:hi] = p * np.einsum("tm,tmk->tk", total_row, row_power) + sn2 * norm2
+    s = trial_statistics(geom, cfg, phases, trials, stream=(seed,))
+    e2 = budget.eta**2
+    gain = e2 * s.norm2
+    sig = gain**2
+    cross = e2**2 * s.cross2
+    dyn = e2 * s.dyn
+    quant = budget.p * e2**2 * s.row4.sum(axis=2) + cfg.sigma_n2_w * gain
 
     def mean_se(x):
         m = x.mean(axis=0)
@@ -106,10 +78,9 @@ def estimate_moments(
     dyn_m, dyn_se = mean_se(dyn)
     gain_m, gain_se = mean_se(gain)
     quant_m, quant_se = mean_se(quant)
-    off_diag = 1.0 - np.eye(K)
     return MomentEstimates(
-        sig_m, cross_m * off_diag, dyn_m, gain_m, quant_m,
-        sig_se, cross_se * off_diag, dyn_se, gain_se, quant_se,
+        sig_m, cross_m, dyn_m, gain_m, quant_m,
+        sig_se, cross_se, dyn_se, gain_se, quant_se,
         trials,
     )
 
@@ -148,7 +119,7 @@ def wishart_moment_check(cfg: SystemConfig, trials: int, seed: int) -> WishartMo
 
     s1 = np.zeros((N, N), dtype=complex)
     s2 = np.zeros((N, N))
-    for b_idx, lo, hi in _batches(trials):
+    for b_idx, lo, hi in batch_ranges(trials):
         rng = substream(seed, b_idx)
         _, H2 = sample_channel_batch(geom, cfg, rng, hi - lo)
         W = np.einsum("tmn,tmj->tnj", H2.conj(), H2)

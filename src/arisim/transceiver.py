@@ -43,7 +43,7 @@ def aqnm_alpha(b) -> float:
     """Quantization gain alpha = 1 - rho(b); alpha = 1 for ideal ADCs."""
     if b == "ideal":
         return 1.0
-    if not isinstance(b, (int, np.integer)) or b < 1:
+    if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1:
         raise ValueError(f"quantization bits must be a positive integer or 'ideal', got {b!r}")
     rho = AQNM_RHO[b] if b <= 5 else (math.pi * math.sqrt(3.0) / 2.0) * 2.0 ** (-2 * b)
     return 1.0 - rho
@@ -92,6 +92,11 @@ class RateReport:
     trials_used: int
     sum_std_err: float         # standard error of the sum rate (per-trial sums)
 
+    @staticmethod
+    def silent(K: int) -> "RateReport":
+        """Report of a surface that did not start up: zero rates, no trials."""
+        return RateReport(np.zeros(K), 0.0, np.zeros(K), 0, 0.0)
+
 
 def cascaded_channel(real: ChannelRealization, phases: PhaseConfig, eta: float) -> np.ndarray:
     """Effective BS-side channel G = eta * H2 * diag(exp(j*theta)) * H1, (M, K)."""
@@ -103,18 +108,98 @@ def cascaded_channel(real: ChannelRealization, phases: PhaseConfig, eta: float) 
     return eta * (H2 * phases.phi) @ H1
 
 
-def _sinr_batch(
-    H1: np.ndarray,
-    H2: np.ndarray,
+def batch_ranges(trials: int):
+    """(batch index, first trial, end trial) of each RNG batch of BATCH trials."""
+    for b_idx in range(0, (trials + BATCH - 1) // BATCH):
+        lo = b_idx * BATCH
+        yield b_idx, lo, min(lo + BATCH, trials)
+
+
+@dataclass(frozen=True, eq=False)
+class TrialStatistics:
+    """Budget-free per-trial statistics of the unit-gain cascaded channel
+    G0 = H2 diag(exp(j*theta)) H1, with columns g0_k.
+
+    Every term of the post-combining SINR is one of these scaled by powers
+    of eta, the transmit powers, the two noise powers and the quantization
+    gain, so one set serves every budget, mode and bit width at a fixed
+    (geometry, phases, fading draws).
+    """
+
+    norm2: np.ndarray      # (T, K)    ||g0_k||^2
+    cross2: np.ndarray     # (T, K, K) |g0_k^H g0_i|^2 for i != k, zero on the diagonal
+    dyn: np.ndarray        # (T, K)    ||H2^H g0_k||^2
+    row4: np.ndarray       # (T, K, K) sum_m |G0_mk|^2 |G0_mi|^2
+    row_noise: np.ndarray  # (T, K)    sum_m (sum_n |H2_mn|^2) |G0_mk|^2, strict AQNM only
+
+    @property
+    def trials(self) -> int:
+        return self.norm2.shape[0]
+
+
+def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray):
+    """The TrialStatistics fields of one batch of H1 (T, N, K) and H2 (T, M, N).
+
+    Scaling H1 by phi instead of H2 and contracting H2 without conjugating
+    it keep every temporary far smaller than H2 itself.
+    """
+    G = H2 @ (phi[:, None] * H1)                     # (T, M, K)
+    gram = G.conj().swapaxes(1, 2) @ G               # gram[t,k,i] = g0_k^H g0_i
+    norm2 = np.diagonal(gram, axis1=1, axis2=2).real
+    cross2 = gram.real**2 + gram.imag**2
+    diag = np.arange(G.shape[2])
+    cross2[:, diag, diag] = 0.0
+    h2g = H2.swapaxes(1, 2) @ G.conj()               # conj(H2^H g0_k), (T, N, K)
+    dyn = (h2g.real**2 + h2g.imag**2).sum(axis=1)
+    power = G.real**2 + G.imag**2                    # |G0_mk|^2, (T, M, K)
+    row4 = power.swapaxes(1, 2) @ power
+    h2 = np.ascontiguousarray(H2).view(np.float64)[..., None, :]
+    h2_rows = (h2 @ h2.swapaxes(2, 3))[..., 0]       # sum_n |H2_mn|^2, (T, M, 1)
+    row_noise = (h2_rows.swapaxes(1, 2) @ power)[:, 0, :]
+    return norm2, cross2, dyn, row4, row_noise
+
+
+def trial_statistics(
+    geom: Geometry,
+    cfg: SystemConfig,
     phases: PhaseConfig,
+    trials: int | None = None,
+    stream: tuple[int, ...] | None = None,
+) -> TrialStatistics:
+    """Draw `trials` fading realizations and reduce each to its statistics.
+
+    Batch b comes from `substream(*stream, b)`, by default the fading
+    stream `(cfg.seed, STREAM_FADING)`, so the result depends only on the
+    stream and the trial count.  Each batch's channels are dropped once
+    reduced.
+    """
+    T = cfg.trials if trials is None else int(trials)
+    if T < 1:
+        raise ValueError("trials must be positive")
+    if phases.n_elements != cfg.N:
+        raise ValueError(f"{phases.n_elements} phases for {cfg.N} surface elements")
+    key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
+    K = cfg.K
+    fields = (np.empty((T, K)), np.empty((T, K, K)), np.empty((T, K)),
+              np.empty((T, K, K)), np.empty((T, K)))
+    phi = phases.phi
+    for b_idx, lo, hi in batch_ranges(T):
+        H1, H2 = sample_channel_batch(geom, cfg, substream(*key, b_idx), hi - lo)
+        for out, value in zip(fields, _batch_statistics(H1, H2, phi)):
+            out[lo:hi] = value
+        del H1, H2  # free this batch before the next one is drawn
+    return TrialStatistics(*fields)
+
+
+def sinr_from_statistics(
+    stats: TrialStatistics,
     budget: LinkBudget,
     cfg: SystemConfig,
-    alpha_q: float,
     strict_aqnm: bool = False,
 ) -> np.ndarray:
-    """Post-combining SINR per user for a batch of realizations.
+    """Post-combining SINR per trial and user, (T, K).
 
-    For user k with combined channel g_k (column of G) the SINR is
+    For user k with combined channel g_k = eta * g0_k the SINR is
 
         p_k a^2 ||g_k||^4  /  ( a^2 sum_{i!=k} p_i |g_k^H g_i|^2
                                 + eta^2 a^2 sv2 ||g_k^H H2 Phi||^2
@@ -126,39 +211,52 @@ def _sinr_batch(
     adds the amplified dynamic noise to it; with equal powers and no
     dynamic-noise term the two coincide.
     """
-    phi = phases.phi
-    G = budget.eta * (H2 * phi[None, None, :]) @ H1          # (T, M, K)
-    gram = np.einsum("tmk,tmi->tki", G.conj(), G)            # gram[t,k,i] = g_k^H g_i
-    norm2 = np.einsum("tkk->tk", gram).real                  # ||g_k||^2
-    cross2 = np.abs(gram) ** 2
-
+    if stats.norm2.shape[1] != cfg.K:
+        raise ValueError(f"statistics for {stats.norm2.shape[1]} users, config has {cfg.K}")
+    a = quantization_gain(cfg, budget.mode)
     p = budget.p
     sn2 = cfg.sigma_n2_w
     sv2 = budget.sigma_v2_w
+    e2 = budget.eta**2
+    e4 = e2 * e2
+    n = stats.norm2
 
-    interference = alpha_q**2 * (cross2 @ p - p * norm2**2)
-
-    h2g = np.einsum("tmn,tmk->tnk", H2.conj(), G)            # H2^H g_k
-    dyn_gain = np.einsum("tnk,tnk->tk", h2g.conj(), h2g).real
-    dynamic = budget.eta**2 * alpha_q**2 * sv2 * dyn_gain
-
-    awgn = alpha_q**2 * sn2 * norm2
-
-    row_power = np.abs(G) ** 2                               # (T, M, K)
+    interference = a**2 * e4 * (stats.cross2 @ p)
+    dynamic = a**2 * e4 * sv2 * stats.dyn
+    awgn = a**2 * sn2 * e2 * n
     if strict_aqnm:
         # quantizer-input power with the exact per-user allocation and the
         # amplified dynamic noise: diag(G P G^H + eta^2 sv2 H2 H2^H + sn2 I)
-        diag_in = row_power @ p + budget.eta**2 * sv2 * (np.abs(H2) ** 2).sum(axis=2) + sn2
-        quant = alpha_q * (1.0 - alpha_q) * np.einsum("tm,tmk->tk", diag_in, row_power)
+        quant_in = e4 * (stats.row4 @ p + sv2 * stats.row_noise)
     else:
-        total_row = row_power.sum(axis=2)                    # diag(G G^H)
-        quant = alpha_q * (1.0 - alpha_q) * (
-            p * np.einsum("tm,tmk->tk", total_row, row_power) + sn2 * norm2
-        )
+        quant_in = e4 * p * stats.row4.sum(axis=2)
+    quant = a * (1.0 - a) * (quant_in + sn2 * e2 * n)
 
-    num = p * alpha_q**2 * norm2**2
+    num = p * a**2 * e4 * n**2
     den = interference + dynamic + awgn + quant
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def rate_from_statistics(
+    stats: TrialStatistics,
+    budget: LinkBudget,
+    cfg: SystemConfig,
+    strict_aqnm: bool = False,
+) -> RateReport:
+    """Per-user ergodic rates of one budget over the trials of `stats`."""
+    K = cfg.K
+    if not budget.startup_met:
+        return RateReport.silent(K)
+    rates = np.log2(1.0 + sinr_from_statistics(stats, budget, cfg, strict_aqnm))
+    T = stats.trials
+    per_user = rates.mean(axis=0)
+    if T > 1:
+        std_err = rates.std(axis=0, ddof=1) / math.sqrt(T)
+        sum_std_err = float(rates.sum(axis=1).std(ddof=1) / math.sqrt(T))
+    else:
+        std_err = np.zeros(K)
+        sum_std_err = 0.0
+    return RateReport(per_user, float(per_user.sum()), std_err, T, sum_std_err)
 
 
 def instantaneous_sinr(
@@ -171,16 +269,8 @@ def instantaneous_sinr(
     """SINR per user for one realization; all zeros if the surface is down."""
     if not budget.startup_met:
         return np.zeros(cfg.K)
-    alpha_q = quantization_gain(cfg, budget.mode)
-    return _sinr_batch(
-        real.H1[None], real.H2[None], phases, budget, cfg, alpha_q, strict_aqnm
-    )[0]
-
-
-def _batches(trials: int):
-    for b_idx in range(0, (trials + BATCH - 1) // BATCH):
-        lo = b_idx * BATCH
-        yield b_idx, lo, min(lo + BATCH, trials)
+    stats = TrialStatistics(*_batch_statistics(real.H1[None], real.H2[None], phases.phi))
+    return sinr_from_statistics(stats, budget, cfg, strict_aqnm)[0]
 
 
 def monte_carlo_rate(
@@ -198,26 +288,9 @@ def monte_carlo_rate(
     T = cfg.trials if trials is None else int(trials)
     if T < 1:
         raise ValueError("trials must be positive")
-    K = cfg.K
     if not budget.startup_met:
-        return RateReport(np.zeros(K), 0.0, np.zeros(K), 0, 0.0)
-
-    alpha_q = quantization_gain(cfg, budget.mode)
-    rates = np.empty((T, K))
-    for b_idx, lo, hi in _batches(T):
-        rng = substream(cfg.seed, STREAM_FADING, b_idx)
-        H1, H2 = sample_channel_batch(geom, cfg, rng, hi - lo)
-        sinr = _sinr_batch(H1, H2, phases, budget, cfg, alpha_q, strict_aqnm)
-        rates[lo:hi] = np.log2(1.0 + sinr)
-
-    per_user = rates.mean(axis=0)
-    if T > 1:
-        std_err = rates.std(axis=0, ddof=1) / math.sqrt(T)
-        sum_std_err = float(rates.sum(axis=1).std(ddof=1) / math.sqrt(T))
-    else:
-        std_err = np.zeros(K)
-        sum_std_err = 0.0
-    return RateReport(per_user, float(per_user.sum()), std_err, T, sum_std_err)
+        return RateReport.silent(cfg.K)
+    return rate_from_statistics(trial_statistics(geom, cfg, phases, T), budget, cfg, strict_aqnm)
 
 
 def measured_ris_power(
@@ -240,7 +313,7 @@ def measured_ris_power(
     sv = math.sqrt(budget.sigma_v2_w)
     phi = phases.phi
     total = 0.0
-    for b_idx, lo, hi in _batches(trials):
+    for b_idx, lo, hi in batch_ranges(trials):
         rng = substream(cfg.seed, STREAM_SYMBOLS, b_idx)
         count = hi - lo
         H1 = sample_user_channels(geom, cfg, rng, count)

@@ -182,3 +182,44 @@ def test_config_validation(kwargs):
 def test_config_accepts_ideal_bits():
     cfg = SystemConfig(b="ideal")
     assert cfg.b == "ideal"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(b=True),
+        dict(b=2.0),
+        dict(M=1.5),
+        dict(N=16.0),
+        dict(K=True, epsilon=(10.0,)),
+        dict(trials=100.5),
+        dict(seed=1.5),
+    ],
+)
+def test_config_rejects_non_integer_counts(kwargs):
+    with pytest.raises(ConfigurationError):
+        SystemConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["sigma_n2_dbm", "sigma_v2_dbm", "P_T_dbm", "P_SW_dbm", "P_DC_dbm", "delta",
+     "pathloss_exp_user", "user_radius"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigurationError):
+        SystemConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_rician_factor(value):
+    with pytest.raises(ConfigurationError):
+        SystemConfig(epsilon=(10.0, 10.0, 10.0, value))
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SystemConfig(M=np.int64(16), N=np.int32(4), K=np.int64(2), epsilon=(10.0, 10.0),
+                       b=np.int64(2), trials=np.int64(8), seed=np.uint8(3))
+    assert (cfg.M, cfg.N, cfg.K, cfg.b, cfg.trials, cfg.seed) == (16, 4, 2, 2, 8, 3)
+    assert all(type(v) is int for v in (cfg.M, cfg.N, cfg.K, cfg.b, cfg.trials, cfg.seed))

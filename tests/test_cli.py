@@ -4,7 +4,10 @@ import os
 import pytest
 import yaml
 
-from arisim.cli import main
+import arisim.transceiver
+from arisim import Mode, make_geometry, monte_carlo_rate, resolve_budget
+from arisim.cli import build_system, experiment_phases, load_config, main
+from arisim.transceiver import BATCH
 
 TINY_SYSTEM = {
     "M": 4, "N": 4, "K": 2, "b": 1,
@@ -86,6 +89,57 @@ def test_total_power_marks_startup_cutoff(tmp_path):
     assert float(by[(5.0, "passive")][i_sum]) > 0.0
     assert by[(30.0, "active")][i_started] == "true"
     assert float(by[(30.0, "active")][i_sum]) > 0.0
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """(M, N, spawn key) of every fading batch drawn while the test runs."""
+    seen = []
+    draw = arisim.transceiver.sample_channel_batch
+
+    def counting(geom, cfg, rng, count):
+        seen.append((cfg.M, cfg.N, rng.bit_generator.seed_seq.spawn_key))
+        return draw(geom, cfg, rng, count)
+
+    monkeypatch.setattr(arisim.transceiver, "sample_channel_batch", counting)
+    return seen
+
+
+@pytest.mark.parametrize("experiment, block, sites", [
+    # one geometry; 3 live points of 6 (both modes at 30 dBm, passive at 5 dBm)
+    ("total-power", {"N": 16, "P_T_dbm_grid": [0.0, 5.0, 30.0]}, 1),
+    ("antennas-elements", {"M_grid": [4, 16], "N_grid": [4]}, 2),
+    ("adc-bits", {"bits": [1, 4, "ideal"], "pairs": [[4, 4], [8, 4]]}, 2),
+])
+def test_sweeps_draw_each_fading_batch_once(tmp_path, draws, experiment, block, sites):
+    # two batches per geometry: every point of a geometry shares them
+    config = write_config(tmp_path, experiments={experiment: block})
+    assert main(["--config", config, "--experiment", experiment, "--output",
+                 str(tmp_path / "out"), "--trials", str(BATCH + 1)]) == 0
+    assert len(draws) == 2 * sites
+    assert len(set(draws)) == len(draws)
+
+
+def test_sweep_rates_match_monte_carlo_rate(tmp_path):
+    config = write_config(
+        tmp_path,
+        experiments={"total-power": {"N": 16, "P_T_dbm_grid": [5.0, 30.0]}},
+    )
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", "total-power",
+                 "--output", str(out)]) == 0
+    rows = read_rows(out / "total_power.csv")
+    header = rows[0]
+    raw = load_config(config)
+    cfg = build_system(raw, N=16)
+    geom = make_geometry(cfg)
+    phases = experiment_phases(cfg)
+    for row in rows[1:]:
+        point = build_system(raw, N=16, P_T_dbm=float(row[0]))
+        budget = resolve_budget(point, geom.alpha, Mode(row[header.index("mode")]))
+        report = monte_carlo_rate(geom, point, phases, budget)
+        assert row[header.index("mc_sum_rate")] == repr(report.sum_rate)
+        assert row[header.index("mc_stderr")] == repr(report.sum_std_err)
 
 
 def test_adc_bits_run(tmp_path):

@@ -14,6 +14,8 @@ from arisim import (
     wishart_moment_check,
 )
 from arisim import analytic
+from arisim.channel import sample_channel_batch, substream
+from arisim.transceiver import BATCH
 from helpers import rayleigh_norm4_mean
 
 
@@ -59,6 +61,44 @@ def test_estimates_deterministic(desk):
     np.testing.assert_array_equal(a.quantization, b.quantization)
     c = estimate_moments(geom, cfg, phases, budget, 2000, 6)
     assert not np.array_equal(a.signal, c.signal)
+
+
+def test_estimates_match_direct_definition(desk):
+    # every moment from the literal per-trial expressions, over two batches
+    # drawn from the oracle's stream substream(seed, batch)
+    cfg, geom, phases, budget = desk
+    trials, seed = BATCH + 5, 5
+    samples = {name: [] for name in ("sig", "cross", "dyn", "gain", "quant")}
+    Phi = np.diag(phases.phi)
+    I = np.eye(cfg.M)
+    for b_idx, count in ((0, BATCH), (1, trials - BATCH)):
+        H1, H2 = sample_channel_batch(geom, cfg, substream(seed, b_idx), count)
+        for t in range(count):
+            G = budget.eta * H2[t] @ Phi @ H1[t]
+            R_in = G @ G.conj().T
+            gain = np.array([np.vdot(G[:, k], G[:, k]).real for k in range(cfg.K)])
+            samples["gain"].append(gain)
+            samples["sig"].append(gain**2)
+            samples["cross"].append([[abs(np.vdot(G[:, k], G[:, i])) ** 2 if i != k else 0.0
+                                      for i in range(cfg.K)] for k in range(cfg.K)])
+            samples["dyn"].append([np.linalg.norm(G[:, k].conj() @ H2[t] @ Phi) ** 2
+                                   for k in range(cfg.K)])
+            samples["quant"].append([
+                (G[:, k].conj() @ np.diag(np.diag(budget.p[k] * R_in + cfg.sigma_n2_w * I))
+                 @ G[:, k]).real
+                for k in range(cfg.K)
+            ])
+    est = estimate_moments(geom, cfg, phases, budget, trials, seed)
+    for name, mean, se in (
+        ("sig", est.signal, est.se_signal),
+        ("cross", est.interference, est.se_interference),
+        ("dyn", est.dynamic_noise, est.se_dynamic_noise),
+        ("gain", est.channel_gain, est.se_channel_gain),
+        ("quant", est.quantization, est.se_quantization),
+    ):
+        x = np.asarray(samples[name])
+        np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(se, x.std(axis=0, ddof=1) / np.sqrt(trials), rtol=1e-10)
 
 
 def test_interference_diagonal_is_masked(desk):

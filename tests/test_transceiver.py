@@ -18,8 +18,11 @@ from arisim import (
     monte_carlo_rate,
     resolve_budget,
     sample_channels,
+    sinr_from_statistics,
+    trial_statistics,
 )
-from arisim.channel import substream
+from arisim.channel import STREAM_FADING, sample_channel_batch, substream
+from arisim.transceiver import BATCH, quantization_gain
 
 from helpers import sinr_from_definition
 
@@ -40,7 +43,7 @@ def test_aqnm_alpha_monotone_across_table_boundary():
 
 
 def test_aqnm_alpha_rejects_bad_bits():
-    for bad in (0, -1, 2.5, "three"):
+    for bad in (0, -1, 2.5, "three", True):
         with pytest.raises(ValueError):
             aqnm_alpha(bad)
 
@@ -241,3 +244,53 @@ def test_measured_power_quadratic_in_gain(desk):
     four_x = measured_ris_power(geom, cfg, phases, doubled, trials=500)
     # identical draws, so the quadratic scaling is exact
     assert four_x == pytest.approx(4.0 * base, rel=1e-12)
+
+
+def test_one_statistics_set_serves_every_budget():
+    # K = 3 with prime N; the last budget has unequal powers, where the
+    # strict quantizer input differs from the scalar one
+    cfg = SystemConfig(M=8, N=5, K=3, epsilon=(10.0, 2.0, 0.0), b=2, seed=13)
+    geom = make_geometry(cfg)
+    phases = PhaseConfig.random(cfg.N, substream(14, 0))
+    trials = 6
+    stats = trial_statistics(geom, cfg, phases, trials)
+    H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), trials)
+    active = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
+    budgets = [
+        active,
+        resolve_budget(cfg, geom.alpha, Mode.PASSIVE),
+        resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC),
+        LinkBudget(p=active.p * np.array([0.5, 1.0, 1.5]), eta=active.eta, P_A=active.P_A,
+                   startup_met=True, mode=Mode.ACTIVE, sigma_v2_w=active.sigma_v2_w),
+    ]
+    for budget in budgets:
+        alpha = quantization_gain(cfg, budget.mode)
+        for strict in (False, True):
+            got = sinr_from_statistics(stats, budget, cfg, strict_aqnm=strict)
+            want = [
+                sinr_from_definition(H1[t], H2[t], phases.theta, budget.p, budget.eta,
+                                     budget.sigma_v2_w, cfg.sigma_n2_w, alpha, strict_aqnm=strict)
+                for t in range(trials)
+            ]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_trial_statistics_follow_the_batch_layout(desk):
+    # trial BATCH + t is trial t of batch 1 of the fading stream
+    cfg, geom, phases, _ = desk
+    stats = trial_statistics(geom, cfg, phases, BATCH + 7)
+    assert stats.trials == BATCH + 7
+    H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
+    G0 = (H2 * phases.phi) @ H1
+    np.testing.assert_allclose(stats.norm2[BATCH:], (np.abs(G0) ** 2).sum(axis=1), rtol=1e-12)
+
+
+def test_trial_statistics_checks_inputs(desk):
+    cfg, geom, phases, budget = desk
+    with pytest.raises(ValueError):
+        trial_statistics(geom, cfg, phases, trials=0)
+    with pytest.raises(ValueError):
+        trial_statistics(geom, cfg, PhaseConfig(np.zeros(cfg.N + 1)), trials=4)
+    stats = trial_statistics(geom, cfg, phases, trials=4)
+    with pytest.raises(ValueError):
+        sinr_from_statistics(stats, budget, replace(cfg, K=3, epsilon=(10.0,) * 3))
