@@ -8,16 +8,15 @@ optimizer and a brute-force oracle that certifies every closed form.
 
 from .analytic import (
     ChannelStats,
+    ClosedFormSite,
     channel_gain_moment,
     closed_form_rates,
+    closed_form_site,
     closed_form_sum_rate,
     compute_stats,
     dynamic_noise_moment,
     interference_moment,
     quantization_moment,
-    rate_active,
-    rate_ideal_adc,
-    rate_passive,
     signal_moment,
 )
 from .budget import (

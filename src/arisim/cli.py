@@ -130,9 +130,14 @@ def _site_rates(geom, cfg, phases, trials):
 
 
 def ga_params(cfg: SystemConfig, block: dict | None = None) -> GAParams:
+    """GA settings from a config block; the seed defaults to the system's.
+    Unknown keys are rejected so typos fail loudly."""
     block = dict(block or {})
+    unknown = set(block) - set(GAParams.__dataclass_fields__)
+    if unknown:
+        raise ConfigurationError(f"unknown GA config keys: {sorted(unknown)}")
     block.setdefault("seed", cfg.seed)
-    return GAParams(**{k: v for k, v in block.items() if k in GAParams.__dataclass_fields__})
+    return GAParams(**block)
 
 
 def run_antennas_elements(cfg, block, out_dir, trials, optimize, mode):
@@ -280,8 +285,8 @@ def run_optimize(cfg, block, out_dir, trials, optimize, mode):
     write_csv(
         summary_path,
         ["generations", "baseline_analytic_sum_rate", "optimized_analytic_sum_rate",
-         "optimized_mc_sum_rate", "optimized_mc_stderr"],
-        [(history.generations, a_base, a_best, mc_best, se_best)],
+         "optimized_mc_sum_rate", "optimized_mc_stderr", "stop_reason"],
+        [(history.generations, a_base, a_best, mc_best, se_best, history.stop_reason)],
     )
     return [hist_path, phase_path, summary_path]
 

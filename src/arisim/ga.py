@@ -15,12 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import closed_form_rates, compute_stats
-from .budget import ConfigurationError, LinkBudget, SystemConfig
+from .analytic import closed_form_rates, closed_form_site
+from .budget import (
+    ConfigurationError,
+    LinkBudget,
+    SystemConfig,
+    _is_finite_real,
+    _is_integer,
+)
 from .channel import Geometry
 from .transceiver import PhaseConfig
 
 TWO_PI = 2.0 * np.pi
+
+# GAParams fields that must hold an integer
+_INTEGER_FIELDS = ("n_total", "n_elite", "n_parents", "n_crossover", "n_mutation",
+                   "max_iters", "window", "seed")
 
 
 @dataclass(frozen=True)
@@ -45,8 +55,23 @@ class GAParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("mutation_sigma", "f_tol"):
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        if self.f_tol < 0.0:
+            raise ConfigurationError(f"f_tol must be nonnegative, got {self.f_tol}")
         if self.n_elite < 1:
             raise ConfigurationError("at least one elite is required")
+        if self.n_crossover < 0 or self.n_mutation < 0:
+            raise ConfigurationError("offspring counts must be nonnegative")
         if self.n_elite + self.n_crossover + self.n_mutation != self.n_total:
             raise ConfigurationError(
                 f"elites + crossover + mutation offspring must equal the population "
@@ -69,6 +94,7 @@ class GAHistory:
     best_fitness: list = field(default_factory=list)
     mean_fitness: list = field(default_factory=list)
     best_theta: list = field(default_factory=list)
+    stop_reason: str = "max_iters"  # or "f_tol": the mean fitness stopped moving
 
     @property
     def generations(self) -> int:
@@ -110,22 +136,28 @@ def optimize_phases(
 ) -> tuple[PhaseConfig, GAHistory]:
     """Run the genetic search and return the best phases ever seen.
 
-    `fitness` maps a phase vector (N,) to a scalar; by default it is the
-    closed-form sum rate for the budget's operating mode.  The surface must
-    be started up, otherwise every candidate scores zero and there is
-    nothing to optimize.
+    `fitness` maps a phase vector (N,) to a scalar and is called once per
+    individual.  By default the closed-form sum rate for the budget's
+    operating mode scores each whole generation in one call, from
+    statistics whose phase-free part is built once.  The surface must be
+    started up, otherwise every candidate scores zero and there is nothing
+    to optimize.
     """
     if not budget.startup_met:
         raise ConfigurationError("cannot optimize a surface that does not start up")
 
     if fitness is None:
-        def fitness(theta):
-            stats = compute_stats(geom, cfg, PhaseConfig(theta))
-            return float(closed_form_rates(stats, budget, cfg).sum())
+        site = closed_form_site(geom, cfg)
+
+        def score(population):
+            return closed_form_rates(site.stats(population), budget, cfg).sum(axis=-1)
+    else:
+        def score(population):
+            return np.array([fitness(t) for t in population])
 
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     pop = rng.uniform(0.0, TWO_PI, (params.n_total, cfg.N))
-    fit = np.array([fitness(t) for t in pop])
+    fit = score(pop)
 
     history = GAHistory()
     best_idx = int(np.argmax(fit))
@@ -147,7 +179,10 @@ def optimize_phases(
         parents = pop[parent_idx]
         children = np.empty((params.n_crossover, cfg.N))
         for c in range(params.n_crossover):
-            a, b = rng.integers(0, params.n_parents, 2)
+            # two scalar draws take the same bits as one draw of size 2, at
+            # a fraction of the call overhead
+            a = rng.integers(0, params.n_parents)
+            b = rng.integers(0, params.n_parents)
             children[c] = crossover(parents[a], parents[b], rng)
 
         if params.n_mutation > 0:
@@ -159,7 +194,7 @@ def optimize_phases(
             mutants = np.empty((0, cfg.N))
 
         pop = np.concatenate([elites, children, mutants])
-        fit = np.array([fitness(t) for t in pop])
+        fit = score(pop)
 
         gen_best = int(np.argmax(fit))
         if fit[gen_best] > best_fit:
@@ -170,6 +205,7 @@ def optimize_phases(
         if history.generations > params.window:
             deltas = np.abs(np.diff(history.mean_fitness[-(params.window + 1):]))
             if deltas.mean() < params.f_tol:
+                history.stop_reason = "f_tol"
                 break
 
     return PhaseConfig(best_theta), history

@@ -137,9 +137,9 @@ def test_ac4_adc_resolution_convergence(baseline):
     small_gap_at_4 = True
     worst_gap4 = 0.0
     for k in range(cfg.K):
-        rates = [analytic.rate_active(stats, budget, replace(cfg, b=b), k)
+        rates = [analytic.closed_form_rates(stats, budget, replace(cfg, b=b))[k]
                  for b in range(1, 13)]
-        ideal = analytic.rate_ideal_adc(stats, budget, cfg, k)
+        ideal = analytic.closed_form_rates(stats, budget, cfg, ideal_adc=True)[k]
         monotone &= all(rates[i] <= rates[i + 1] + 1e-12 for i in range(11))
         close_at_12 &= abs(ideal - rates[11]) <= 1e-3
         gap4 = (ideal - rates[3]) / ideal

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arisim import (
     ChannelStats,
@@ -16,12 +18,10 @@ from arisim import (
     interference_moment,
     make_geometry,
     quantization_moment,
-    rate_active,
-    rate_ideal_adc,
-    rate_passive,
     resolve_budget,
     signal_moment,
 )
+from arisim import analytic
 from arisim.channel import array_response, los_components, substream
 
 
@@ -133,22 +133,18 @@ def test_passive_rate_is_active_formula_without_dynamic_noise(desk):
     cfg, geom, phases, _ = desk
     passive = resolve_budget(cfg, geom.alpha, Mode.PASSIVE)
     stats = compute_stats(geom, cfg, phases)
-    for k in range(cfg.K):
-        # the active formula with eta = 1 and no dynamic noise is definitionally equal
-        assert rate_passive(stats, passive, cfg, k) == pytest.approx(
-            rate_active(stats, passive, cfg, k), rel=1e-12
-        )
-    with pytest.raises(ValueError):
-        active = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-        rate_passive(stats, active, cfg, 0)
+    # the active formula with eta = 1 and no dynamic noise is definitionally equal
+    unit_gain = replace(passive, mode=Mode.ACTIVE, eta=1.0, sigma_v2_w=0.0)
+    np.testing.assert_allclose(closed_form_rates(stats, passive, cfg),
+                               closed_form_rates(stats, unit_gain, cfg), rtol=1e-12)
 
 
 def test_high_resolution_converges_to_ideal(desk):
     cfg, geom, phases, budget = desk
     stats = compute_stats(geom, cfg, phases)
     for k in range(cfg.K):
-        ideal = rate_ideal_adc(stats, budget, cfg, k)
-        twelve = rate_active(stats, budget, replace(cfg, b=12), k)
+        ideal = closed_form_rates(stats, budget, cfg, ideal_adc=True)[k]
+        twelve = closed_form_rates(stats, budget, replace(cfg, b=12))[k]
         assert ideal - twelve == pytest.approx(0.0, abs=1e-3)
         assert twelve <= ideal
 
@@ -157,9 +153,9 @@ def test_rate_monotone_in_bits(desk):
     cfg, geom, phases, budget = desk
     stats = compute_stats(geom, cfg, phases)
     for k in range(cfg.K):
-        rates = [rate_active(stats, budget, replace(cfg, b=b), k) for b in range(1, 13)]
+        rates = [closed_form_rates(stats, budget, replace(cfg, b=b))[k] for b in range(1, 13)]
         assert all(rates[i] <= rates[i + 1] + 1e-12 for i in range(len(rates) - 1))
-        assert rates[-1] <= rate_ideal_adc(stats, budget, cfg, k)
+        assert rates[-1] <= closed_form_rates(stats, budget, cfg, ideal_adc=True)[k]
 
 
 def test_zero_power_zero_rate(desk):
@@ -169,7 +165,7 @@ def test_zero_power_zero_rate(desk):
         startup_met=True, mode=Mode.ACTIVE, sigma_v2_w=budget.sigma_v2_w,
     )
     stats = compute_stats(geom, cfg, phases)
-    assert rate_active(stats, silent, cfg, 0) == 0.0
+    assert closed_form_rates(stats, silent, cfg)[0] == 0.0
 
 
 def test_startup_failure_zeroes_rates(desk_cfg):
@@ -202,3 +198,65 @@ def test_active_wins_with_ample_power():
     active = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     passive = resolve_budget(cfg, geom.alpha, Mode.PASSIVE)
     assert closed_form_rates(stats, active, cfg).sum() > closed_form_rates(stats, passive, cfg).sum()
+
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@given(
+    K=st.integers(1, 5),
+    N=st.sampled_from(PRIMES),
+    M=st.integers(1, 12),
+    delta=st.sampled_from([0.0, 0.5, 3.0]),
+    eps=st.lists(st.sampled_from([0.0, 1.0, 10.0]), min_size=5, max_size=5),
+    b=st.sampled_from([1, 3]),
+    mode=st.sampled_from(list(Mode)),
+    ideal_adc=st.booleans(),
+    powered=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_population_rows_match_single_evaluations(
+    K, N, M, delta, eps, b, mode, ideal_adc, powered, seed
+):
+    cfg = SystemConfig(M=M, N=N, K=K, b=b, delta=delta, epsilon=tuple(eps[:K]),
+                       P_T_dbm=30.0 if powered else -30.0, trials=10, seed=seed)
+    geom = make_geometry(cfg)
+    budget = resolve_budget(cfg, geom.alpha, mode)
+    assert budget.startup_met == powered
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (4, N))
+    # one row aligned to user 0, where |f_0| reaches N
+    hbar, _ = los_components(geom, cfg)
+    a_ris = array_response(N, geom.ris_aod[0], geom.ris_aod[1], cfg.d_over_lambda)
+    theta[0] = np.mod(np.angle(a_ris) - np.angle(hbar[:, 0]), 2.0 * np.pi)
+
+    pop = analytic.closed_form_site(geom, cfg).stats(theta)
+    rates = closed_form_rates(pop, budget, cfg, ideal_adc=ideal_adc)
+    assert rates.shape == (4, K)
+    eta = budget.eta
+    arrays = {
+        "signal": analytic.signal_moments(pop, eta),
+        "interference": analytic.interference_moments(pop, eta),
+        "dynamic_noise": analytic.dynamic_noise_moments(pop, eta),
+        "channel_gain": analytic.channel_gain_moments(pop, eta),
+        "quantization": analytic.quantization_moments(pop, budget, cfg),
+    }
+    for p in range(4):
+        one = compute_stats(geom, cfg, PhaseConfig(theta[p]))
+        np.testing.assert_allclose(rates[p], closed_form_rates(one, budget, cfg, ideal_adc=ideal_adc),
+                                   rtol=1e-12, atol=0.0)
+        if not powered:
+            assert np.all(rates[p] == 0.0)
+        for k in range(K):
+            per_user = {
+                "signal": signal_moment(one, k, eta),
+                "dynamic_noise": dynamic_noise_moment(one, k, eta),
+                "channel_gain": channel_gain_moment(one, k, eta),
+                "quantization": quantization_moment(one, k, budget, cfg),
+            }
+            for name, value in per_user.items():
+                assert value == pytest.approx(arrays[name][p, k], rel=1e-12, abs=0.0), name
+            for i in range(K):
+                if i != k:
+                    assert interference_moment(one, k, i, eta) == pytest.approx(
+                        arrays["interference"][p, k, i], rel=1e-12, abs=0.0)

@@ -5,8 +5,8 @@ import pytest
 import yaml
 
 import arisim.transceiver
-from arisim import Mode, make_geometry, monte_carlo_rate, resolve_budget
-from arisim.cli import build_system, experiment_phases, load_config, main
+from arisim import ConfigurationError, Mode, make_geometry, monte_carlo_rate, resolve_budget
+from arisim.cli import build_system, experiment_phases, ga_params, load_config, main
 from arisim.transceiver import BATCH
 
 TINY_SYSTEM = {
@@ -174,6 +174,45 @@ def test_optimize_run(tmp_path):
     assert len(phases) == 1 + TINY_SYSTEM["N"]
     summary = read_rows(out / "optimize_summary.csv")
     assert float(summary[1][2]) >= 0.0
+
+
+def test_optimize_summary_records_stop_reason(tmp_path):
+    config = write_config(
+        tmp_path,
+        experiments={"optimize": {
+            "n_total": 12, "n_elite": 2, "n_parents": 4, "n_crossover": 8,
+            "n_mutation": 2, "max_iters": 3, "f_tol": 0.0,
+        }},
+    )
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", "optimize",
+                 "--output", str(out)]) == 0
+    summary = read_rows(out / "optimize_summary.csv")
+    assert summary[0] == ["generations", "baseline_analytic_sum_rate",
+                          "optimized_analytic_sum_rate", "optimized_mc_sum_rate",
+                          "optimized_mc_stderr", "stop_reason"]
+    assert summary[1][-1] == "max_iters"
+
+
+def test_unknown_ga_key_fails(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        experiments={"optimize": {
+            "n_total": 12, "n_elite": 2, "n_parents": 4, "n_crossover": 8,
+            "n_mutation": 2, "max_iter": 3,
+        }},
+    )
+    assert main(["--config", config, "--experiment", "optimize",
+                 "--output", str(tmp_path / "out")]) == 1
+    assert "max_iter" in capsys.readouterr().err
+
+
+def test_ga_params_seed_defaults_to_system_seed():
+    cfg = build_system({"system": dict(TINY_SYSTEM)})
+    assert ga_params(cfg, {"max_iters": 3}).seed == TINY_SYSTEM["seed"]
+    assert ga_params(cfg, {"seed": 5}).seed == 5
+    with pytest.raises(ConfigurationError, match="max_iter"):
+        ga_params(cfg, {"max_iter": 3})
 
 
 def test_verify_run(tmp_path, capsys):

@@ -47,6 +47,30 @@ def test_params_validation():
         GAParams(max_iters=0)
 
 
+@pytest.mark.parametrize("kw", [
+    {"mutation_sigma": float("nan")},
+    {"mutation_sigma": float("inf")},
+    {"f_tol": float("nan")},
+    {"f_tol": -1e-4},
+    {"n_total": 200.0},
+    {"max_iters": True},
+    {"window": 2.5},
+    {"seed": 1.5},
+    {"seed": -1},
+    {"n_crossover": 181, "n_mutation": -1},  # the counts still sum to n_total
+])
+def test_params_reject_bad_values(kw):
+    with pytest.raises(ConfigurationError):
+        GAParams(**kw)
+
+
+def test_params_accept_numpy_integers():
+    params = GAParams(n_total=np.int64(200), max_iters=np.int32(5), window=np.int64(3),
+                      seed=np.uint8(7))
+    assert params == GAParams(max_iters=5, window=3, seed=7)
+    assert type(params.n_total) is int and type(params.seed) is int
+
+
 def test_crossover_identity():
     rng = substream(3, 0)
     x = rng.uniform(0, 2 * np.pi, 16)
@@ -121,6 +145,37 @@ def test_early_termination_on_flat_fitness(ga_instance):
     _, hist = optimize_phases(geom, cfg, budget, params)
     # the huge tolerance triggers the moving-average stop right after the window fills
     assert hist.generations == 4
+
+
+def test_stop_reason(ga_instance):
+    cfg, geom, budget = ga_instance
+    _, hist = optimize_phases(geom, cfg, budget, tiny_params(max_iters=50, f_tol=1e9, window=3))
+    assert hist.stop_reason == "f_tol"
+    _, hist = optimize_phases(geom, cfg, budget, tiny_params(f_tol=0.0))
+    assert hist.stop_reason == "max_iters"
+
+
+def test_population_fitness_matches_per_individual_fitness(ga_instance):
+    cfg, geom, budget = ga_instance
+    params = tiny_params(max_iters=20, seed=4)
+    best, hist = optimize_phases(geom, cfg, budget, params)
+    best_cb, hist_cb = optimize_phases(
+        geom, cfg, budget, params,
+        fitness=lambda th: closed_form_sum_rate(geom, cfg, budget, PhaseConfig(th)),
+    )
+    np.testing.assert_array_equal(best.theta, best_cb.theta)
+    np.testing.assert_allclose(hist.best_fitness, hist_cb.best_fitness, rtol=1e-12, atol=0.0)
+
+
+def test_random_stream_layout_is_stable(ga_instance):
+    # best phases of this search as released before the population-scored
+    # fitness; they change only if the GA's random stream layout changes
+    cfg, geom, budget = ga_instance
+    best, _ = optimize_phases(geom, cfg, budget, tiny_params(seed=9))
+    np.testing.assert_array_equal(best.theta, [
+        1.2425486098824603, 3.540768163703528, 0.3825060194993916, 1.986055400177148,
+        1.3290051601162032, 4.332361585301779, 0.9113801232722087, 2.327328087902356,
+    ])
 
 
 def test_optimizer_beats_random_baseline(ga_instance):
