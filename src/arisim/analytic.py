@@ -16,15 +16,18 @@ least exact of the five; all are validated against brute-force Monte Carlo
 estimates in the oracle module.
 
 Only f depends on the phases.  `closed_form_site` gathers everything else
-once per geometry, and `ClosedFormSite.stats` evaluates f for one phase
-vector (N,) or a whole population (P, N).  The moments and the rates are
-array expressions over the trailing user axes, (..., K) and (..., K, K), so
-one call scores a population.
+once per geometry, with each moment collected into coefficients of |f_k|^2
+and the LoS coupling, and `ClosedFormSite.stats` evaluates f and the
+moments at eta = 1 for one phase vector (N,) or a whole population (P, N).
+The rates scale those by the budget, as array expressions over the
+trailing user axes, (..., K) and (..., K, K), so one call scores a
+population and the points of a sweep share one set of moments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +36,97 @@ from .channel import Geometry, array_response, los_components
 from .transceiver import PhaseConfig, quantization_gain
 
 
+class MomentCoefficients(NamedTuple):
+    """Phase-free coefficients of the five moments at eta = 1 and unit
+    power, as polynomials in the aligned gains F_k = |f_k|^2 and the LoS
+    coupling c_ki = Re{f_k conj(f_i) hbar_k^H hbar_i}:
+
+        signal, quantization (own)   x0 + x1 F_k + x2 F_k^2            (K,) each
+        channel gain, dynamic noise  x0 + x1 F_k                       (K,) each
+        interference, quantization   x00 + x10 F_k + x01 F_i            (K, K) each
+          (cross, zero diagonal)       + x11 F_k F_i + xc c_ki
+
+    Every term of the closed forms is gathered here, so a phase vector
+    costs a handful of array operations.  The coupling is conjugated
+    against the steering inner product; the opposite pairing fails the
+    Monte Carlo oracle whenever the steering vectors are strongly
+    correlated.
+    """
+
+    signal: tuple
+    gain: tuple
+    dynamic_noise: tuple
+    quantization: tuple
+    interference: tuple
+    quantization_cross: tuple
+
+
+def _moment_coefficients(
+    u: np.ndarray, hbar_inner: np.ndarray, M: int, N: int, delta: float,
+    eps: np.ndarray, beta: float,
+) -> MomentCoefficients:
+    """Collect the closed forms' terms by powers of F and c."""
+    d, e = delta, eps
+    Mu2 = M * u**2
+    signal = (
+        Mu2 * (M * N**2 * (2 * d**2 + e**2 + 2 * d * e + 2 * d + 2 * e + 1)
+               + N**2 * (e**2 + 2 * d * e + 2 * d + 2 * e + 1)
+               + M * N * (2 * d + 2 * e + 1)
+               + N * (2 * d + 2 * e + 1)),
+        Mu2 * 2.0 * d * e * (2 * M * N + M * N * e + M * N + 2 * M + N * e + N + 2),
+        Mu2 * M * d**2 * e**2,
+    )
+    gain = (M * u * (d * N + e * N + N), M * u * d * e)
+    b_u = beta * u
+    dynamic_noise = (
+        M**2 * b_u / (d + 1.0) * (2 * N * d + N**2 * d**2 + N * e + N)
+        + M * N * b_u * (N * d + N * e + N),
+        M**2 * b_u / (d + 1.0) * d * e * (2.0 + d * N) + M * N * b_u * d * e,
+    )
+    quantization = (
+        Mu2 * (2.0 * N**2 * (d + e + 1) ** 2 + 2.0 * N * (2 * d + 2 * e + 1)),
+        Mu2 * 4.0 * d * e * (N * (d + e + 1) + 2),
+        Mu2 * d**2 * e**2,
+    )
+
+    ek, ei = e[:, None], e[None, :]
+    Mu = M * u[:, None] * u[None, :]
+    interference = (
+        Mu * (N**2 * (M * d**2 + d * (ek + ei + 2) + (ei + 1) * (ek + 1))
+              + M * N * (2 * d + ek + ei + 1)
+              + M * ek * ei * np.abs(hbar_inner) ** 2),
+        Mu * d * ek * (d * M * N + N * ei + N + 2 * M),
+        Mu * d * ei * (d * M * N + N * ek + N + 2 * M),
+        Mu * M * d**2 * ek * ei,
+        Mu * 2.0 * M * d * ek * ei,
+    )
+    # quantization cross term for i != k:
+    # (a_k + b_k F_k) (a_i + b_i F_i) + 2d (e_k e_i c_ki + e_k F_k + e_i F_i + N)
+    a, b = N * (d + e + 1), d * e
+    ak, ai, bk, bi = a[:, None], a[None, :], b[:, None], b[None, :]
+    off = 1.0 - np.eye(len(u))
+    quantization_cross = tuple(off * Mu * x for x in (
+        ak * ai + 2.0 * d * N,
+        bk * ai + 2.0 * d * ek,
+        ak * bi + 2.0 * d * ei,
+        bk * bi,
+        2.0 * d * ek * ei,
+    ))
+    return MomentCoefficients(signal, gain, dynamic_noise, quantization, interference,
+                              quantization_cross)
+
+
+def _pair_form(c: tuple, F: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """x00 + x10 F_k + x01 F_i + x11 F_k F_i + xc c_ki over (..., K, K)."""
+    x00, x10, x01, x11, xc = c
+    Fk, Fi = F[..., :, None], F[..., None, :]
+    return (x11 * Fi + x10) * Fk + x01 * Fi + x00 + xc * coupling
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelStats:
-    """Deterministic inputs of the closed-form rate expressions."""
+    """Deterministic inputs of the closed-form rate expressions, and the
+    five moments they give at eta = 1 and unit power."""
 
     f: np.ndarray           # (..., K) aligned LoS gains f_k(Phi), one row per phase vector
     u: np.ndarray           # (K,) composite gains beta*alpha_k/((delta+1)(eps_k+1))
@@ -46,6 +137,35 @@ class ChannelStats:
     eps: np.ndarray         # (K,)
     beta: float
     alpha: np.ndarray       # (K,)
+    coefficients: MomentCoefficients | None = field(default=None, repr=False)
+    # the moments at eta = 1; the quantization term is per unit p_k and
+    # without its noise part, the interference diagonal is the formula's
+    signal: np.ndarray = field(init=False, repr=False)        # (..., K)
+    interference: np.ndarray = field(init=False, repr=False)  # (..., K, K)
+    dynamic_noise: np.ndarray = field(init=False, repr=False)
+    gain: np.ndarray = field(init=False, repr=False)
+    quantization: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c = self.coefficients
+        if c is None:
+            c = _moment_coefficients(self.u, self.hbar_inner, self.M, self.N, self.delta,
+                                     self.eps, self.beta)
+            object.__setattr__(self, "coefficients", c)
+        f = self.f
+        F = f.real**2 + f.imag**2
+        coupling = (f[..., :, None] * f.conj()[..., None, :] * self.hbar_inner).real
+        s0, s1, s2 = c.signal
+        q0, q1, q2 = c.quantization
+        for name, value in (
+            ("signal", (s2 * F + s1) * F + s0),
+            ("interference", _pair_form(c.interference, F, coupling)),
+            ("dynamic_noise", c.dynamic_noise[1] * F + c.dynamic_noise[0]),
+            ("gain", c.gain[1] * F + c.gain[0]),
+            ("quantization", (q2 * F + q1) * F + q0
+             + _pair_form(c.quantization_cross, F, coupling).sum(axis=-1)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,22 +181,26 @@ class ClosedFormSite:
     eps: np.ndarray
     beta: float
     alpha: np.ndarray
+    coefficients: MomentCoefficients
 
     def stats(self, theta) -> ChannelStats:
         """Statistics for phases `theta` of shape (N,) or (P, N)."""
         f = np.exp(1j * np.asarray(theta, dtype=float)) @ self.B
         return ChannelStats(f, self.u, self.hbar_inner, self.M, self.N, self.delta,
-                            self.eps, self.beta, self.alpha)
+                            self.eps, self.beta, self.alpha, self.coefficients)
 
 
 def closed_form_site(geom: Geometry, cfg: SystemConfig) -> ClosedFormSite:
-    """Build the steering vectors and large-scale factors once."""
+    """Build the steering vectors, large-scale factors and moment
+    coefficients once."""
     hbar, _ = los_components(geom, cfg)
     a_ris = array_response(cfg.N, geom.ris_aod[0], geom.ris_aod[1], cfg.d_over_lambda)
     eps = np.asarray(cfg.epsilon)
     u = geom.beta * geom.alpha / ((cfg.delta + 1.0) * (eps + 1.0))
-    return ClosedFormSite(a_ris.conj()[:, None] * hbar, u, hbar.conj().T @ hbar,
-                          cfg.M, cfg.N, cfg.delta, eps, geom.beta, geom.alpha)
+    hbar_inner = hbar.conj().T @ hbar
+    coefficients = _moment_coefficients(u, hbar_inner, cfg.M, cfg.N, cfg.delta, eps, geom.beta)
+    return ClosedFormSite(a_ris.conj()[:, None] * hbar, u, hbar_inner, cfg.M, cfg.N,
+                          cfg.delta, eps, geom.beta, geom.alpha, coefficients)
 
 
 def compute_stats(geom: Geometry, cfg: SystemConfig, phases: PhaseConfig) -> ChannelStats:
@@ -84,42 +208,9 @@ def compute_stats(geom: Geometry, cfg: SystemConfig, phases: PhaseConfig) -> Cha
     return closed_form_site(geom, cfg).stats(phases.theta)
 
 
-def _pairs(stats: ChannelStats):
-    """Per-pair operands over (..., K, K), user k on rows and i on columns:
-    eps_k, eps_i, |f_k|^2, |f_i|^2 and the LoS coupling
-    Re{f_k * conj(f_i) * hbar_k^H hbar_i}.
-
-    The aligned-gain product is conjugated against the steering inner
-    product; the opposite pairing fails the Monte Carlo oracle whenever the
-    steering vectors are strongly correlated.
-    """
-    f = stats.f[..., :, None]
-    g = stats.f[..., None, :]
-    cross = (f * np.conj(g) * stats.hbar_inner).real
-    return (stats.eps[:, None], stats.eps[None, :],
-            np.abs(f) ** 2, np.abs(g) ** 2, cross)
-
-
-def _off_diagonal_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over i != k of a (..., K, K) array, shape (..., K)."""
-    return np.where(np.eye(x.shape[-1], dtype=bool), 0.0, x).sum(axis=-1)
-
-
 def signal_moments(stats: ChannelStats, eta: float = 1.0) -> np.ndarray:
     """E{||g_k||^4} for every user, (..., K)."""
-    M, N, d = stats.M, stats.N, stats.delta
-    e = stats.eps
-    fk2 = np.abs(stats.f) ** 2
-    return (
-        eta**4 * M * stats.u ** 2 * (
-            M * d**2 * e**2 * fk2**2
-            + 2.0 * d * e * fk2 * (2 * M * N + M * N * e + M * N + 2 * M + N * e + N + 2)
-            + M * N**2 * (2 * d**2 + e**2 + 2 * d * e + 2 * d + 2 * e + 1)
-            + N**2 * (e**2 + 2 * d * e + 2 * d + 2 * e + 1)
-            + M * N * (2 * d + 2 * e + 1)
-            + N * (2 * d + 2 * e + 1)
-        )
-    )
+    return eta**4 * stats.signal
 
 
 def interference_moments(
@@ -132,44 +223,22 @@ def interference_moments(
     only for documentation; dimensional analysis and the Monte Carlo oracle
     both require u_k * u_i, which is the default.
     """
-    M, N, d = stats.M, stats.N, stats.delta
-    ek, ei, fk2, fi2, cross = _pairs(stats)
-    uk, ui = stats.u[:, None], stats.u[None, :]
-    u_pref = uk**2 * ui**2 if printed_prefactor else uk * ui
-    return (
-        eta**4 * M * u_pref * (
-            M * d**2 * ek * ei * fk2 * fi2
-            + d * ek * fk2 * (d * M * N + N * ei + N + 2 * M)
-            + d * ei * fi2 * (d * M * N + N * ek + N + 2 * M)
-            + N**2 * (M * d**2 + d * (ek + ei + 2) + (ei + 1) * (ek + 1))
-            + M * N * (2 * d + ek + ei + 1)
-            + M * ek * ei * np.abs(stats.hbar_inner) ** 2
-            + 2.0 * M * d * ek * ei * cross
-        )
-    )
+    moments = eta**4 * stats.interference
+    if printed_prefactor:
+        moments = moments * (stats.u[:, None] * stats.u[None, :])
+    return moments
 
 
 def dynamic_noise_moments(stats: ChannelStats, eta: float = 1.0) -> np.ndarray:
     """E{||g_k^H H2 Phi||^2} for every user, (..., K): gain seen by the
     surface's dynamic noise after combining.  Uses the central-Wishart
     approximation of (H2^H H2)^2."""
-    M, N, d = stats.M, stats.N, stats.delta
-    e = stats.eps
-    fk2 = np.abs(stats.f) ** 2
-    b_u = stats.beta * stats.u
-    return (
-        eta**2 * M**2 * b_u / (d + 1.0)
-        * (d * e * (2.0 + d * N) * fk2 + 2 * N * d + N**2 * d**2 + N * e + N)
-        + eta**2 * M * N * b_u * (d * e * fk2 + N * d + N * e + N)
-    )
+    return eta**2 * stats.dynamic_noise
 
 
 def channel_gain_moments(stats: ChannelStats, eta: float = 1.0) -> np.ndarray:
     """E{||g_k||^2} for every user, (..., K): mean combined-channel power."""
-    M, N, d = stats.M, stats.N, stats.delta
-    e = stats.eps
-    fk2 = np.abs(stats.f) ** 2
-    return eta**2 * M * stats.u * (d * e * fk2 + d * N + e * N + N)
+    return eta**2 * stats.gain
 
 
 def quantization_moments(
@@ -182,27 +251,8 @@ def quantization_moments(
     per-entry coupling with every interferer; transmit powers and the noise
     floor are folded in, matching how the term enters the SINR denominator.
     """
-    M, N, d = stats.M, stats.N, stats.delta
-    e = stats.eps
-    fk2 = np.abs(stats.f) ** 2
-    eta = budget.eta
-    p = budget.p
-
-    own = p * eta**4 * M * stats.u ** 2 * (
-        (d * e * fk2) ** 2
-        + 4.0 * d * e * fk2 * (N * (d + e + 1) + 2)
-        + 2.0 * N**2 * (d + e + 1) ** 2
-        + 2.0 * N * (2 * d + 2 * e + 1)
-    )
-    noise = cfg.sigma_n2_w * channel_gain_moments(stats, eta)
-
-    ek, ei, fk2, fi2, pair_re = _pairs(stats)  # fk2 again, broadcast over pairs
-    u_ki = stats.u[:, None] * stats.u[None, :]
-    cross = (
-        u_ki * (d * ek * fk2 + N * (d + ek + 1)) * (d * ei * fi2 + N * (d + ei + 1))
-        + 2.0 * d * u_ki * (ek * ei * pair_re + ek * fk2 + ei * fi2 + N)
-    )
-    return own + noise + p * eta**4 * M * _off_diagonal_sum(cross)
+    eta2 = budget.eta**2
+    return (eta2 * eta2 * budget.p) * stats.quantization + (cfg.sigma_n2_w * eta2) * stats.gain
 
 
 def signal_moment(stats: ChannelStats, k: int, eta: float = 1.0) -> float:
@@ -248,16 +298,16 @@ def closed_form_rates(
     """
     if not budget.startup_met:
         return np.zeros(np.shape(stats.f))
-    eta = budget.eta
     p = budget.p
-    interf = _off_diagonal_sum(interference_moments(stats, eta) * p)
-    dyn = eta**2 * budget.sigma_v2_w * dynamic_noise_moments(stats, eta)
-    awgn = cfg.sigma_n2_w * channel_gain_moments(stats, eta)
-    den = interf + dyn + awgn
+    e2 = budget.eta**2
+    e4p = e2 * e2 * p
+    interf = stats.interference @ p - np.diagonal(stats.interference, axis1=-2, axis2=-1) * p
+    awgn = (cfg.sigma_n2_w * e2) * stats.gain
+    den = (e2 * e2) * (interf + budget.sigma_v2_w * stats.dynamic_noise) + awgn
     alpha_q = 1.0 if ideal_adc else quantization_gain(cfg, budget.mode)
     if alpha_q < 1.0:
-        den += (1.0 - alpha_q) / alpha_q * quantization_moments(stats, budget, cfg)
-    return np.log2(1.0 + p * signal_moments(stats, eta) / den)
+        den += (1.0 - alpha_q) / alpha_q * (e4p * stats.quantization + awgn)
+    return np.log2(1.0 + e4p * stats.signal / den)
 
 
 def closed_form_sum_rate(

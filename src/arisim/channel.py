@@ -135,38 +135,46 @@ def los_components(geom: Geometry, cfg: SystemConfig) -> tuple[np.ndarray, np.nd
 def sample_channel_batch(
     geom: Geometry, cfg: SystemConfig, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw `count` independent realizations; returns (count, N, K) and
-    (count, M, N) arrays.
+    """Draw `count` independent realizations: H1 as complex (count, N, K)
+    and H2 as its real and imaginary planes, float (2, count, M, N).
 
     Each column of H1 mixes its fixed steering vector with fresh complex
     Gaussian noise at the user's Rician factor and is scaled so that
     E{||h_k||^2} = N * alpha_k; H2 is built the same way around the
-    rank-one LoS part with E{||H2||_F^2} = M * N * beta.
+    rank-one LoS part with E{||H2||_F^2} = M * N * beta.  H2's planes are
+    the stream's real and imaginary normal draws themselves (the layout of
+    `crandn`), scaled in place with the roundings of the complex
+    expression, so no complex H2-sized array is formed.
     """
     hbar, Hbar2 = los_components(geom, cfg)
     eps = np.asarray(cfg.epsilon)
 
     h_nlos = crandn(rng, (count, cfg.N, cfg.K))
-    H2_nlos = crandn(rng, (count, cfg.M, cfg.N))
-
     w_los = np.sqrt(eps / (eps + 1.0))
     w_nlos = np.sqrt(1.0 / (eps + 1.0))
     H1 = np.sqrt(geom.alpha) * (w_los * hbar + w_nlos * h_nlos)
 
-    # sqrt(beta) * (sqrt(d/(d+1)) Hbar2 + sqrt(1/(d+1)) H2_nlos), built in
-    # place with the same roundings: H2 is the largest array of a batch
+    # sqrt(beta) * (sqrt(d/(d+1)) Hbar2 + sqrt(1/(d+1)) sqrt(1/2) (z0 + j z1))
     d = cfg.delta
-    H2 = H2_nlos
+    H2 = rng.standard_normal(size=(2, count, cfg.M, cfg.N))
+    H2 *= math.sqrt(0.5)
     H2 *= math.sqrt(1.0 / (d + 1.0))
-    H2 += math.sqrt(d / (d + 1.0)) * Hbar2
+    los = math.sqrt(d / (d + 1.0)) * Hbar2
+    H2[0] += los.real
+    H2[1] += los.imag
     H2 *= math.sqrt(geom.beta)
     return H1, H2
+
+
+def complex_planes(H: np.ndarray) -> np.ndarray:
+    """Complex array from its stacked real and imaginary planes (2, ...)."""
+    return H[0] + 1j * H[1]
 
 
 def sample_channels(geom: Geometry, cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw a single realization from the given stream."""
     H1, H2 = sample_channel_batch(geom, cfg, rng, 1)
-    return ChannelRealization(H1[0], H2[0])
+    return ChannelRealization(H1[0], complex_planes(H2[:, 0]))
 
 
 def sample_user_channels(

@@ -14,6 +14,7 @@ import functools
 import os
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -140,23 +141,73 @@ def ga_params(cfg: SystemConfig, block: dict | None = None) -> GAParams:
     return GAParams(**block)
 
 
+class Site(NamedTuple):
+    """One geometry and phase vector of a sweep, with the points evaluated
+    there: `cfg` sets the geometry and the baseline phases, and each point
+    is a (point config, mode) pair.  With `ga`, the site also searches the
+    phases at `cfg` and evaluates the best ones in active mode."""
+
+    cfg: SystemConfig
+    points: tuple
+    ga: GAParams | None = None
+
+
+def _site_job(site: Site, trials: int) -> list:
+    """(analytic sum rate, MC sum rate, MC stderr, budget) of every point of
+    `site`, then of the optimised phases when the site has a GA."""
+    geom = make_geometry(site.cfg)
+    rates = _site_rates(geom, site.cfg, experiment_phases(site.cfg), trials)
+    results = [rates(point, mode) for point, mode in site.points]
+    if site.ga is not None:
+        budget = resolve_budget(site.cfg, geom.alpha, Mode.ACTIVE)
+        best, _ = optimize_phases(geom, site.cfg, budget, site.ga)
+        results.append(_site_rates(geom, site.cfg, best, trials)(site.cfg, Mode.ACTIVE))
+    return results
+
+
+def site_workers(sites: int) -> int:
+    """Pool size for `sites` site jobs: one worker per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, sites))
+
+
+def run_sites(sites: list, trials: int) -> list:
+    """Results of every site job, in site order.
+
+    Sites run on a thread pool; numpy releases the GIL in the fading draws
+    and the matmuls, which are most of a site's time.  Every site draws
+    from its own seeded streams, so the results do not depend on the
+    number of workers.
+    """
+    workers = site_workers(len(sites))
+    if workers == 1:
+        return [_site_job(site, trials) for site in sites]
+    # imported here: at module level it would add to every start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_site_job, sites, [trials] * len(sites)))
+
+
 def run_antennas_elements(cfg, block, out_dir, trials, optimize, mode):
     m_grid = [int(m) for m in block.get("M_grid", [16, 36, 64, 100, 144])]
     n_grid = [int(n) for n in block.get("N_grid", [4, 16, 36, 64])]
-    rows = []
+    sites = []
     for M in sorted(m_grid):
         for N in sorted(n_grid):
             point = _resize(cfg, M=M, N=N)
-            geom = make_geometry(point)
-            rates = _site_rates(geom, point, experiment_phases(point), trials)
-            for point_mode in (Mode.ACTIVE, Mode.PASSIVE):
-                a, mc, se, _ = rates(point, point_mode)
-                rows.append((M, N, point_mode.value, point.b, a, mc, se, False))
-            if optimize:
-                budget = resolve_budget(point, geom.alpha, Mode.ACTIVE)
-                best, _ = optimize_phases(geom, point, budget, ga_params(point, block.get("ga")))
-                a, mc, se, _ = _site_rates(geom, point, best, trials)(point, Mode.ACTIVE)
-                rows.append((M, N, Mode.ACTIVE.value, point.b, a, mc, se, True))
+            ga = ga_params(point, block.get("ga")) if optimize else None
+            sites.append(Site(point, ((point, Mode.ACTIVE), (point, Mode.PASSIVE)), ga))
+    rows = []
+    for site, results in zip(sites, run_sites(sites, trials)):
+        M, N, b = site.cfg.M, site.cfg.N, site.cfg.b
+        for (_, point_mode), (a, mc, se, _) in zip(site.points, results):
+            rows.append((M, N, point_mode.value, b, a, mc, se, False))
+        for a, mc, se, _ in results[len(site.points):]:
+            rows.append((M, N, Mode.ACTIVE.value, b, a, mc, se, True))
     path = os.path.join(out_dir, "antennas_elements.csv")
     write_csv(path, ["M", "N", "mode", "b", "analytic_sum_rate", "mc_sum_rate",
                      "mc_stderr", "optimized"], rows)
@@ -168,14 +219,13 @@ def run_total_power(cfg, block, out_dir, trials, optimize, mode):
     grid = block.get("P_T_dbm_grid",
                      [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30])
     cfg = _resize(cfg, N=n_elements)
-    rates = _site_rates(make_geometry(cfg), cfg, experiment_phases(cfg), trials)
-    rows = []
-    for p_t in sorted(float(p) for p in grid):
-        point = replace(cfg, P_T_dbm=p_t)
-        for point_mode in (Mode.ACTIVE, Mode.PASSIVE):
-            a, mc, se, budget = rates(point, point_mode)
-            rows.append((p_t, n_elements, point_mode.value, point.b, budget.startup_met,
-                         budget.eta, a, mc, se, False))
+    site = Site(cfg, tuple((replace(cfg, P_T_dbm=p_t), point_mode)
+                           for p_t in sorted(float(p) for p in grid)
+                           for point_mode in (Mode.ACTIVE, Mode.PASSIVE)))
+    (results,) = run_sites([site], trials)
+    rows = [(point.P_T_dbm, n_elements, point_mode.value, point.b, budget.startup_met,
+             budget.eta, a, mc, se, False)
+            for (point, point_mode), (a, mc, se, budget) in zip(site.points, results)]
     path = os.path.join(out_dir, "total_power.csv")
     write_csv(path, ["P_T_dbm", "N", "mode", "b", "startup_met", "eta",
                      "analytic_sum_rate", "mc_sum_rate", "mc_stderr", "optimized"], rows)
@@ -183,17 +233,19 @@ def run_total_power(cfg, block, out_dir, trials, optimize, mode):
 
 
 def run_adc_bits(cfg, block, out_dir, trials, optimize, mode):
-    bits = block.get("bits", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "ideal"])
+    bits = [b if b == "ideal" else int(b)
+            for b in block.get("bits", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "ideal"])]
     pairs = [tuple(int(v) for v in mn) for mn in block.get("pairs", [[64, 16], [100, 36]])]
-    rows = []
+    sites = []
     for M, N in sorted(pairs):
         point = _resize(cfg, M=M, N=N)
-        rates = _site_rates(make_geometry(point), point, experiment_phases(point), trials)
-        for b in bits:
-            b_val = b if b == "ideal" else int(b)
-            point_mode = Mode.IDEAL_ADC if b_val == "ideal" else Mode.ACTIVE
-            a, mc, se, _ = rates(replace(point, b=b_val), point_mode)
-            rows.append((str(b_val), M, N, point_mode.value, a, mc, se, False))
+        sites.append(Site(point, tuple(
+            (replace(point, b=b), Mode.IDEAL_ADC if b == "ideal" else Mode.ACTIVE) for b in bits
+        )))
+    rows = []
+    for site, results in zip(sites, run_sites(sites, trials)):
+        for (point, point_mode), (a, mc, se, _) in zip(site.points, results):
+            rows.append((str(point.b), point.M, point.N, point_mode.value, a, mc, se, False))
     path = os.path.join(out_dir, "adc_bits.csv")
     write_csv(path, ["b", "M", "N", "mode", "analytic_sum_rate", "mc_sum_rate",
                      "mc_stderr", "optimized"], rows)

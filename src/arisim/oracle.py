@@ -122,7 +122,10 @@ def wishart_moment_check(cfg: SystemConfig, trials: int, seed: int) -> WishartMo
     for b_idx, lo, hi in batch_ranges(trials):
         rng = substream(seed, b_idx)
         _, H2 = sample_channel_batch(geom, cfg, rng, hi - lo)
-        W = np.einsum("tmn,tmj->tnj", H2.conj(), H2)
+        # W = H2^H H2 from the planes A, B of H2: (A^T A + B^T B) + j(A^T B - B^T A)
+        AB = H2[0].swapaxes(1, 2) @ H2[1]
+        W = (H2.swapaxes(2, 3) @ H2).sum(axis=0) + 1j * (AB - AB.swapaxes(1, 2))
+        del H2, AB
         WW = W @ W
         s1 += WW.sum(axis=0)
         s2 += (np.abs(WW) ** 2).sum(axis=0)

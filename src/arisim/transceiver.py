@@ -34,6 +34,12 @@ from .channel import (
 # changes which generator produces which trial.
 BATCH = 512
 
+# The statistics kernel works on slices of a batch of about this many bytes
+# of H2 planes, and at least this many trials, so that its temporaries stay
+# small beside the batch; the reduction is per trial, so no value changes.
+KERNEL_BYTES = 1 << 19
+KERNEL_MIN_TRIALS = 16
+
 # Distortion factor rho of an optimal scalar quantizer for small bit widths;
 # beyond 5 bits the pi*sqrt(3)/2 * 2^(-2b) asymptote is accurate.
 AQNM_RHO = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009479, 5: 0.002499}
@@ -138,24 +144,44 @@ class TrialStatistics:
 
 
 def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray):
-    """The TrialStatistics fields of one batch of H1 (T, N, K) and H2 (T, M, N).
+    """The TrialStatistics fields of H1 (T, N, K) and of H2 given as its
+    real and imaginary planes (2, T, M, N).
 
-    Scaling H1 by phi instead of H2 and contracting H2 without conjugating
-    it keep every temporary far smaller than H2 itself.
+    Every product is one real matmul over both planes: a complex matrix
+    viewed as float holds its columns as [re, im] pairs, so with H2 = A + jB
+    the plane products A @ X and B @ (jX), summed, are H2 X as pairs.  No
+    complex H2-sized array is formed, and scaling H1 by phi instead of H2
+    keeps every temporary far smaller than H2 itself.
     """
-    G = H2 @ (phi[:, None] * H1)                     # (T, M, K)
-    gram = G.conj().swapaxes(1, 2) @ G               # gram[t,k,i] = g0_k^H g0_i
-    norm2 = np.diagonal(gram, axis1=1, axis2=2).real
-    cross2 = gram.real**2 + gram.imag**2
-    diag = np.arange(G.shape[2])
+    T, N, K = H1.shape
+    X = np.empty((2, T, N, K), dtype=complex)
+    np.multiply(phi[:, None], H1, out=X[0])
+    np.multiply(1j * phi[:, None], H1, out=X[1])
+    Y = H2 @ X.view(np.float64)                      # (2, T, M, 2K)
+    del X
+    Y[0] += Y[1]
+    G = Y[0]                                         # G0 = H2 Phi H1 as [re, im] pairs
+    R = (G.swapaxes(1, 2) @ G).reshape(T, K, 2, K, 2)
+    gram_re = R[:, :, 0, :, 0] + R[:, :, 1, :, 1]    # Re, Im of g0_k^H g0_i
+    gram_im = R[:, :, 0, :, 1] - R[:, :, 1, :, 0]
+    norm2 = np.diagonal(gram_re, axis1=1, axis2=2).copy()
+    cross2 = gram_re * gram_re + gram_im * gram_im
+    diag = np.arange(K)
     cross2[:, diag, diag] = 0.0
-    h2g = H2.swapaxes(1, 2) @ G.conj()               # conj(H2^H g0_k), (T, N, K)
-    dyn = (h2g.real**2 + h2g.imag**2).sum(axis=1)
-    power = G.real**2 + G.imag**2                    # |G0_mk|^2, (T, M, K)
+    np.multiply(G.view(complex), -1j, out=Y[1].view(complex))
+    Z = H2.swapaxes(2, 3) @ Y                        # A^T G0 and B^T (-j G0), (2, T, N, 2K)
+    Z[0] += Z[1]                                     # H2^H G0 as pairs
+    Z[0] *= Z[0]
+    z = Z[0].sum(axis=1)
+    dyn = z[:, 0::2] + z[:, 1::2]
+    del Z
+    Y[1] *= Y[1]
+    power = np.add(Y[1, ..., 0::2], Y[1, ..., 1::2])  # |G0_mk|^2, (T, M, K)
+    del Y, G
     row4 = power.swapaxes(1, 2) @ power
-    h2 = np.ascontiguousarray(H2).view(np.float64)[..., None, :]
-    h2_rows = (h2 @ h2.swapaxes(2, 3))[..., 0]       # sum_n |H2_mn|^2, (T, M, 1)
-    row_noise = (h2_rows.swapaxes(1, 2) @ power)[:, 0, :]
+    h2 = H2[..., None, :]
+    h2_rows = (h2 @ h2.swapaxes(3, 4))[..., 0, 0]    # sum_n |H2_mn|^2 per plane, (2, T, M)
+    row_noise = ((h2_rows[0] + h2_rows[1])[:, None, :] @ power)[:, 0, :]
     return norm2, cross2, dyn, row4, row_noise
 
 
@@ -183,10 +209,14 @@ def trial_statistics(
     fields = (np.empty((T, K)), np.empty((T, K, K)), np.empty((T, K)),
               np.empty((T, K, K)), np.empty((T, K)))
     phi = phases.phi
+    step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * cfg.N))
     for b_idx, lo, hi in batch_ranges(T):
         H1, H2 = sample_channel_batch(geom, cfg, substream(*key, b_idx), hi - lo)
-        for out, value in zip(fields, _batch_statistics(H1, H2, phi)):
-            out[lo:hi] = value
+        for start in range(lo, hi, step):
+            end = min(start + step, hi)
+            part = slice(start - lo, end - lo)
+            for out, value in zip(fields, _batch_statistics(H1[part], H2[:, part], phi)):
+                out[start:end] = value
         del H1, H2  # free this batch before the next one is drawn
     return TrialStatistics(*fields)
 
@@ -269,7 +299,8 @@ def instantaneous_sinr(
     """SINR per user for one realization; all zeros if the surface is down."""
     if not budget.startup_met:
         return np.zeros(cfg.K)
-    stats = TrialStatistics(*_batch_statistics(real.H1[None], real.H2[None], phases.phi))
+    H2 = np.stack([real.H2.real, real.H2.imag])[:, None]
+    stats = TrialStatistics(*_batch_statistics(real.H1[None], H2, phases.phi))
     return sinr_from_statistics(stats, budget, cfg, strict_aqnm)[0]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from arisim import SystemConfig, array_response, los_components, make_geometry, sample_channels
 from arisim.budget import path_loss
-from arisim.channel import sample_channel_batch, substream
+from arisim.channel import STREAM_FADING, complex_planes, sample_channel_batch, substream
 
 
 def test_array_response_single_element():
@@ -122,7 +123,45 @@ def test_second_hop_power_normalization():
     geom = make_geometry(cfg)
     draws = 20_000
     _, H2 = sample_channel_batch(geom, cfg, substream(31, 0), draws)
-    frob = (np.abs(H2) ** 2).sum(axis=(1, 2))
+    frob = (H2**2).sum(axis=(0, 2, 3))  # real and imaginary planes
     target = cfg.M * cfg.N * geom.beta
     se = frob.std(ddof=1) / math.sqrt(draws)
     assert abs(frob.mean() - target) <= 3.0 * se
+
+
+# sha256 of H1 and of the H2 planes of five draws from batch 0 of the fading
+# stream, pinned when H2 was still drawn as a complex array: the planes are
+# its real and imaginary parts bit for bit, and the stream layout is unchanged
+PINNED_DRAWS = [
+    (dict(M=16, N=8, K=4, delta=1.0, epsilon=(10.0, 10.0, 10.0, 10.0), seed=3),
+     "641e006d0542cc82310302039bf1be6e66becb2515b052aa2818fe8999e3851e",
+     "2944b03839b1d3aaea77d9e385aab006480866a818ec0cd50be36cd9b1e1ca2b"),
+    (dict(M=8, N=4, K=2, delta=0.0, epsilon=(10.0, 1.0), seed=5),
+     "b9a5168854733c03026ba7cf7abaae2be6742af6556fc66764f4f7e66c1500b8",
+     "81adffebd3371e7827d074d976e45f75dc09476a060406a3d8c97e96bd5675b8"),
+    (dict(M=12, N=6, K=3, delta=2.0, epsilon=(0.0, 0.0, 0.0), seed=7),
+     "10439da2b60be736d5b2dce5754aa5f0b0a270bbf639f21d8f68419f3e490fcb",
+     "28eff02425a36a7f8c2583accbbec18d4b893d15fc0007ba5c91af3d58177bde"),
+    (dict(M=5, N=7, K=1, delta=1.0, epsilon=(3.0,), seed=9),
+     "a790fd1706662e7cb505a45c73af488f1676ca6430e25f5a6dbf215452afefda",
+     "76cfd545fe9906b78d746cef3c6381a1960bb3574c53e5556165c888ab2361e9"),
+]
+
+
+@pytest.mark.parametrize("kwargs, h1_sha, h2_sha", PINNED_DRAWS)
+def test_planar_draws_match_pinned_values(kwargs, h1_sha, h2_sha):
+    cfg = SystemConfig(**kwargs)
+    H1, H2 = sample_channel_batch(make_geometry(cfg), cfg,
+                                  substream(cfg.seed, STREAM_FADING, 0), 5)
+    assert H1.shape == (5, cfg.N, cfg.K) and H1.dtype == np.complex128
+    assert H2.shape == (2, 5, cfg.M, cfg.N) and H2.dtype == np.float64
+    assert hashlib.sha256(np.ascontiguousarray(H1).tobytes()).hexdigest() == h1_sha
+    assert hashlib.sha256(np.ascontiguousarray(H2).tobytes()).hexdigest() == h2_sha
+
+
+def test_single_realization_is_the_complex_batch_entry(desk_cfg):
+    geom = make_geometry(desk_cfg)
+    real = sample_channels(geom, desk_cfg, substream(123, 0))
+    H1, H2 = sample_channel_batch(geom, desk_cfg, substream(123, 0), 1)
+    np.testing.assert_array_equal(real.H1, H1[0])
+    np.testing.assert_array_equal(real.H2, complex_planes(H2)[0])

@@ -4,6 +4,7 @@ import os
 import pytest
 import yaml
 
+import arisim.cli
 import arisim.transceiver
 from arisim import ConfigurationError, Mode, make_geometry, monte_carlo_rate, resolve_budget
 from arisim.cli import build_system, experiment_phases, ga_params, load_config, main
@@ -140,6 +141,57 @@ def test_sweep_rates_match_monte_carlo_rate(tmp_path):
         report = monte_carlo_rate(geom, point, phases, budget)
         assert row[header.index("mc_sum_rate")] == repr(report.sum_rate)
         assert row[header.index("mc_stderr")] == repr(report.sum_std_err)
+
+
+SMALL_GA = {"n_total": 12, "n_elite": 2, "n_parents": 4, "n_crossover": 8,
+            "n_mutation": 2, "max_iters": 3, "f_tol": 0.0}
+
+
+@pytest.mark.parametrize("experiment, block, flags, csv_name", [
+    ("total-power", {"N": 16, "P_T_dbm_grid": [0.0, 5.0, 30.0]}, [], "total_power.csv"),
+    ("adc-bits", {"bits": [1, 4, "ideal"], "pairs": [[4, 4], [8, 4], [8, 9]]}, [],
+     "adc_bits.csv"),
+    ("antennas-elements", {"M_grid": [4, 16], "N_grid": [4, 9], "ga": SMALL_GA},
+     ["--optimize"], "antennas_elements.csv"),
+])
+def test_sweep_csvs_do_not_depend_on_worker_count(tmp_path, monkeypatch, experiment, block,
+                                                  flags, csv_name):
+    config = write_config(tmp_path, experiments={experiment: block})
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(arisim.cli, "site_workers", lambda sites, n=workers: min(n, sites))
+        out = tmp_path / f"workers-{workers}"
+        assert main(["--config", config, "--experiment", experiment, "--output", str(out),
+                     "--trials", str(BATCH + 3), *flags]) == 0
+        outputs.append((out / csv_name).read_bytes())
+    assert outputs[0] == outputs[1]
+    rows = read_rows(tmp_path / "workers-1" / csv_name)
+    if "--optimize" in flags:
+        assert [r[-1] for r in rows[1:]].count("true") == 4  # one per (M, N)
+
+
+def test_site_workers_bounds():
+    assert arisim.cli.site_workers(1) == 1
+    assert 1 <= arisim.cli.site_workers(1000) <= max(os.cpu_count() or 1, 1)
+
+
+def test_site_errors_fail_the_run(tmp_path, monkeypatch, capsys):
+    # an error raised inside a pooled site job fails the run like any other
+    make_geometry = arisim.cli.make_geometry
+
+    def failing(cfg):
+        if cfg.M == 16:
+            raise ConfigurationError("no geometry at M = 16")
+        return make_geometry(cfg)
+
+    monkeypatch.setattr(arisim.cli, "make_geometry", failing)
+    monkeypatch.setattr(arisim.cli, "site_workers", lambda sites: min(2, sites))
+    config = write_config(tmp_path, experiments={
+        "antennas-elements": {"M_grid": [4, 16], "N_grid": [4, 9]}})
+    assert main(["--config", config, "--experiment", "antennas-elements",
+                 "--output", str(tmp_path / "out")]) == 1
+    assert "no geometry at M = 16" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "antennas_elements.csv").exists()
 
 
 def test_adc_bits_run(tmp_path):

@@ -14,7 +14,7 @@ from arisim import (
     wishart_moment_check,
 )
 from arisim import analytic
-from arisim.channel import sample_channel_batch, substream
+from arisim.channel import complex_planes, sample_channel_batch, substream
 from arisim.transceiver import BATCH
 from helpers import rayleigh_norm4_mean
 
@@ -72,7 +72,8 @@ def test_estimates_match_direct_definition(desk):
     Phi = np.diag(phases.phi)
     I = np.eye(cfg.M)
     for b_idx, count in ((0, BATCH), (1, trials - BATCH)):
-        H1, H2 = sample_channel_batch(geom, cfg, substream(seed, b_idx), count)
+        H1, planes = sample_channel_batch(geom, cfg, substream(seed, b_idx), count)
+        H2 = complex_planes(planes)
         for t in range(count):
             G = budget.eta * H2[t] @ Phi @ H1[t]
             R_in = G @ G.conj().T

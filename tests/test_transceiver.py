@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,8 @@ from arisim import (
     sinr_from_statistics,
     trial_statistics,
 )
-from arisim.channel import STREAM_FADING, sample_channel_batch, substream
+from arisim.channel import STREAM_FADING, complex_planes, sample_channel_batch, substream
+from arisim import transceiver
 from arisim.transceiver import BATCH, quantization_gain
 
 from helpers import sinr_from_definition
@@ -254,7 +256,8 @@ def test_one_statistics_set_serves_every_budget():
     phases = PhaseConfig.random(cfg.N, substream(14, 0))
     trials = 6
     stats = trial_statistics(geom, cfg, phases, trials)
-    H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), trials)
+    H1, planes = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), trials)
+    H2 = complex_planes(planes)
     active = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     budgets = [
         active,
@@ -280,8 +283,8 @@ def test_trial_statistics_follow_the_batch_layout(desk):
     cfg, geom, phases, _ = desk
     stats = trial_statistics(geom, cfg, phases, BATCH + 7)
     assert stats.trials == BATCH + 7
-    H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
-    G0 = (H2 * phases.phi) @ H1
+    H1, planes = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
+    G0 = (complex_planes(planes) * phases.phi) @ H1
     np.testing.assert_allclose(stats.norm2[BATCH:], (np.abs(G0) ** 2).sum(axis=1), rtol=1e-12)
 
 
@@ -294,3 +297,33 @@ def test_trial_statistics_checks_inputs(desk):
     stats = trial_statistics(geom, cfg, phases, trials=4)
     with pytest.raises(ValueError):
         sinr_from_statistics(stats, budget, replace(cfg, K=3, epsilon=(10.0,) * 3))
+
+
+def test_kernel_slices_do_not_change_statistics():
+    # at (64, 64) the kernel takes 16 trials at a time; reducing the whole
+    # batch in one call gives the same bits
+    cfg = SystemConfig(M=64, N=64, K=3, epsilon=(10.0, 1.0, 0.0), seed=3)
+    assert transceiver.KERNEL_BYTES // (16 * cfg.M * cfg.N) <= transceiver.KERNEL_MIN_TRIALS
+    geom = make_geometry(cfg)
+    phases = PhaseConfig.random(cfg.N, substream(4, 0))
+    stats = trial_statistics(geom, cfg, phases, 40)
+    H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 40)
+    whole = transceiver._batch_statistics(H1, H2, phases.phi)
+    for name, value in zip(("norm2", "cross2", "dyn", "row4", "row_noise"), whole):
+        np.testing.assert_array_equal(getattr(stats, name), value, err_msg=name)
+
+
+def test_trial_statistics_memory_is_about_one_planar_batch():
+    # the H2 planes of a batch dominate; no complex H2-sized array is formed
+    cfg = SystemConfig(M=144, N=64, K=4, seed=2)
+    geom = make_geometry(cfg)
+    phases = PhaseConfig.random(cfg.N, substream(3, 0))
+    trials = 256
+    tracemalloc.start()
+    try:
+        trial_statistics(geom, cfg, phases, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    planes = 16 * trials * cfg.M * cfg.N
+    assert peak <= 1.2 * planes
