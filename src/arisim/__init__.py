@@ -9,15 +9,10 @@ optimizer and a brute-force oracle that certifies every closed form.
 from .analytic import (
     ChannelStats,
     ClosedFormSite,
-    channel_gain_moment,
     closed_form_rates,
     closed_form_site,
     closed_form_sum_rate,
     compute_stats,
-    dynamic_noise_moment,
-    interference_moment,
-    quantization_moment,
-    signal_moment,
 )
 from .budget import (
     ConfigurationError,
@@ -47,16 +42,17 @@ from .oracle import (
     wishart_moment_check,
 )
 from .transceiver import (
+    Moments,
     PhaseConfig,
     RateReport,
-    TrialStatistics,
     aqnm_alpha,
     cascaded_channel,
     instantaneous_sinr,
     measured_ris_power,
+    moments_at,
     monte_carlo_rate,
     rate_from_statistics,
-    sinr_from_statistics,
+    sinr,
     trial_statistics,
 )
 

@@ -17,23 +17,24 @@ estimates in the oracle module.
 
 Only f depends on the phases.  `closed_form_site` gathers everything else
 once per geometry, with each moment collected into coefficients of |f_k|^2
-and the LoS coupling, and `ClosedFormSite.stats` evaluates f and the
-moments at eta = 1 for one phase vector (N,) or a whole population (P, N).
-The rates scale those by the budget, as array expressions over the
-trailing user axes, (..., K) and (..., K, K), so one call scores a
-population and the points of a sweep share one set of moments.
+and the LoS coupling, and `ClosedFormSite.stats` evaluates f and the unit
+moments (`transceiver.Moments`) for one phase vector (N,) or a whole
+population (P, N).  The rates are the SINR of `transceiver.sinr` on those
+moments, as array expressions over the trailing user axes, (..., K) and
+(..., K, K), so one call scores a population and the points of a sweep
+share one set of moments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .budget import LinkBudget, SystemConfig
 from .channel import Geometry, array_response, los_components
-from .transceiver import PhaseConfig, quantization_gain
+from .transceiver import Moments, PhaseConfig, sinr
 
 
 class MomentCoefficients(NamedTuple):
@@ -43,8 +44,8 @@ class MomentCoefficients(NamedTuple):
 
         signal, quantization (own)   x0 + x1 F_k + x2 F_k^2            (K,) each
         channel gain, dynamic noise  x0 + x1 F_k                       (K,) each
-        interference, quantization   x00 + x10 F_k + x01 F_i            (K, K) each
-          (cross, zero diagonal)       + x11 F_k F_i + xc c_ki
+        interference, quantization   x00 + x10 F_k + x01 F_i            (K, K) each,
+          (cross)                      + x11 F_k F_i + xc c_ki          zero diagonal
 
     Every term of the closed forms is gathered here, so a phase vector
     costs a handful of array operations.  The coupling is conjugated
@@ -91,7 +92,8 @@ def _moment_coefficients(
 
     ek, ei = e[:, None], e[None, :]
     Mu = M * u[:, None] * u[None, :]
-    interference = (
+    off = 1.0 - np.eye(len(u))
+    interference = tuple(off * x for x in (
         Mu * (N**2 * (M * d**2 + d * (ek + ei + 2) + (ei + 1) * (ek + 1))
               + M * N * (2 * d + ek + ei + 1)
               + M * ek * ei * np.abs(hbar_inner) ** 2),
@@ -99,12 +101,11 @@ def _moment_coefficients(
         Mu * d * ei * (d * M * N + N * ek + N + 2 * M),
         Mu * M * d**2 * ek * ei,
         Mu * 2.0 * M * d * ek * ei,
-    )
+    ))
     # quantization cross term for i != k:
     # (a_k + b_k F_k) (a_i + b_i F_i) + 2d (e_k e_i c_ki + e_k F_k + e_i F_i + N)
     a, b = N * (d + e + 1), d * e
     ak, ai, bk, bi = a[:, None], a[None, :], b[:, None], b[None, :]
-    off = 1.0 - np.eye(len(u))
     quantization_cross = tuple(off * Mu * x for x in (
         ak * ai + 2.0 * d * N,
         bk * ai + 2.0 * d * ek,
@@ -123,49 +124,13 @@ def _pair_form(c: tuple, F: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     return (x11 * Fi + x10) * Fk + x01 * Fi + x00 + xc * coupling
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelStats:
-    """Deterministic inputs of the closed-form rate expressions, and the
-    five moments they give at eta = 1 and unit power."""
+class ChannelStats(NamedTuple):
+    """Closed-form statistics of one phase vector or a population: the
+    aligned LoS gains f (..., K) and the expected unit moments."""
 
-    f: np.ndarray           # (..., K) aligned LoS gains f_k(Phi), one row per phase vector
-    u: np.ndarray           # (K,) composite gains beta*alpha_k/((delta+1)(eps_k+1))
-    hbar_inner: np.ndarray  # (K, K) steering inner products hbar_k^H hbar_i
-    M: int
-    N: int
-    delta: float
-    eps: np.ndarray         # (K,)
-    beta: float
-    alpha: np.ndarray       # (K,)
-    coefficients: MomentCoefficients | None = field(default=None, repr=False)
-    # the moments at eta = 1; the quantization term is per unit p_k and
-    # without its noise part, the interference diagonal is the formula's
-    signal: np.ndarray = field(init=False, repr=False)        # (..., K)
-    interference: np.ndarray = field(init=False, repr=False)  # (..., K, K)
-    dynamic_noise: np.ndarray = field(init=False, repr=False)
-    gain: np.ndarray = field(init=False, repr=False)
-    quantization: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        c = self.coefficients
-        if c is None:
-            c = _moment_coefficients(self.u, self.hbar_inner, self.M, self.N, self.delta,
-                                     self.eps, self.beta)
-            object.__setattr__(self, "coefficients", c)
-        f = self.f
-        F = f.real**2 + f.imag**2
-        coupling = (f[..., :, None] * f.conj()[..., None, :] * self.hbar_inner).real
-        s0, s1, s2 = c.signal
-        q0, q1, q2 = c.quantization
-        for name, value in (
-            ("signal", (s2 * F + s1) * F + s0),
-            ("interference", _pair_form(c.interference, F, coupling)),
-            ("dynamic_noise", c.dynamic_noise[1] * F + c.dynamic_noise[0]),
-            ("gain", c.gain[1] * F + c.gain[0]),
-            ("quantization", (q2 * F + q1) * F + q0
-             + _pair_form(c.quantization_cross, F, coupling).sum(axis=-1)),
-        ):
-            object.__setattr__(self, name, value)
+    site: ClosedFormSite
+    f: np.ndarray
+    unit: Moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,21 +138,26 @@ class ClosedFormSite:
     """Phase-free part of the closed form for one (geometry, system)."""
 
     B: np.ndarray           # (N, K) conj(a_ris) * hbar, so that f = exp(j*theta) @ B
-    u: np.ndarray
-    hbar_inner: np.ndarray
-    M: int
-    N: int
-    delta: float
-    eps: np.ndarray
-    beta: float
-    alpha: np.ndarray
+    u: np.ndarray           # (K,) composite gains beta*alpha_k/((delta+1)(eps_k+1))
+    hbar_inner: np.ndarray  # (K, K) steering inner products hbar_k^H hbar_i
     coefficients: MomentCoefficients
 
     def stats(self, theta) -> ChannelStats:
         """Statistics for phases `theta` of shape (N,) or (P, N)."""
         f = np.exp(1j * np.asarray(theta, dtype=float)) @ self.B
-        return ChannelStats(f, self.u, self.hbar_inner, self.M, self.N, self.delta,
-                            self.eps, self.beta, self.alpha, self.coefficients)
+        F = f.real**2 + f.imag**2
+        coupling = (f[..., :, None] * f.conj()[..., None, :] * self.hbar_inner).real
+        c = self.coefficients
+        s0, s1, s2 = c.signal
+        q0, q1, q2 = c.quantization
+        unit = Moments(
+            (s2 * F + s1) * F + s0,
+            _pair_form(c.interference, F, coupling),
+            c.dynamic_noise[1] * F + c.dynamic_noise[0],
+            c.gain[1] * F + c.gain[0],
+            (q2 * F + q1) * F + q0 + _pair_form(c.quantization_cross, F, coupling).sum(axis=-1),
+        )
+        return ChannelStats(self, f, unit)
 
 
 def closed_form_site(geom: Geometry, cfg: SystemConfig) -> ClosedFormSite:
@@ -199,8 +169,7 @@ def closed_form_site(geom: Geometry, cfg: SystemConfig) -> ClosedFormSite:
     u = geom.beta * geom.alpha / ((cfg.delta + 1.0) * (eps + 1.0))
     hbar_inner = hbar.conj().T @ hbar
     coefficients = _moment_coefficients(u, hbar_inner, cfg.M, cfg.N, cfg.delta, eps, geom.beta)
-    return ClosedFormSite(a_ris.conj()[:, None] * hbar, u, hbar_inner, cfg.M, cfg.N,
-                          cfg.delta, eps, geom.beta, geom.alpha, coefficients)
+    return ClosedFormSite(a_ris.conj()[:, None] * hbar, u, hbar_inner, coefficients)
 
 
 def compute_stats(geom: Geometry, cfg: SystemConfig, phases: PhaseConfig) -> ChannelStats:
@@ -208,106 +177,16 @@ def compute_stats(geom: Geometry, cfg: SystemConfig, phases: PhaseConfig) -> Cha
     return closed_form_site(geom, cfg).stats(phases.theta)
 
 
-def signal_moments(stats: ChannelStats, eta: float = 1.0) -> np.ndarray:
-    """E{||g_k||^4} for every user, (..., K)."""
-    return eta**4 * stats.signal
-
-
-def interference_moments(
-    stats: ChannelStats, eta: float = 1.0, printed_prefactor: bool = False
-) -> np.ndarray:
-    """E{|g_k^H g_i|^2} for every pair, (..., K, K); the diagonal is not a
-    moment of the model and is left as the formula gives it.
-
-    `printed_prefactor` switches to a u_k^2 * u_i^2 prefactor variant kept
-    only for documentation; dimensional analysis and the Monte Carlo oracle
-    both require u_k * u_i, which is the default.
-    """
-    moments = eta**4 * stats.interference
-    if printed_prefactor:
-        moments = moments * (stats.u[:, None] * stats.u[None, :])
-    return moments
-
-
-def dynamic_noise_moments(stats: ChannelStats, eta: float = 1.0) -> np.ndarray:
-    """E{||g_k^H H2 Phi||^2} for every user, (..., K): gain seen by the
-    surface's dynamic noise after combining.  Uses the central-Wishart
-    approximation of (H2^H H2)^2."""
-    return eta**2 * stats.dynamic_noise
-
-
-def channel_gain_moments(stats: ChannelStats, eta: float = 1.0) -> np.ndarray:
-    """E{||g_k||^2} for every user, (..., K): mean combined-channel power."""
-    return eta**2 * stats.gain
-
-
-def quantization_moments(
-    stats: ChannelStats, budget: LinkBudget, cfg: SystemConfig
-) -> np.ndarray:
-    """E{g_k^H diag(p_k G G^H + sn2 I) g_k} for every user, (..., K):
-    quantization-noise coupling.
-
-    Carries the user's own fourth moment, the AWGN contribution and the
-    per-entry coupling with every interferer; transmit powers and the noise
-    floor are folded in, matching how the term enters the SINR denominator.
-    """
-    eta2 = budget.eta**2
-    return (eta2 * eta2 * budget.p) * stats.quantization + (cfg.sigma_n2_w * eta2) * stats.gain
-
-
-def signal_moment(stats: ChannelStats, k: int, eta: float = 1.0) -> float:
-    """E{||g_k||^4}: fourth moment of the combined-channel norm."""
-    return float(signal_moments(stats, eta)[..., k])
-
-
-def interference_moment(
-    stats: ChannelStats, k: int, i: int, eta: float = 1.0, printed_prefactor: bool = False
-) -> float:
-    """E{|g_k^H g_i|^2}: pairwise interference coupling, k != i."""
-    if k == i:
-        raise ValueError("interference moment is defined for distinct users")
-    return float(interference_moments(stats, eta, printed_prefactor)[..., k, i])
-
-
-def dynamic_noise_moment(stats: ChannelStats, k: int, eta: float = 1.0) -> float:
-    """E{||g_k^H H2 Phi||^2}: gain seen by the surface's dynamic noise."""
-    return float(dynamic_noise_moments(stats, eta)[..., k])
-
-
-def channel_gain_moment(stats: ChannelStats, k: int, eta: float = 1.0) -> float:
-    """E{||g_k||^2}: mean combined-channel power."""
-    return float(channel_gain_moments(stats, eta)[..., k])
-
-
-def quantization_moment(
-    stats: ChannelStats, k: int, budget: LinkBudget, cfg: SystemConfig
-) -> float:
-    """E{g_k^H diag(p_k G G^H + sn2 I) g_k}: quantization-noise coupling."""
-    return float(quantization_moments(stats, budget, cfg)[..., k])
-
-
-def closed_form_rates(
-    stats: ChannelStats, budget: LinkBudget, cfg: SystemConfig, ideal_adc: bool = False
-) -> np.ndarray:
+def closed_form_rates(stats: ChannelStats, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
     """Closed-form approximate per-user rates, bits/s/Hz, (..., K).
 
     One formula serves every mode: a passive budget carries no dynamic
-    noise (sigma_v^2 = 0, eta = 1), and ideal ADCs (`ideal_adc`, or an
-    ideal-ADC budget) drop the quantization term.  Zero when the surface
-    is down.
+    noise (sigma_v^2 = 0, eta = 1), and ideal ADCs (an ideal-ADC budget, or
+    b = "ideal") drop the quantization term.  Zero when the surface is down.
     """
     if not budget.startup_met:
         return np.zeros(np.shape(stats.f))
-    p = budget.p
-    e2 = budget.eta**2
-    e4p = e2 * e2 * p
-    interf = stats.interference @ p - np.diagonal(stats.interference, axis1=-2, axis2=-1) * p
-    awgn = (cfg.sigma_n2_w * e2) * stats.gain
-    den = (e2 * e2) * (interf + budget.sigma_v2_w * stats.dynamic_noise) + awgn
-    alpha_q = 1.0 if ideal_adc else quantization_gain(cfg, budget.mode)
-    if alpha_q < 1.0:
-        den += (1.0 - alpha_q) / alpha_q * (e4p * stats.quantization + awgn)
-    return np.log2(1.0 + e4p * stats.signal / den)
+    return np.log2(1.0 + sinr(stats.unit, budget, cfg))
 
 
 def closed_form_sum_rate(

@@ -146,16 +146,11 @@ def sample_channel_batch(
     `crandn`), scaled in place with the roundings of the complex
     expression, so no complex H2-sized array is formed.
     """
-    hbar, Hbar2 = los_components(geom, cfg)
-    eps = np.asarray(cfg.epsilon)
-
-    h_nlos = crandn(rng, (count, cfg.N, cfg.K))
-    w_los = np.sqrt(eps / (eps + 1.0))
-    w_nlos = np.sqrt(1.0 / (eps + 1.0))
-    H1 = np.sqrt(geom.alpha) * (w_los * hbar + w_nlos * h_nlos)
+    H1 = sample_user_channels(geom, cfg, rng, count)
 
     # sqrt(beta) * (sqrt(d/(d+1)) Hbar2 + sqrt(1/(d+1)) sqrt(1/2) (z0 + j z1))
     d = cfg.delta
+    _, Hbar2 = los_components(geom, cfg)
     H2 = rng.standard_normal(size=(2, count, cfg.M, cfg.N))
     H2 *= math.sqrt(0.5)
     H2 *= math.sqrt(1.0 / (d + 1.0))
@@ -180,8 +175,8 @@ def sample_channels(geom: Geometry, cfg: SystemConfig, rng: np.random.Generator)
 def sample_user_channels(
     geom: Geometry, cfg: SystemConfig, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """Draw only the user -> RIS hop, (count, N, K); used where the second
-    hop is irrelevant (e.g. surface power measurement)."""
+    """Draw only the user -> RIS hop, (count, N, K): the first hop of
+    `sample_channel_batch` and of the surface power measurement."""
     hbar, _ = los_components(geom, cfg)
     eps = np.asarray(cfg.epsilon)
     h_nlos = crandn(rng, (count, cfg.N, cfg.K))

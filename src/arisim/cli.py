@@ -19,12 +19,13 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from . import analytic
 from .analytic import closed_form_rates, closed_form_sum_rate, compute_stats
 from .budget import (
     ConfigurationError,
     Mode,
     SystemConfig,
+    _is_finite_real,
+    _is_integer,
     circuit_power,
     resolve_budget,
     watts_to_dbm,
@@ -35,14 +36,12 @@ from .oracle import estimate_moments, wishart_moment_check
 from .transceiver import (
     PhaseConfig,
     measured_ris_power,
+    moments_at,
     rate_from_statistics,
     trial_statistics,
 )
 
 EXPERIMENTS = ("antennas-elements", "total-power", "adc-bits", "verify", "optimize")
-
-ENV_TRIALS = "ARISIM_TRIALS"
-ENV_SEED = "ARISIM_SEED"
 
 
 def load_config(path: str) -> dict:
@@ -56,7 +55,8 @@ def load_config(path: str) -> dict:
 def build_system(raw: dict, **overrides) -> SystemConfig:
     """Construct a SystemConfig from the config's system section.
 
-    A scalar `epsilon` is broadcast to all K users; unknown keys are
+    A scalar `epsilon` is broadcast to all K users; unknown keys, and Rician
+    factors that are not finite numbers (a boolean among them), are
     rejected so typos fail loudly.
     """
     section = dict(raw["system"])
@@ -67,14 +67,23 @@ def build_system(raw: dict, **overrides) -> SystemConfig:
         raise ConfigurationError(f"unknown system config keys: {sorted(unknown)}")
     K = int(section.get("K", SystemConfig.K))
     eps = section.get("epsilon", SystemConfig.epsilon)
-    if isinstance(eps, (int, float)):
-        section["epsilon"] = (float(eps),) * K
-    else:
-        section["epsilon"] = tuple(float(e) for e in eps)
+    eps = list(eps) if isinstance(eps, (list, tuple)) else [eps] * K
+    bad = [e for e in eps if not _is_finite_real(e)]
+    if bad:
+        raise ConfigurationError(f"epsilon entries must be finite numbers, got {bad[0]!r}")
+    section["epsilon"] = tuple(float(e) for e in eps)
     for key in ("bs_pos", "ris_pos", "user_center"):
         if key in section:
             section[key] = tuple(section[key])
     return SystemConfig(**section)
+
+
+def _integer(value, name: str) -> int:
+    """An integer from an experiment block; a bool or a fraction is an
+    error, not truncated."""
+    if not _is_integer(value):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _fmt(value) -> str:
@@ -193,8 +202,8 @@ def run_sites(sites: list, trials: int) -> list:
 
 
 def run_antennas_elements(cfg, block, out_dir, trials, optimize, mode):
-    m_grid = [int(m) for m in block.get("M_grid", [16, 36, 64, 100, 144])]
-    n_grid = [int(n) for n in block.get("N_grid", [4, 16, 36, 64])]
+    m_grid = [_integer(m, "M_grid entry") for m in block.get("M_grid", [16, 36, 64, 100, 144])]
+    n_grid = [_integer(n, "N_grid entry") for n in block.get("N_grid", [4, 16, 36, 64])]
     sites = []
     for M in sorted(m_grid):
         for N in sorted(n_grid):
@@ -215,7 +224,7 @@ def run_antennas_elements(cfg, block, out_dir, trials, optimize, mode):
 
 
 def run_total_power(cfg, block, out_dir, trials, optimize, mode):
-    n_elements = int(block.get("N", 128))
+    n_elements = _integer(block.get("N", 128), "total-power N")
     grid = block.get("P_T_dbm_grid",
                      [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30])
     cfg = _resize(cfg, N=n_elements)
@@ -233,9 +242,10 @@ def run_total_power(cfg, block, out_dir, trials, optimize, mode):
 
 
 def run_adc_bits(cfg, block, out_dir, trials, optimize, mode):
-    bits = [b if b == "ideal" else int(b)
+    bits = [b if b == "ideal" else _integer(b, "bits entry")
             for b in block.get("bits", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "ideal"])]
-    pairs = [tuple(int(v) for v in mn) for mn in block.get("pairs", [[64, 16], [100, 36]])]
+    pairs = [tuple(_integer(v, "pairs entry") for v in mn)
+             for mn in block.get("pairs", [[64, 16], [100, 36]])]
     sites = []
     for M, N in sorted(pairs):
         point = _resize(cfg, M=M, N=N)
@@ -258,16 +268,16 @@ def run_verify(cfg, block, out_dir, trials, optimize, mode):
     system size.  Fails the run when any check fails."""
     point = _resize(
         cfg,
-        M=int(block.get("M", 8)),
-        N=int(block.get("N", 4)),
-        K=int(block.get("K", 2)),
+        M=_integer(block.get("M", 8), "verify M"),
+        N=_integer(block.get("N", 4), "verify N"),
+        K=_integer(block.get("K", 2), "verify K"),
     )
-    n_trials = int(block.get("trials", trials if trials else 100000))
+    n_trials = _integer(block.get("trials", trials), "verify trials")
     wishart_tol = float(block.get("wishart_tol", 0.05))
     geom = make_geometry(point)
     phases = experiment_phases(point)
     budget = resolve_budget(point, geom.alpha, Mode.ACTIVE)
-    stats = compute_stats(geom, point, phases)
+    reference = moments_at(compute_stats(geom, point, phases).unit, budget, point)
     est = estimate_moments(geom, point, phases, budget, n_trials, point.seed + 1)
 
     rows = []
@@ -283,18 +293,14 @@ def run_verify(cfg, block, out_dir, trials, optimize, mode):
                      "PASS" if ok else "FAIL"))
 
     for k in range(point.K):
-        check("signal", k, est.signal[k], est.se_signal[k],
-              analytic.signal_moment(stats, k, budget.eta), 0.03)
-        check("dynamic_noise", k, est.dynamic_noise[k], est.se_dynamic_noise[k],
-              analytic.dynamic_noise_moment(stats, k, budget.eta), 0.05)
-        check("channel_gain", k, est.channel_gain[k], est.se_channel_gain[k],
-              analytic.channel_gain_moment(stats, k, budget.eta), 0.03)
-        check("quantization", k, est.quantization[k], est.se_quantization[k],
-              analytic.quantization_moment(stats, k, budget, point), 0.03)
+        for name, tol_rel in (("signal", 0.03), ("dynamic_noise", 0.05),
+                              ("channel_gain", 0.03), ("quantization", 0.03)):
+            check(name, k, getattr(est, name)[k], getattr(est, "se_" + name)[k],
+                  getattr(reference, name)[k], tol_rel)
         for i in range(point.K):
             if i != k:
                 check("interference", k, est.interference[k, i], est.se_interference[k, i],
-                      analytic.interference_moment(stats, k, i, budget.eta), 0.03)
+                      reference.interference[k, i], 0.03)
 
     # the 1% identity bound assumes the full 1e5-draw average
     measured = measured_ris_power(geom, point, phases, budget, 100000)
@@ -404,18 +410,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = load_config(args.config)
-        if args.trials is None and ENV_TRIALS in os.environ:
-            args.trials = int(os.environ[ENV_TRIALS])
-        if args.seed is None and ENV_SEED in os.environ:
-            args.seed = int(os.environ[ENV_SEED])
         cfg = build_system(raw, seed=args.seed, trials=args.trials)
-        trials = args.trials if args.trials is not None else cfg.trials
         mode = Mode(args.mode)
 
         os.makedirs(args.output, exist_ok=True)
         block = dict(raw.get("experiments", {}).get(args.experiment, {}) or {})
         geom = make_geometry(cfg)
-        artifacts = RUNNERS[args.experiment](cfg, block, args.output, trials, args.optimize, mode)
+        artifacts = RUNNERS[args.experiment](cfg, block, args.output, cfg.trials, args.optimize,
+                                             mode)
         manifest = write_manifest(args.output, cfg, geom, args, artifacts)
         print(f"wrote {len(artifacts)} artifact(s) + {os.path.basename(manifest)} to {args.output}")
         return 0

@@ -27,12 +27,13 @@ from .channel import (
     sample_channel_batch,
     substream,
 )
-from .transceiver import PhaseConfig, batch_ranges, trial_statistics
+from .transceiver import PhaseConfig, batch_ranges, moments_at, trial_statistics
 
 
 @dataclass(frozen=True, eq=False)
 class MomentEstimates:
-    """Sample means and standard errors of the five combined-channel moments."""
+    """Sample means and standard errors of the five combined-channel moments,
+    in the field order of `transceiver.Moments`."""
 
     signal: np.ndarray             # (K,)   mean ||g_k||^4
     interference: np.ndarray       # (K, K) mean |g_k^H g_i|^2, diagonal zeroed
@@ -60,29 +61,15 @@ def estimate_moments(
     Deterministic given (seed, trials); the stream is independent of the
     rate-simulation streams so estimates never reuse simulation draws.
     """
-    s = trial_statistics(geom, cfg, phases, trials, stream=(seed,))
-    e2 = budget.eta**2
-    gain = e2 * s.norm2
-    sig = gain**2
-    cross = e2**2 * s.cross2
-    dyn = e2 * s.dyn
-    quant = budget.p * e2**2 * s.row4.sum(axis=2) + cfg.sigma_n2_w * gain
+    per_trial = moments_at(trial_statistics(geom, cfg, phases, trials, stream=(seed,)), budget, cfg)
 
     def mean_se(x):
         m = x.mean(axis=0)
         se = x.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(m)
         return m, se
 
-    sig_m, sig_se = mean_se(sig)
-    cross_m, cross_se = mean_se(cross)
-    dyn_m, dyn_se = mean_se(dyn)
-    gain_m, gain_se = mean_se(gain)
-    quant_m, quant_se = mean_se(quant)
-    return MomentEstimates(
-        sig_m, cross_m, dyn_m, gain_m, quant_m,
-        sig_se, cross_se, dyn_se, gain_se, quant_se,
-        trials,
-    )
+    means, ses = zip(*map(mean_se, per_trial))
+    return MomentEstimates(*means, *ses, trials)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,11 @@ alpha = 1 - rho and adds Gaussian noise whose covariance is proportional to
 the diagonal of the input power.  Achievable rates are per-user ergodic
 values E{log2(1 + SINR)} estimated over fading realizations.
 
+The SINR is written once, as `sinr` over the five moments of `Moments`,
+and `moments_at` alone scales moments by a budget: Monte Carlo evaluates
+them per trial, the closed forms (`analytic`) and the oracle as
+expectations.
+
 Monte Carlo trials are processed in fixed-size batches, each with its own
 generator derived from (seed, batch index), so results depend only on the
 seed and trial count, never on execution order or worker count.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,30 +127,73 @@ def batch_ranges(trials: int):
         yield b_idx, lo, min(lo + BATCH, trials)
 
 
-@dataclass(frozen=True, eq=False)
-class TrialStatistics:
-    """Budget-free per-trial statistics of the unit-gain cascaded channel
-    G0 = H2 diag(exp(j*theta)) H1, with columns g0_k.
+class Moments(NamedTuple):
+    """The five moments of the combined channels g_k = eta * g0_k, with
+    G = [g_1 ... g_K], that the post-combining SINR is built from:
 
-    Every term of the post-combining SINR is one of these scaled by powers
-    of eta, the transmit powers, the two noise powers and the quantization
-    gain, so one set serves every budget, mode and bit width at a fixed
-    (geometry, phases, fading draws).
+        signal         ||g_k||^4                            (..., K)
+        interference   |g_k^H g_i|^2, zero for i = k        (..., K, K)
+        dynamic_noise  ||g_k^H H2 Phi||^2                   (..., K)
+        channel_gain   ||g_k||^2                            (..., K)
+        quantization   g_k^H diag(p_k G G^H + sn2 I) g_k    (..., K)
+
+    Monte Carlo holds one set per trial, the closed form and the oracle one
+    set of expectations.  A unit set is taken at eta = 1, with the
+    quantization term per unit p_k and without its noise part;
+    `moments_at` scales it to a budget.
     """
 
-    norm2: np.ndarray      # (T, K)    ||g0_k||^2
-    cross2: np.ndarray     # (T, K, K) |g0_k^H g0_i|^2 for i != k, zero on the diagonal
-    dyn: np.ndarray        # (T, K)    ||H2^H g0_k||^2
-    row4: np.ndarray       # (T, K, K) sum_m |G0_mk|^2 |G0_mi|^2
-    row_noise: np.ndarray  # (T, K)    sum_m (sum_n |H2_mn|^2) |G0_mk|^2, strict AQNM only
-
-    @property
-    def trials(self) -> int:
-        return self.norm2.shape[0]
+    signal: np.ndarray
+    interference: np.ndarray
+    dynamic_noise: np.ndarray
+    channel_gain: np.ndarray
+    quantization: np.ndarray
 
 
-def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray):
-    """The TrialStatistics fields of H1 (T, N, K) and of H2 given as its
+def moments_at(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> Moments:
+    """The moments of a unit set under the budget's amplification and
+    transmit powers and the configured noise floor."""
+    if unit.signal.shape[-1] != cfg.K:
+        raise ValueError(f"moments for {unit.signal.shape[-1]} users, config has {cfg.K}")
+    e2 = budget.eta**2
+    e4 = e2 * e2
+    gain = e2 * unit.channel_gain
+    return Moments(
+        e4 * unit.signal,
+        e4 * unit.interference,
+        e2 * unit.dynamic_noise,
+        gain,
+        (e4 * budget.p) * unit.quantization + cfg.sigma_n2_w * gain,
+    )
+
+
+def sinr(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
+    """Post-combining SINR per user, (..., K), from a unit set of moments.
+
+    With the moments of `moments_at` and the quantization gain a, the SINR
+    of user k is, after dividing numerator and denominator by a^2,
+
+        p_k ||g_k||^4  /  ( sum_{i!=k} p_i |g_k^H g_i|^2
+                            + eta^2 sv2 ||g_k^H H2 Phi||^2
+                            + sn2 ||g_k||^2
+                            + (1 - a)/a g_k^H diag(p_k G G^H + sn2 I) g_k ).
+
+    On one trial's moments this is the exact SINR of that trial; on
+    expected moments it is the closed-form approximation, which moves the
+    expectation inside the ratio (Zhang et al., IEEE JSTSP 2014, Lemma 1).
+    Zero where the denominator is zero.
+    """
+    m = moments_at(unit, budget, cfg)
+    a = quantization_gain(cfg, budget.mode)
+    p = budget.p
+    den = (m.interference @ p + (budget.eta**2 * budget.sigma_v2_w) * m.dynamic_noise
+           + cfg.sigma_n2_w * m.channel_gain + (1.0 - a) / a * m.quantization)
+    num = p * m.signal
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray) -> Moments:
+    """Unit moments of every trial of H1 (T, N, K) and of H2 given as its
     real and imaginary planes (2, T, M, N).
 
     Every product is one real matmul over both planes: a complex matrix
@@ -178,11 +227,9 @@ def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray):
     Y[1] *= Y[1]
     power = np.add(Y[1, ..., 0::2], Y[1, ..., 1::2])  # |G0_mk|^2, (T, M, K)
     del Y, G
-    row4 = power.swapaxes(1, 2) @ power
-    h2 = H2[..., None, :]
-    h2_rows = (h2 @ h2.swapaxes(3, 4))[..., 0, 0]    # sum_n |H2_mn|^2 per plane, (2, T, M)
-    row_noise = ((h2_rows[0] + h2_rows[1])[:, None, :] @ power)[:, 0, :]
-    return norm2, cross2, dyn, row4, row_noise
+    # g0_k^H diag(G0 G0^H) g0_k = sum_m |G0_mk|^2 sum_i |G0_mi|^2
+    quantization = (power.swapaxes(1, 2) @ power.sum(axis=2, keepdims=True))[..., 0]
+    return Moments(norm2 * norm2, cross2, dyn, norm2, quantization)
 
 
 def trial_statistics(
@@ -191,8 +238,9 @@ def trial_statistics(
     phases: PhaseConfig,
     trials: int | None = None,
     stream: tuple[int, ...] | None = None,
-) -> TrialStatistics:
-    """Draw `trials` fading realizations and reduce each to its statistics.
+) -> Moments:
+    """Draw `trials` fading realizations and reduce each to its unit
+    moments, (T, K) and (T, K, K).
 
     Batch b comes from `substream(*stream, b)`, by default the fading
     stream `(cfg.seed, STREAM_FADING)`, so the result depends only on the
@@ -206,8 +254,8 @@ def trial_statistics(
         raise ValueError(f"{phases.n_elements} phases for {cfg.N} surface elements")
     key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
     K = cfg.K
-    fields = (np.empty((T, K)), np.empty((T, K, K)), np.empty((T, K)),
-              np.empty((T, K, K)), np.empty((T, K)))
+    fields = Moments(np.empty((T, K)), np.empty((T, K, K)), np.empty((T, K)),
+                     np.empty((T, K)), np.empty((T, K)))
     phi = phases.phi
     step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * cfg.N))
     for b_idx, lo, hi in batch_ranges(T):
@@ -218,67 +266,17 @@ def trial_statistics(
             for out, value in zip(fields, _batch_statistics(H1[part], H2[:, part], phi)):
                 out[start:end] = value
         del H1, H2  # free this batch before the next one is drawn
-    return TrialStatistics(*fields)
+    return fields
 
 
-def sinr_from_statistics(
-    stats: TrialStatistics,
-    budget: LinkBudget,
-    cfg: SystemConfig,
-    strict_aqnm: bool = False,
-) -> np.ndarray:
-    """Post-combining SINR per trial and user, (T, K).
-
-    For user k with combined channel g_k = eta * g0_k the SINR is
-
-        p_k a^2 ||g_k||^4  /  ( a^2 sum_{i!=k} p_i |g_k^H g_i|^2
-                                + eta^2 a^2 sv2 ||g_k^H H2 Phi||^2
-                                + a^2 sn2 ||g_k||^2
-                                + a(1-a) g_k^H diag(p_k G G^H + sn2 I) g_k )
-
-    with a the quantization gain.  `strict_aqnm` replaces the scalar p_k in
-    the quantizer-input power by the exact per-user allocation diag(p) and
-    adds the amplified dynamic noise to it; with equal powers and no
-    dynamic-noise term the two coincide.
-    """
-    if stats.norm2.shape[1] != cfg.K:
-        raise ValueError(f"statistics for {stats.norm2.shape[1]} users, config has {cfg.K}")
-    a = quantization_gain(cfg, budget.mode)
-    p = budget.p
-    sn2 = cfg.sigma_n2_w
-    sv2 = budget.sigma_v2_w
-    e2 = budget.eta**2
-    e4 = e2 * e2
-    n = stats.norm2
-
-    interference = a**2 * e4 * (stats.cross2 @ p)
-    dynamic = a**2 * e4 * sv2 * stats.dyn
-    awgn = a**2 * sn2 * e2 * n
-    if strict_aqnm:
-        # quantizer-input power with the exact per-user allocation and the
-        # amplified dynamic noise: diag(G P G^H + eta^2 sv2 H2 H2^H + sn2 I)
-        quant_in = e4 * (stats.row4 @ p + sv2 * stats.row_noise)
-    else:
-        quant_in = e4 * p * stats.row4.sum(axis=2)
-    quant = a * (1.0 - a) * (quant_in + sn2 * e2 * n)
-
-    num = p * a**2 * e4 * n**2
-    den = interference + dynamic + awgn + quant
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-
-
-def rate_from_statistics(
-    stats: TrialStatistics,
-    budget: LinkBudget,
-    cfg: SystemConfig,
-    strict_aqnm: bool = False,
-) -> RateReport:
-    """Per-user ergodic rates of one budget over the trials of `stats`."""
+def rate_from_statistics(stats: Moments, budget: LinkBudget, cfg: SystemConfig) -> RateReport:
+    """Per-user ergodic rates of one budget over the per-trial unit
+    moments of `trial_statistics`."""
     K = cfg.K
     if not budget.startup_met:
         return RateReport.silent(K)
-    rates = np.log2(1.0 + sinr_from_statistics(stats, budget, cfg, strict_aqnm))
-    T = stats.trials
+    rates = np.log2(1.0 + sinr(stats, budget, cfg))
+    T = rates.shape[0]
     per_user = rates.mean(axis=0)
     if T > 1:
         std_err = rates.std(axis=0, ddof=1) / math.sqrt(T)
@@ -294,14 +292,12 @@ def instantaneous_sinr(
     phases: PhaseConfig,
     budget: LinkBudget,
     cfg: SystemConfig,
-    strict_aqnm: bool = False,
 ) -> np.ndarray:
     """SINR per user for one realization; all zeros if the surface is down."""
     if not budget.startup_met:
         return np.zeros(cfg.K)
     H2 = np.stack([real.H2.real, real.H2.imag])[:, None]
-    stats = TrialStatistics(*_batch_statistics(real.H1[None], H2, phases.phi))
-    return sinr_from_statistics(stats, budget, cfg, strict_aqnm)[0]
+    return sinr(_batch_statistics(real.H1[None], H2, phases.phi), budget, cfg)[0]
 
 
 def monte_carlo_rate(
@@ -310,7 +306,6 @@ def monte_carlo_rate(
     phases: PhaseConfig,
     budget: LinkBudget,
     trials: int | None = None,
-    strict_aqnm: bool = False,
 ) -> RateReport:
     """Estimate per-user ergodic rates by averaging over fading draws.
 
@@ -321,7 +316,7 @@ def monte_carlo_rate(
         raise ValueError("trials must be positive")
     if not budget.startup_met:
         return RateReport.silent(cfg.K)
-    return rate_from_statistics(trial_statistics(geom, cfg, phases, T), budget, cfg, strict_aqnm)
+    return rate_from_statistics(trial_statistics(geom, cfg, phases, T), budget, cfg)
 
 
 def measured_ris_power(

@@ -8,7 +8,7 @@ as a second route against the vectorized production code.
 import numpy as np
 
 
-def sinr_from_definition(H1, H2, theta, p, eta, sigma_v2, sigma_n2, alpha, strict_aqnm=False):
+def sinr_from_definition(H1, H2, theta, p, eta, sigma_v2, sigma_n2, alpha):
     """Per-user post-combining SINR, evaluated term by term from scratch."""
     n = len(theta)
     m = H2.shape[0]
@@ -26,14 +26,7 @@ def sinr_from_definition(H1, H2, theta, p, eta, sigma_v2, sigma_n2, alpha, stric
         )
         dyn = eta**2 * alpha**2 * sigma_v2 * np.linalg.norm(g.conj() @ H2 @ Phi) ** 2
         awgn = alpha**2 * sigma_n2 * np.linalg.norm(g) ** 2
-        if strict_aqnm:
-            R_in = (
-                G @ np.diag(p) @ G.conj().T
-                + eta**2 * sigma_v2 * H2 @ Phi @ Phi.conj().T @ H2.conj().T
-                + sigma_n2 * np.eye(m)
-            )
-        else:
-            R_in = p[k] * (G @ G.conj().T) + sigma_n2 * np.eye(m)
+        R_in = p[k] * (G @ G.conj().T) + sigma_n2 * np.eye(m)
         D = np.diag(np.diag(R_in))
         quant = alpha * (1.0 - alpha) * float((g.conj() @ D @ g).real)
         den = interf + dyn + awgn + quant

@@ -17,9 +17,9 @@ from arisim import (
     SystemConfig,
     estimate_moments,
     instantaneous_sinr,
-    interference_moment,
     make_geometry,
     measured_ris_power,
+    moments_at,
     monte_carlo_rate,
     optimize_phases,
     resolve_budget,
@@ -67,6 +67,7 @@ def test_ac2_moment_oracle_equivalence():
     phases = baseline_phases(cfg)
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     stats = analytic.compute_stats(geom, cfg, phases)
+    ref = moments_at(stats.unit, budget, cfg)
     est = estimate_moments(geom, cfg, phases, budget, trials=100_000, seed=cfg.seed + 1)
 
     worst = {}
@@ -79,21 +80,22 @@ def test_ac2_moment_oracle_equivalence():
 
     ok = True
     for k in range(cfg.K):
-        ok &= within("signal", est.signal[k], est.se_signal[k],
-                     analytic.signal_moment(stats, k, budget.eta), 0.03)
+        ok &= within("signal", est.signal[k], est.se_signal[k], ref.signal[k], 0.03)
         ok &= within("channel_gain", est.channel_gain[k], est.se_channel_gain[k],
-                     analytic.channel_gain_moment(stats, k, budget.eta), 0.03)
+                     ref.channel_gain[k], 0.03)
         ok &= within("quantization", est.quantization[k], est.se_quantization[k],
-                     analytic.quantization_moment(stats, k, budget, cfg), 0.03)
+                     ref.quantization[k], 0.03)
         ok &= within("dynamic_noise", est.dynamic_noise[k], est.se_dynamic_noise[k],
-                     analytic.dynamic_noise_moment(stats, k, budget.eta), 0.05)
+                     ref.dynamic_noise[k], 0.05)
         for i in range(cfg.K):
             if i != k:
                 ok &= within("interference", est.interference[k, i], est.se_interference[k, i],
-                             interference_moment(stats, k, i, budget.eta), 0.03)
+                             ref.interference[k, i], 0.03)
 
-    # the misprinted prefactor variant must fail the very same check
-    bad_ref = interference_moment(stats, 0, 1, budget.eta, printed_prefactor=True)
+    # the misprinted prefactor variant, u_k^2 u_i^2 in place of u_k u_i,
+    # must fail the very same check
+    u = stats.site.u
+    bad_ref = ref.interference[0, 1] * (u[0] * u[1])
     bad_tol = max(0.03 * abs(bad_ref), 4.0 * est.se_interference[0, 1])
     printed_fails = abs(est.interference[0, 1] - bad_ref) > bad_tol
 
@@ -139,7 +141,7 @@ def test_ac4_adc_resolution_convergence(baseline):
     for k in range(cfg.K):
         rates = [analytic.closed_form_rates(stats, budget, replace(cfg, b=b))[k]
                  for b in range(1, 13)]
-        ideal = analytic.closed_form_rates(stats, budget, cfg, ideal_adc=True)[k]
+        ideal = analytic.closed_form_rates(stats, budget, replace(cfg, b="ideal"))[k]
         monotone &= all(rates[i] <= rates[i + 1] + 1e-12 for i in range(11))
         close_at_12 &= abs(ideal - rates[11]) <= 1e-3
         gap4 = (ideal - rates[3]) / ideal
@@ -243,20 +245,16 @@ def test_ac7_invariant_suite(baseline):
     sinr_base = instantaneous_sinr(real, phases, budget, cfg)
     sinr_shift = instantaneous_sinr(real, phases.shifted(0.731), budget, cfg)
     phase_ok = bool(np.all(np.abs(sinr_shift - sinr_base) <= 1e-10 * np.abs(sinr_base)))
-    shifted = analytic.compute_stats(geom, cfg, phases.shifted(0.731))
+    ref = moments_at(stats.unit, budget, cfg)
+    moved = moments_at(analytic.compute_stats(geom, cfg, phases.shifted(0.731)).unit, budget, cfg)
     for k in range(cfg.K):
         pairs = [
-            (analytic.signal_moment(stats, k, budget.eta),
-             analytic.signal_moment(shifted, k, budget.eta)),
-            (analytic.dynamic_noise_moment(stats, k, budget.eta),
-             analytic.dynamic_noise_moment(shifted, k, budget.eta)),
-            (analytic.channel_gain_moment(stats, k, budget.eta),
-             analytic.channel_gain_moment(shifted, k, budget.eta)),
-            (analytic.quantization_moment(stats, k, budget, cfg),
-             analytic.quantization_moment(shifted, k, budget, cfg)),
+            (ref.signal[k], moved.signal[k]),
+            (ref.dynamic_noise[k], moved.dynamic_noise[k]),
+            (ref.channel_gain[k], moved.channel_gain[k]),
+            (ref.quantization[k], moved.quantization[k]),
         ] + [
-            (interference_moment(stats, k, i, budget.eta),
-             interference_moment(shifted, k, i, budget.eta))
+            (ref.interference[k, i], moved.interference[k, i])
             for i in range(cfg.K) if i != k
         ]
         phase_ok &= all(abs(a - b) <= 1e-10 * abs(a) for a, b in pairs)
@@ -271,8 +269,7 @@ def test_ac7_invariant_suite(baseline):
 
     # interference symmetry
     sym_ok = all(
-        math.isclose(interference_moment(stats, k, i, budget.eta),
-                     interference_moment(stats, i, k, budget.eta), rel_tol=1e-12)
+        math.isclose(ref.interference[k, i], ref.interference[i, k], rel_tol=1e-12)
         for k in range(cfg.K) for i in range(cfg.K) if i != k
     )
 

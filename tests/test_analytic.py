@@ -6,43 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arisim import (
-    ChannelStats,
     LinkBudget,
     Mode,
     PhaseConfig,
     SystemConfig,
-    channel_gain_moment,
     closed_form_rates,
     compute_stats,
-    dynamic_noise_moment,
-    interference_moment,
     make_geometry,
-    quantization_moment,
+    moments_at,
     resolve_budget,
-    signal_moment,
 )
 from arisim import analytic
 from arisim.channel import array_response, los_components, substream
 
 
-def rayleigh_stats(m, n, k_users=1):
-    """Degenerate stats: no LoS anywhere, unit large-scale gains."""
-    return ChannelStats(
-        f=np.zeros(k_users, complex),
-        u=np.ones(k_users),
-        hbar_inner=n * np.eye(k_users, dtype=complex),
-        M=m, N=n, delta=0.0, eps=np.zeros(k_users), beta=1.0, alpha=np.ones(k_users),
-    )
+def rayleigh_moments(m, n, k_users=1):
+    """Unit moments of a degenerate system: no LoS anywhere, unit
+    large-scale gains."""
+    cfg = SystemConfig(M=m, N=n, K=k_users, epsilon=(0.0,) * k_users, delta=0.0)
+    geom = replace(make_geometry(cfg), alpha=np.ones(k_users), beta=1.0)
+    return compute_stats(geom, cfg, PhaseConfig(np.zeros(n))).unit
 
 
 def test_stats_invariants(desk):
     cfg, geom, phases, _ = desk
     stats = compute_stats(geom, cfg, phases)
     assert np.all(np.abs(stats.f) <= cfg.N + 1e-9)
-    assert np.all(stats.u > 0.0)
-    np.testing.assert_allclose(np.diag(stats.hbar_inner).real, cfg.N, rtol=1e-12)
+    assert np.all(stats.site.u > 0.0)
+    np.testing.assert_allclose(np.diag(stats.site.hbar_inner).real, cfg.N, rtol=1e-12)
     expected_u = geom.beta * geom.alpha / ((cfg.delta + 1) * (np.asarray(cfg.epsilon) + 1))
-    np.testing.assert_allclose(stats.u, expected_u, rtol=1e-12)
+    np.testing.assert_allclose(stats.site.u, expected_u, rtol=1e-12)
 
 
 def test_aligned_phases_reach_maximum_gain(desk):
@@ -75,58 +68,37 @@ def test_gain_bound_over_many_phase_draws(desk):
 
 def test_degenerate_fourth_moment():
     # no LoS, unit gains: E||g||^4 = M(M+1)N(N+1); 36 at M=N=2
-    stats = rayleigh_stats(2, 2)
-    assert signal_moment(stats, 0) == pytest.approx(36.0, rel=1e-12)
-    stats = rayleigh_stats(8, 4)
-    assert signal_moment(stats, 0) == pytest.approx(8 * 9 * 4 * 5, rel=1e-12)
+    assert rayleigh_moments(2, 2).signal[0] == pytest.approx(36.0, rel=1e-12)
+    assert rayleigh_moments(8, 4).signal[0] == pytest.approx(8 * 9 * 4 * 5, rel=1e-12)
 
 
 def test_degenerate_mean_gain():
-    stats = rayleigh_stats(2, 2)
-    assert channel_gain_moment(stats, 0) == pytest.approx(4.0, rel=1e-12)
-    stats = rayleigh_stats(64, 16)
-    assert channel_gain_moment(stats, 0) == pytest.approx(64 * 16, rel=1e-12)
+    assert rayleigh_moments(2, 2).channel_gain[0] == pytest.approx(4.0, rel=1e-12)
+    assert rayleigh_moments(64, 16).channel_gain[0] == pytest.approx(64 * 16, rel=1e-12)
 
 
 def test_degenerate_cross_moments():
     # Rayleigh limits derived by conditioning on the second hop:
     # E|g_k^H g_i|^2 = MN(M+N) and E||g_k^H H2 Phi||^2 = MN(M+N)
-    stats = rayleigh_stats(8, 4, k_users=2)
+    unit = rayleigh_moments(8, 4, k_users=2)
     want = 8 * 4 * (8 + 4)
-    assert interference_moment(stats, 0, 1) == pytest.approx(want, rel=1e-12)
-    assert dynamic_noise_moment(stats, 0) == pytest.approx(want, rel=1e-12)
+    assert unit.interference[0, 1] == pytest.approx(want, rel=1e-12)
+    assert unit.dynamic_noise[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_interference_moment_symmetry(desk):
     cfg, geom, phases, budget = desk
-    stats = compute_stats(geom, cfg, phases)
-    for k in range(cfg.K):
-        for i in range(cfg.K):
-            if i != k:
-                assert interference_moment(stats, k, i, budget.eta) == pytest.approx(
-                    interference_moment(stats, i, k, budget.eta), rel=1e-12
-                )
-    with pytest.raises(ValueError):
-        interference_moment(stats, 0, 0)
+    interference = moments_at(compute_stats(geom, cfg, phases).unit, budget, cfg).interference
+    np.testing.assert_allclose(interference, interference.T, rtol=1e-12)
+    assert np.all(np.diag(interference) == 0.0)
 
 
 def test_moment_global_phase_invariance(desk):
     cfg, geom, phases, budget = desk
-    stats = compute_stats(geom, cfg, phases)
-    shifted = compute_stats(geom, cfg, phases.shifted(1.234))
-    for k in range(cfg.K):
-        assert signal_moment(shifted, k, budget.eta) == pytest.approx(
-            signal_moment(stats, k, budget.eta), rel=1e-10)
-        assert dynamic_noise_moment(shifted, k, budget.eta) == pytest.approx(
-            dynamic_noise_moment(stats, k, budget.eta), rel=1e-10)
-        assert channel_gain_moment(shifted, k, budget.eta) == pytest.approx(
-            channel_gain_moment(stats, k, budget.eta), rel=1e-10)
-        assert quantization_moment(shifted, k, budget, cfg) == pytest.approx(
-            quantization_moment(stats, k, budget, cfg), rel=1e-10)
-        for i in range(cfg.K):
-            if i != k:
-                assert interference_moment(shifted, k, i, budget.eta) == pytest.approx(
-                    interference_moment(stats, k, i, budget.eta), rel=1e-10)
+    base = moments_at(compute_stats(geom, cfg, phases).unit, budget, cfg)
+    shifted = moments_at(compute_stats(geom, cfg, phases.shifted(1.234)).unit, budget, cfg)
+    for name, value in zip(base._fields, base):
+        np.testing.assert_allclose(getattr(shifted, name), value, rtol=1e-10, err_msg=name)
 
 
 def test_passive_rate_is_active_formula_without_dynamic_noise(desk):
@@ -143,7 +115,7 @@ def test_high_resolution_converges_to_ideal(desk):
     cfg, geom, phases, budget = desk
     stats = compute_stats(geom, cfg, phases)
     for k in range(cfg.K):
-        ideal = closed_form_rates(stats, budget, cfg, ideal_adc=True)[k]
+        ideal = closed_form_rates(stats, budget, replace(cfg, b="ideal"))[k]
         twelve = closed_form_rates(stats, budget, replace(cfg, b=12))[k]
         assert ideal - twelve == pytest.approx(0.0, abs=1e-3)
         assert twelve <= ideal
@@ -155,7 +127,7 @@ def test_rate_monotone_in_bits(desk):
     for k in range(cfg.K):
         rates = [closed_form_rates(stats, budget, replace(cfg, b=b))[k] for b in range(1, 13)]
         assert all(rates[i] <= rates[i + 1] + 1e-12 for i in range(len(rates) - 1))
-        assert rates[-1] <= closed_form_rates(stats, budget, cfg, ideal_adc=True)[k]
+        assert rates[-1] <= closed_form_rates(stats, budget, replace(cfg, b="ideal"))[k]
 
 
 def test_zero_power_zero_rate(desk):
@@ -219,8 +191,9 @@ PRIMES = (2, 3, 5, 7, 11, 13)
 def test_population_rows_match_single_evaluations(
     K, N, M, delta, eps, b, mode, ideal_adc, powered, seed
 ):
-    cfg = SystemConfig(M=M, N=N, K=K, b=b, delta=delta, epsilon=tuple(eps[:K]),
-                       P_T_dbm=30.0 if powered else -30.0, trials=10, seed=seed)
+    cfg = SystemConfig(M=M, N=N, K=K, b="ideal" if ideal_adc else b, delta=delta,
+                       epsilon=tuple(eps[:K]), P_T_dbm=30.0 if powered else -30.0, trials=10,
+                       seed=seed)
     geom = make_geometry(cfg)
     budget = resolve_budget(cfg, geom.alpha, mode)
     assert budget.startup_met == powered
@@ -231,32 +204,15 @@ def test_population_rows_match_single_evaluations(
     theta[0] = np.mod(np.angle(a_ris) - np.angle(hbar[:, 0]), 2.0 * np.pi)
 
     pop = analytic.closed_form_site(geom, cfg).stats(theta)
-    rates = closed_form_rates(pop, budget, cfg, ideal_adc=ideal_adc)
+    rates = closed_form_rates(pop, budget, cfg)
     assert rates.shape == (4, K)
-    eta = budget.eta
-    arrays = {
-        "signal": analytic.signal_moments(pop, eta),
-        "interference": analytic.interference_moments(pop, eta),
-        "dynamic_noise": analytic.dynamic_noise_moments(pop, eta),
-        "channel_gain": analytic.channel_gain_moments(pop, eta),
-        "quantization": analytic.quantization_moments(pop, budget, cfg),
-    }
+    arrays = moments_at(pop.unit, budget, cfg)
     for p in range(4):
         one = compute_stats(geom, cfg, PhaseConfig(theta[p]))
-        np.testing.assert_allclose(rates[p], closed_form_rates(one, budget, cfg, ideal_adc=ideal_adc),
+        np.testing.assert_allclose(rates[p], closed_form_rates(one, budget, cfg),
                                    rtol=1e-12, atol=0.0)
         if not powered:
             assert np.all(rates[p] == 0.0)
-        for k in range(K):
-            per_user = {
-                "signal": signal_moment(one, k, eta),
-                "dynamic_noise": dynamic_noise_moment(one, k, eta),
-                "channel_gain": channel_gain_moment(one, k, eta),
-                "quantization": quantization_moment(one, k, budget, cfg),
-            }
-            for name, value in per_user.items():
-                assert value == pytest.approx(arrays[name][p, k], rel=1e-12, abs=0.0), name
-            for i in range(K):
-                if i != k:
-                    assert interference_moment(one, k, i, eta) == pytest.approx(
-                        arrays["interference"][p, k, i], rel=1e-12, abs=0.0)
+        for name, value in zip(arrays._fields, moments_at(one.unit, budget, cfg)):
+            np.testing.assert_allclose(value, getattr(arrays, name)[p], rtol=1e-12, atol=0.0,
+                                       err_msg=name)

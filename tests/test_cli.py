@@ -267,26 +267,53 @@ def test_ga_params_seed_defaults_to_system_seed():
         ga_params(cfg, {"max_iter": 3})
 
 
+# seed 42 is the geometry the acceptance gate certifies; the tiny 4x4
+# system makes the Wishart surrogate coarse, hence the loose bound
+VERIFY_BLOCK = {"M": 8, "N": 4, "K": 2, "trials": 40000, "wishart_tol": 0.30}
+
+
 def test_verify_run(tmp_path, capsys):
-    # seed 42 is the geometry the acceptance gate certifies; the tiny 4x4
-    # system makes the Wishart surrogate coarse, hence the loose bound
     system = dict(TINY_SYSTEM, seed=42)
-    config = write_config(
-        tmp_path,
-        system=system,
-        experiments={"verify": {"M": 8, "N": 4, "K": 2, "trials": 40000,
-                                "wishart_tol": 0.30}},
-    )
+    config = write_config(tmp_path, system=system, experiments={"verify": VERIFY_BLOCK})
     out = tmp_path / "out"
     assert main(["--config", config, "--experiment", "verify",
                  "--output", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "PASS" in stdout and "FAIL" not in stdout
     rows = read_rows(out / "verify.csv")
-    checks = {r[0] for r in rows[1:]}
-    assert {"signal", "interference", "dynamic_noise", "channel_gain",
-            "quantization", "surface_power", "wishart_surrogate"} <= checks
+    want = []
+    for k in range(2):
+        want += [(name, str(k)) for name in
+                 ("signal", "dynamic_noise", "channel_gain", "quantization")]
+        want += [("interference", str(k)) for i in range(2) if i != k]
+    want += [("surface_power", "-1"), ("wishart_surrogate", "-1")]
+    assert [(r[0], r[1]) for r in rows[1:]] == want
     assert all(r[-1] == "PASS" for r in rows[1:])
+
+
+@pytest.mark.parametrize("experiment, block, system", [
+    ("antennas-elements", {"M_grid": [16.9], "N_grid": [4]}, {}),
+    ("antennas-elements", {"M_grid": [4], "N_grid": [True]}, {}),
+    ("adc-bits", {"bits": [2.5], "pairs": [[4, 4]]}, {}),
+    ("adc-bits", {"bits": [True], "pairs": [[4, 4]]}, {}),
+    ("adc-bits", {"bits": [1], "pairs": [[4.5, 4]]}, {}),
+    ("total-power", {"N": 8.6, "P_T_dbm_grid": [30.0]}, {}),
+    ("verify", dict(VERIFY_BLOCK, M=8.5), {"seed": 42}),
+    ("verify", dict(VERIFY_BLOCK, N=4.2), {"seed": 42}),
+    ("verify", dict(VERIFY_BLOCK, K=2.7), {"seed": 42}),
+    ("verify", dict(VERIFY_BLOCK, trials=40000.5), {"seed": 42}),
+    ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"epsilon": True}),
+    ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"epsilon": [10.0, True]}),
+    ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"epsilon": None}),
+])
+def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system):
+    # each of these used to run and pass, truncated (16.9 -> 16) or coerced
+    # (True -> 1), except the empty epsilon, which ended in a traceback
+    config = write_config(tmp_path, system=dict(TINY_SYSTEM, **system),
+                          experiments={experiment: block})
+    assert main(["--config", config, "--experiment", experiment,
+                 "--output", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -322,20 +349,6 @@ def test_unknown_key_fails(tmp_path):
     config = write_config(tmp_path, system=system)
     assert main(["--config", config, "--experiment", "adc-bits",
                  "--output", str(tmp_path)]) == 1
-
-
-def test_env_overrides(tmp_path, monkeypatch):
-    config = write_config(
-        tmp_path, experiments={"antennas-elements": {"M_grid": [4], "N_grid": [4]}}
-    )
-    out = tmp_path / "out"
-    monkeypatch.setenv("ARISIM_TRIALS", "16")
-    monkeypatch.setenv("ARISIM_SEED", "99")
-    assert main(["--config", config, "--experiment", "antennas-elements",
-                 "--output", str(out)]) == 0
-    manifest = (out / "run_manifest.txt").read_text()
-    assert "system.trials: 16" in manifest
-    assert "system.seed: 99" in manifest
 
 
 def test_shipped_default_config_loads():

@@ -11,6 +11,8 @@ from arisim import (
     SystemConfig,
     estimate_moments,
     make_geometry,
+    moments_at,
+    resolve_budget,
     wishart_moment_check,
 )
 from arisim import analytic
@@ -120,17 +122,31 @@ def test_moment_oracle_agreement_smoke(desk):
     # light version of the acceptance run: every closed form within a few
     # percent of its estimate at 20k trials
     cfg, geom, phases, budget = desk
-    stats = analytic.compute_stats(geom, cfg, phases)
+    ref = moments_at(analytic.compute_stats(geom, cfg, phases).unit, budget, cfg)
     est = estimate_moments(geom, cfg, phases, budget, 20000, 5)
     for k in range(cfg.K):
-        assert est.signal[k] == pytest.approx(
-            analytic.signal_moment(stats, k, budget.eta), rel=0.05)
-        assert est.channel_gain[k] == pytest.approx(
-            analytic.channel_gain_moment(stats, k, budget.eta), rel=0.03)
-        assert est.dynamic_noise[k] == pytest.approx(
-            analytic.dynamic_noise_moment(stats, k, budget.eta), rel=0.07)
-        assert est.quantization[k] == pytest.approx(
-            analytic.quantization_moment(stats, k, budget, cfg), rel=0.06)
+        assert est.signal[k] == pytest.approx(ref.signal[k], rel=0.05)
+        assert est.channel_gain[k] == pytest.approx(ref.channel_gain[k], rel=0.03)
+        assert est.dynamic_noise[k] == pytest.approx(ref.dynamic_noise[k], rel=0.07)
+        assert est.quantization[k] == pytest.approx(ref.quantization[k], rel=0.06)
+
+
+def test_closed_form_and_oracle_moments_have_one_layout():
+    # K = 3: the closed form and the oracle give the same fields, each of the
+    # same shape, and neither counts a user as its own interferer
+    cfg = SystemConfig(M=8, N=5, K=3, epsilon=(10.0, 1.0, 0.0), seed=4)
+    geom = make_geometry(cfg)
+    phases = PhaseConfig.random(cfg.N, substream(8, 0))
+    budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
+    closed = moments_at(analytic.compute_stats(geom, cfg, phases).unit, budget, cfg)
+    est = estimate_moments(geom, cfg, phases, budget, 64, 5)
+    for name in closed._fields:
+        assert getattr(est, name).shape == getattr(closed, name).shape, name
+        assert getattr(est, "se_" + name).shape == getattr(closed, name).shape, name
+    assert closed.interference.shape == (cfg.K, cfg.K)
+    for interference in (closed.interference, est.interference):
+        assert np.all(np.diag(interference) == 0.0)
+        assert np.all(interference[~np.eye(cfg.K, dtype=bool)] > 0.0)
 
 
 def test_wishart_trace_identity(paper_cfg):

@@ -11,6 +11,7 @@ from arisim import (
     Mode,
     PhaseConfig,
     SystemConfig,
+    Moments,
     aqnm_alpha,
     cascaded_channel,
     instantaneous_sinr,
@@ -19,7 +20,7 @@ from arisim import (
     monte_carlo_rate,
     resolve_budget,
     sample_channels,
-    sinr_from_statistics,
+    sinr,
     trial_statistics,
 )
 from arisim.channel import STREAM_FADING, complex_planes, sample_channel_batch, substream
@@ -74,18 +75,17 @@ def test_cascaded_channel_dimension_mismatch():
         cascaded_channel(real, PhaseConfig(np.zeros(3)), eta=1.0)
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_sinr_matches_literal_definition(paper_cfg, strict):
+def test_sinr_matches_literal_definition(paper_cfg):
     # production path against a start-from-scratch evaluator
     cfg = paper_cfg
     geom = make_geometry(cfg)
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     real = sample_channels(geom, cfg, substream(50, 0))
     phases = PhaseConfig.random(cfg.N, substream(51, 0))
-    got = instantaneous_sinr(real, phases, budget, cfg, strict_aqnm=strict)
+    got = instantaneous_sinr(real, phases, budget, cfg)
     want = sinr_from_definition(
         real.H1, real.H2, phases.theta, budget.p, budget.eta,
-        budget.sigma_v2_w, cfg.sigma_n2_w, aqnm_alpha(cfg.b), strict_aqnm=strict,
+        budget.sigma_v2_w, cfg.sigma_n2_w, aqnm_alpha(cfg.b),
     )
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -249,8 +249,8 @@ def test_measured_power_quadratic_in_gain(desk):
 
 
 def test_one_statistics_set_serves_every_budget():
-    # K = 3 with prime N; the last budget has unequal powers, where the
-    # strict quantizer input differs from the scalar one
+    # K = 3 with prime N; the last budget has unequal powers, so each
+    # interferer carries its own weight
     cfg = SystemConfig(M=8, N=5, K=3, epsilon=(10.0, 2.0, 0.0), b=2, seed=13)
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(14, 0))
@@ -268,24 +268,24 @@ def test_one_statistics_set_serves_every_budget():
     ]
     for budget in budgets:
         alpha = quantization_gain(cfg, budget.mode)
-        for strict in (False, True):
-            got = sinr_from_statistics(stats, budget, cfg, strict_aqnm=strict)
-            want = [
-                sinr_from_definition(H1[t], H2[t], phases.theta, budget.p, budget.eta,
-                                     budget.sigma_v2_w, cfg.sigma_n2_w, alpha, strict_aqnm=strict)
-                for t in range(trials)
-            ]
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+        got = sinr(stats, budget, cfg)
+        want = [
+            sinr_from_definition(H1[t], H2[t], phases.theta, budget.p, budget.eta,
+                                 budget.sigma_v2_w, cfg.sigma_n2_w, alpha)
+            for t in range(trials)
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_trial_statistics_follow_the_batch_layout(desk):
     # trial BATCH + t is trial t of batch 1 of the fading stream
     cfg, geom, phases, _ = desk
     stats = trial_statistics(geom, cfg, phases, BATCH + 7)
-    assert stats.trials == BATCH + 7
+    assert all(x.shape[0] == BATCH + 7 for x in stats)
     H1, planes = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
     G0 = (complex_planes(planes) * phases.phi) @ H1
-    np.testing.assert_allclose(stats.norm2[BATCH:], (np.abs(G0) ** 2).sum(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(stats.channel_gain[BATCH:], (np.abs(G0) ** 2).sum(axis=1),
+                               rtol=1e-12)
 
 
 def test_trial_statistics_checks_inputs(desk):
@@ -296,7 +296,7 @@ def test_trial_statistics_checks_inputs(desk):
         trial_statistics(geom, cfg, PhaseConfig(np.zeros(cfg.N + 1)), trials=4)
     stats = trial_statistics(geom, cfg, phases, trials=4)
     with pytest.raises(ValueError):
-        sinr_from_statistics(stats, budget, replace(cfg, K=3, epsilon=(10.0,) * 3))
+        sinr(stats, budget, replace(cfg, K=3, epsilon=(10.0,) * 3))
 
 
 def test_kernel_slices_do_not_change_statistics():
@@ -309,7 +309,7 @@ def test_kernel_slices_do_not_change_statistics():
     stats = trial_statistics(geom, cfg, phases, 40)
     H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 40)
     whole = transceiver._batch_statistics(H1, H2, phases.phi)
-    for name, value in zip(("norm2", "cross2", "dyn", "row4", "row_noise"), whole):
+    for name, value in zip(Moments._fields, whole):
         np.testing.assert_array_equal(getattr(stats, name), value, err_msg=name)
 
 
