@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import LinkBudget, SystemConfig
-from .channel import Geometry, array_response, los_components
+from .channel import Geometry, los_components
 from .transceiver import Moments, PhaseConfig, sinr
 
 
@@ -163,8 +163,7 @@ class ClosedFormSite:
 def closed_form_site(geom: Geometry, cfg: SystemConfig) -> ClosedFormSite:
     """Build the steering vectors, large-scale factors and moment
     coefficients once."""
-    hbar, _ = los_components(geom, cfg)
-    a_ris = array_response(cfg.N, geom.ris_aod[0], geom.ris_aod[1], cfg.d_over_lambda)
+    hbar, a_ris, _ = los_components(geom, cfg)
     eps = np.asarray(cfg.epsilon)
     u = geom.beta * geom.alpha / ((cfg.delta + 1.0) * (eps + 1.0))
     hbar_inner = hbar.conj().T @ hbar

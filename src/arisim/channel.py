@@ -2,7 +2,11 @@
 
 Geometry (user positions, arrival/departure angles, large-scale gains) is
 drawn once per experiment from a dedicated seeded stream and then held
-fixed; Monte Carlo trials vary only the small-scale fading.  Every random
+fixed; Monte Carlo trials vary only the small-scale fading.  The LoS
+steering vectors of a site (`los_components`) are built once per Monte
+Carlo run and passed to each of its batches.  A fading batch draws both hops in full
+(`sample_channel_batch`) or, for the Monte Carlo moments, only the parts of
+the RIS-BS hop that they depend on (`sample_reduced_batch`).  Every random
 stream is derived from the master seed through `numpy.random.SeedSequence`
 spawn keys, so results are reproducible and independent of how trials are
 batched across workers.
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,20 +125,31 @@ class ChannelRealization:
     H2: np.ndarray  # (M, N) RIS -> BS channel matrix
 
 
-def los_components(geom: Geometry, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic LoS parts: per-user steering columns (N, K) and the
-    rank-one RIS->BS outer product (M, N)."""
+class LineOfSight(NamedTuple):
+    """Deterministic LoS parts of one site, built once per closed-form site
+    or Monte Carlo run."""
+
+    hbar: np.ndarray   # (N, K) per-user steering columns at the RIS
+    a_ris: np.ndarray  # (N,) RIS departure steering vector toward the BS
+    a_bs: np.ndarray   # (M,) BS arrival steering vector; the RIS-BS LoS is a_bs a_ris^H
+
+
+def los_components(geom: Geometry, cfg: SystemConfig) -> LineOfSight:
+    """The LoS steering vectors of both hops."""
     hbar = np.column_stack([
         array_response(cfg.N, az, el, cfg.d_over_lambda) for az, el in geom.user_aoa
     ])
-    a_bs = array_response(cfg.M, geom.bs_aoa[0], geom.bs_aoa[1], cfg.d_over_lambda)
     a_ris = array_response(cfg.N, geom.ris_aod[0], geom.ris_aod[1], cfg.d_over_lambda)
-    Hbar2 = np.outer(a_bs, a_ris.conj())
-    return hbar, Hbar2
+    a_bs = array_response(cfg.M, geom.bs_aoa[0], geom.bs_aoa[1], cfg.d_over_lambda)
+    return LineOfSight(hbar, a_ris, a_bs)
 
 
 def sample_channel_batch(
-    geom: Geometry, cfg: SystemConfig, rng: np.random.Generator, count: int
+    geom: Geometry,
+    cfg: SystemConfig,
+    rng: np.random.Generator,
+    count: int,
+    los: LineOfSight | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` independent realizations: H1 as complex (count, N, K)
     and H2 as its real and imaginary planes, float (2, count, M, N).
@@ -141,24 +157,57 @@ def sample_channel_batch(
     Each column of H1 mixes its fixed steering vector with fresh complex
     Gaussian noise at the user's Rician factor and is scaled so that
     E{||h_k||^2} = N * alpha_k; H2 is built the same way around the
-    rank-one LoS part with E{||H2||_F^2} = M * N * beta.  H2's planes are
-    the stream's real and imaginary normal draws themselves (the layout of
-    `crandn`), scaled in place with the roundings of the complex
-    expression, so no complex H2-sized array is formed.
+    rank-one LoS part a_bs a_ris^H with E{||H2||_F^2} = M * N * beta.  H2's
+    planes are the stream's real and imaginary normal draws themselves (the
+    layout of `crandn`), scaled in place with the roundings of the complex
+    expression, so no complex H2-sized array is formed.  `los` is the
+    site's `los_components`, built here when not given.
     """
-    H1 = sample_user_channels(geom, cfg, rng, count)
+    los = los_components(geom, cfg) if los is None else los
+    H1 = sample_user_channels(geom, cfg, rng, count, los)
 
     # sqrt(beta) * (sqrt(d/(d+1)) Hbar2 + sqrt(1/(d+1)) sqrt(1/2) (z0 + j z1))
     d = cfg.delta
-    _, Hbar2 = los_components(geom, cfg)
     H2 = rng.standard_normal(size=(2, count, cfg.M, cfg.N))
     H2 *= math.sqrt(0.5)
     H2 *= math.sqrt(1.0 / (d + 1.0))
-    los = math.sqrt(d / (d + 1.0)) * Hbar2
-    H2[0] += los.real
-    H2[1] += los.imag
+    mean = math.sqrt(d / (d + 1.0)) * np.outer(los.a_bs, los.a_ris.conj())
+    H2[0] += mean.real
+    H2[1] += mean.imag
     H2 *= math.sqrt(geom.beta)
     return H1, H2
+
+
+def sample_reduced_batch(
+    geom: Geometry,
+    cfg: SystemConfig,
+    rng: np.random.Generator,
+    count: int,
+    los: LineOfSight | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw `count` realizations of what the combined-channel moments need
+    of the two hops: H1 as in `sample_channel_batch`, then the scattered
+    part of H2 on an (N, K+1) orthonormal basis U of span{Phi H1, a_ris},
+    complex (count, M, K+1), then (count, N-K-1, K) normals that stand for
+    the scattered part on U's complement.
+
+    Both blocks are iid CN(0, beta/(delta+1)), the scattered variance of
+    H2's entries, drawn with real and imaginary parts interleaved so that
+    each is viewed as complex without a copy; the transceiver's reduced
+    kernel builds U and maps them onto H2 U and onto the complement's
+    share of the dynamic noise.  Needs N > K + 1.
+    """
+    M, N, K = cfg.M, cfg.N, cfg.K
+    if N <= K + 1:
+        raise ValueError(f"the reduced draw needs N > K + 1, got N = {N}, K = {K}")
+    H1 = sample_user_channels(geom, cfg, rng, count, los)
+    scale = math.sqrt(0.5 * geom.beta / (cfg.delta + 1.0))
+    blocks = []
+    for shape in ((count, M, K + 1, 2), (count, N - K - 1, K, 2)):
+        z = rng.standard_normal(size=shape)
+        z *= scale
+        blocks.append(z.view(complex)[..., 0])
+    return H1, blocks[0], blocks[1]
 
 
 def complex_planes(H: np.ndarray) -> np.ndarray:
@@ -173,11 +222,16 @@ def sample_channels(geom: Geometry, cfg: SystemConfig, rng: np.random.Generator)
 
 
 def sample_user_channels(
-    geom: Geometry, cfg: SystemConfig, rng: np.random.Generator, count: int
+    geom: Geometry,
+    cfg: SystemConfig,
+    rng: np.random.Generator,
+    count: int,
+    los: LineOfSight | None = None,
 ) -> np.ndarray:
     """Draw only the user -> RIS hop, (count, N, K): the first hop of
-    `sample_channel_batch` and of the surface power measurement."""
-    hbar, _ = los_components(geom, cfg)
+    `sample_channel_batch`, of `sample_reduced_batch` and of the surface
+    power measurement."""
+    hbar = (los_components(geom, cfg) if los is None else los).hbar
     eps = np.asarray(cfg.epsilon)
     h_nlos = crandn(rng, (count, cfg.N, cfg.K))
     return np.sqrt(geom.alpha) * (

@@ -86,6 +86,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """A finite number from an experiment block; a bool is an error, not
+    read as 0 or 1."""
+    if not _is_finite_real(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -229,7 +237,7 @@ def run_total_power(cfg, block, out_dir, trials, optimize, mode):
                      [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30])
     cfg = _resize(cfg, N=n_elements)
     site = Site(cfg, tuple((replace(cfg, P_T_dbm=p_t), point_mode)
-                           for p_t in sorted(float(p) for p in grid)
+                           for p_t in sorted(_real(p, "P_T_dbm_grid entry") for p in grid)
                            for point_mode in (Mode.ACTIVE, Mode.PASSIVE)))
     (results,) = run_sites([site], trials)
     rows = [(point.P_T_dbm, n_elements, point_mode.value, point.b, budget.startup_met,
@@ -273,7 +281,7 @@ def run_verify(cfg, block, out_dir, trials, optimize, mode):
         K=_integer(block.get("K", 2), "verify K"),
     )
     n_trials = _integer(block.get("trials", trials), "verify trials")
-    wishart_tol = float(block.get("wishart_tol", 0.05))
+    wishart_tol = _real(block.get("wishart_tol", 0.05), "verify wishart_tol")
     geom = make_geometry(point)
     phases = experiment_phases(point)
     budget = resolve_budget(point, geom.alpha, Mode.ACTIVE)

@@ -27,7 +27,7 @@ from .channel import (
     sample_channel_batch,
     substream,
 )
-from .transceiver import PhaseConfig, batch_ranges, moments_at, trial_statistics
+from .transceiver import PhaseConfig, batch_ranges, literal_trial_statistics, moments_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +59,13 @@ def estimate_moments(
     """Estimate all five moments from `trials` fresh channel draws.
 
     Deterministic given (seed, trials); the stream is independent of the
-    rate-simulation streams so estimates never reuse simulation draws.
+    rate-simulation streams so estimates never reuse simulation draws.  The
+    draws are full draws of both hops at every size
+    (`literal_trial_statistics`), so the oracle checks the reduced draw of
+    the Monte Carlo rates from outside.
     """
-    per_trial = moments_at(trial_statistics(geom, cfg, phases, trials, stream=(seed,)), budget, cfg)
+    per_trial = moments_at(literal_trial_statistics(geom, cfg, phases, trials, stream=(seed,)),
+                           budget, cfg)
 
     def mean_se(x):
         m = x.mean(axis=0)
@@ -97,10 +101,11 @@ def wishart_moment_check(cfg: SystemConfig, trials: int, seed: int) -> WishartMo
     if trials < 1:
         raise ValueError("trials must be positive")
     geom = make_geometry(cfg)
-    _, Hbar2 = los_components(geom, cfg)
+    los = los_components(geom, cfg)
     N, M, d, beta = cfg.N, cfg.M, cfg.delta, geom.beta
 
-    surrogate_cov = beta / (1.0 + d) * (np.eye(N) + (d / M) * (Hbar2.conj().T @ Hbar2))
+    # the LoS Gram Hbar2^H Hbar2 of Hbar2 = a_bs a_ris^H is M a_ris a_ris^H
+    surrogate_cov = beta / (1.0 + d) * (np.eye(N) + d * np.outer(los.a_ris, los.a_ris.conj()))
     trace = float(np.trace(surrogate_cov).real)
     approx = M * surrogate_cov @ (M * surrogate_cov + trace * np.eye(N))
 
@@ -108,7 +113,7 @@ def wishart_moment_check(cfg: SystemConfig, trials: int, seed: int) -> WishartMo
     s2 = np.zeros((N, N))
     for b_idx, lo, hi in batch_ranges(trials):
         rng = substream(seed, b_idx)
-        _, H2 = sample_channel_batch(geom, cfg, rng, hi - lo)
+        _, H2 = sample_channel_batch(geom, cfg, rng, hi - lo, los)
         # W = H2^H H2 from the planes A, B of H2: (A^T A + B^T B) + j(A^T B - B^T A)
         AB = H2[0].swapaxes(1, 2) @ H2[1]
         W = (H2.swapaxes(2, 3) @ H2).sum(axis=0) + 1j * (AB - AB.swapaxes(1, 2))

@@ -13,7 +13,13 @@ expectations.
 
 Monte Carlo trials are processed in fixed-size batches, each with its own
 generator derived from (seed, batch index), so results depend only on the
-seed and trial count, never on execution order or worker count.
+seed and trial count, never on execution order or worker count.  The
+moments need H2 only through H2 U, for an orthonormal basis U of
+span{Phi H1, a_ris}, and through the norms ||H2^H g0_k||^2; so wherever
+N > K + 1 and M >= K a batch draws only those parts
+(`channel.sample_reduced_batch`), and the reduced kernel's moments have
+exactly the law of full draws.  The literal kernel on full draws of both
+hops serves the other sizes and the oracle (`literal_trial_statistics`).
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from .channel import (
     ChannelRealization,
     Geometry,
     crandn,
+    los_components,
     sample_channel_batch,
+    sample_reduced_batch,
     sample_user_channels,
     substream,
 )
@@ -192,9 +200,40 @@ def sinr(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
+def _gram(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of Y^H Y, (T, K, K) each, for a complex
+    (T, M, K) stack given as its float view (T, M, 2K) of [re, im] pairs."""
+    T, _, K2 = Y.shape
+    K = K2 // 2
+    R = (Y.swapaxes(1, 2) @ Y).reshape(T, K, 2, K, 2)
+    return R[:, :, 0, :, 0] + R[:, :, 1, :, 1], R[:, :, 0, :, 1] - R[:, :, 1, :, 0]
+
+
+def _hermitian(parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The complex array of a (real, imaginary) pair such as `_gram`'s."""
+    re, im = parts
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _moments_of(norm2: np.ndarray, gram_re: np.ndarray, gram_im: np.ndarray,
+                dyn: np.ndarray, power: np.ndarray) -> Moments:
+    """Unit moments from the gains ||g0_k||^2, the Gram matrix G0^H G0, the
+    dynamic-noise terms and the entry powers |G0_mk|^2 (T, M, K)."""
+    K = norm2.shape[1]
+    cross2 = gram_re * gram_re + gram_im * gram_im
+    diag = np.arange(K)
+    cross2[:, diag, diag] = 0.0
+    # g0_k^H diag(G0 G0^H) g0_k = sum_m |G0_mk|^2 sum_i |G0_mi|^2
+    quantization = (power.swapaxes(1, 2) @ power.sum(axis=2, keepdims=True))[..., 0]
+    return Moments(norm2 * norm2, cross2, dyn, norm2, quantization)
+
+
 def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray) -> Moments:
     """Unit moments of every trial of H1 (T, N, K) and of H2 given as its
-    real and imaginary planes (2, T, M, N).
+    real and imaginary planes (2, T, M, N): the literal kernel.
 
     Every product is one real matmul over both planes: a complex matrix
     viewed as float holds its columns as [re, im] pairs, so with H2 = A + jB
@@ -210,13 +249,8 @@ def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray) -> Moment
     del X
     Y[0] += Y[1]
     G = Y[0]                                         # G0 = H2 Phi H1 as [re, im] pairs
-    R = (G.swapaxes(1, 2) @ G).reshape(T, K, 2, K, 2)
-    gram_re = R[:, :, 0, :, 0] + R[:, :, 1, :, 1]    # Re, Im of g0_k^H g0_i
-    gram_im = R[:, :, 0, :, 1] - R[:, :, 1, :, 0]
+    gram_re, gram_im = _gram(G)                      # g0_k^H g0_i
     norm2 = np.diagonal(gram_re, axis1=1, axis2=2).copy()
-    cross2 = gram_re * gram_re + gram_im * gram_im
-    diag = np.arange(K)
-    cross2[:, diag, diag] = 0.0
     np.multiply(G.view(complex), -1j, out=Y[1].view(complex))
     Z = H2.swapaxes(2, 3) @ Y                        # A^T G0 and B^T (-j G0), (2, T, N, 2K)
     Z[0] += Z[1]                                     # H2^H G0 as pairs
@@ -227,9 +261,118 @@ def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray) -> Moment
     Y[1] *= Y[1]
     power = np.add(Y[1, ..., 0::2], Y[1, ..., 1::2])  # |G0_mk|^2, (T, M, K)
     del Y, G
-    # g0_k^H diag(G0 G0^H) g0_k = sum_m |G0_mk|^2 sum_i |G0_mi|^2
-    quantization = (power.swapaxes(1, 2) @ power.sum(axis=2, keepdims=True))[..., 0]
-    return Moments(norm2 * norm2, cross2, dyn, norm2, quantization)
+    return _moments_of(norm2, gram_re, gram_im, dyn, power)
+
+
+def _square_root(A: np.ndarray) -> np.ndarray:
+    """F with F F^H = A for each Hermitian positive semidefinite A of a
+    stack: the Cholesky factor, or from the eigendecomposition when some A
+    is singular."""
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        lam, V = np.linalg.eigh(A)
+        return V * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+
+
+def _reduced_statistics(H1: np.ndarray, SU: np.ndarray, SV: np.ndarray, phi: np.ndarray,
+                        a_ris: np.ndarray, a_bs_los: np.ndarray) -> Moments:
+    """Unit moments of every trial of a `sample_reduced_batch` draw: the
+    reduced kernel, exact in law to `_batch_statistics` on full draws.
+
+    Write B = [Phi H1, a_ris] = U R with U (N, K+1) orthonormal and R
+    upper triangular; R^H R = B^H B, whose Cholesky factor needs only
+    H1^H H1 and a_ris^H Phi H1.  H2 enters the moments only through
+    H2 U = a_bs_los R[:, K]^H + SU, which gives G0 = H2 U R[:, :K] and the
+    part ||(H2 U)^H g0_k||^2 of ||H2^H g0_k||^2, and through H2's scattered
+    part on U's complement, whose share of ||H2^H g0_k||^2 has the law of
+    (F S F^H)_kk with F F^H = G0^H G0 and S = SV^H SV.  SU is consumed in
+    place.
+    """
+    T, N, K = H1.shape
+    C = np.empty((T, K + 1, K + 1), dtype=complex)
+    C[:, :K, :K] = _hermitian(_gram(H1.view(np.float64)))
+    c = (a_ris.conj() * phi) @ H1                    # a_ris^H Phi H1, (T, K)
+    C[:, K, :K] = c
+    C[:, :K, K] = c.conj()
+    C[:, K, K] = N
+    try:
+        R = np.linalg.cholesky(C).conj().swapaxes(1, 2)
+    except np.linalg.LinAlgError:  # B is rank-deficient in some trial
+        B = np.concatenate([phi[:, None] * H1, np.broadcast_to(a_ris[:, None], (T, N, 1))], 2)
+        R = np.linalg.qr(B, mode="r")
+    H2U = SU
+    H2U += a_bs_los[:, None] * R[:, None, :, K].conj()
+    Rk = R[:, :K, :K]
+    Q = _hermitian(_gram(H2U.view(np.float64)))     # (H2 U)^H H2 U, (T, K+1, K+1)
+    P = Q[:, :, :K] @ Rk                             # (H2 U)^H G0
+    gram = Rk.conj().swapaxes(1, 2) @ P[:, :K]       # G0^H G0
+    P = P.view(np.float64)
+    P *= P
+    p = P.sum(axis=1)
+    dyn = p[:, 0::2] + p[:, 1::2]
+    F = _square_root(gram)
+    FS = F @ _hermitian(_gram(SV.view(np.float64)))
+    dyn += (FS.real * F.real + FS.imag * F.imag).sum(axis=2)
+    G = (H2U[:, :, :K] @ Rk).view(np.float64)        # G0 as [re, im] pairs
+    G *= G
+    power = np.add(G[..., 0::2], G[..., 1::2])       # |G0_mk|^2, (T, M, K)
+    norm2 = np.diagonal(gram.real, axis1=1, axis2=2).copy()
+    return _moments_of(norm2, gram.real, gram.imag, dyn, power)
+
+
+def reduced_draw_applies(M: int, N: int, K: int) -> bool:
+    """Whether `trial_statistics` uses the reduced draw at (M, N, K): it
+    needs a nonempty complement of span{Phi H1, a_ris} (N > K + 1).  With
+    M < K, G0^H G0 is singular in every trial, so its square root always
+    takes the eigendecomposition route, and the literal kernel measured
+    faster there."""
+    return N > K + 1 and M >= K
+
+
+def _statistics(geom, cfg, phases, trials, stream, reduced: bool) -> Moments:
+    """Per-trial unit moments from reduced or from full draws, batch by
+    batch, each batch reduced in slices of about KERNEL_BYTES; the site's
+    LoS parts are built once and serve every batch."""
+    T = cfg.trials if trials is None else int(trials)
+    if T < 1:
+        raise ValueError("trials must be positive")
+    if phases.n_elements != cfg.N:
+        raise ValueError(f"{phases.n_elements} phases for {cfg.N} surface elements")
+    key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
+    los = los_components(geom, cfg)
+    K = cfg.K
+    fields = Moments(np.empty((T, K)), np.empty((T, K, K)), np.empty((T, K)),
+                     np.empty((T, K)), np.empty((T, K)))
+    phi = phases.phi
+    if reduced:
+        a_bs_los = math.sqrt(geom.beta * cfg.delta / (cfg.delta + 1.0)) * los.a_bs
+        step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * (K + 1)))
+
+        def draw(rng, count):
+            return sample_reduced_batch(geom, cfg, rng, count, los)
+
+        def reduce(batch, part):
+            H1, SU, SV = batch
+            return _reduced_statistics(H1[part], SU[part], SV[part], phi, los.a_ris, a_bs_los)
+    else:
+        step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * cfg.N))
+
+        def draw(rng, count):
+            return sample_channel_batch(geom, cfg, rng, count, los)
+
+        def reduce(batch, part):
+            H1, H2 = batch
+            return _batch_statistics(H1[part], H2[:, part], phi)
+
+    for b_idx, lo, hi in batch_ranges(T):
+        batch = draw(substream(*key, b_idx), hi - lo)
+        for start in range(lo, hi, step):
+            end = min(start + step, hi)
+            for out, value in zip(fields, reduce(batch, slice(start - lo, end - lo))):
+                out[start:end] = value
+        del batch  # free this batch before the next one is drawn
+    return fields
 
 
 def trial_statistics(
@@ -244,29 +387,28 @@ def trial_statistics(
 
     Batch b comes from `substream(*stream, b)`, by default the fading
     stream `(cfg.seed, STREAM_FADING)`, so the result depends only on the
-    stream and the trial count.  Each batch's channels are dropped once
-    reduced.
+    stream and the trial count.  Where `reduced_draw_applies`, a batch
+    draws only what the moments need (`sample_reduced_batch`), whose
+    moments have exactly the law of full draws; elsewhere it draws both
+    hops in full, as `literal_trial_statistics` always does.  Each batch is
+    reduced in slices once drawn, so the slicing changes no value, and
+    dropped before the next one.
     """
-    T = cfg.trials if trials is None else int(trials)
-    if T < 1:
-        raise ValueError("trials must be positive")
-    if phases.n_elements != cfg.N:
-        raise ValueError(f"{phases.n_elements} phases for {cfg.N} surface elements")
-    key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
-    K = cfg.K
-    fields = Moments(np.empty((T, K)), np.empty((T, K, K)), np.empty((T, K)),
-                     np.empty((T, K)), np.empty((T, K)))
-    phi = phases.phi
-    step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * cfg.N))
-    for b_idx, lo, hi in batch_ranges(T):
-        H1, H2 = sample_channel_batch(geom, cfg, substream(*key, b_idx), hi - lo)
-        for start in range(lo, hi, step):
-            end = min(start + step, hi)
-            part = slice(start - lo, end - lo)
-            for out, value in zip(fields, _batch_statistics(H1[part], H2[:, part], phi)):
-                out[start:end] = value
-        del H1, H2  # free this batch before the next one is drawn
-    return fields
+    reduced = reduced_draw_applies(cfg.M, cfg.N, cfg.K)
+    return _statistics(geom, cfg, phases, trials, stream, reduced)
+
+
+def literal_trial_statistics(
+    geom: Geometry,
+    cfg: SystemConfig,
+    phases: PhaseConfig,
+    trials: int | None = None,
+    stream: tuple[int, ...] | None = None,
+) -> Moments:
+    """`trial_statistics` from full draws of both hops
+    (`sample_channel_batch`) at every size: the oracle's route, which
+    checks the reduced draw from outside."""
+    return _statistics(geom, cfg, phases, trials, stream, False)
 
 
 def rate_from_statistics(stats: Moments, budget: LinkBudget, cfg: SystemConfig) -> RateReport:

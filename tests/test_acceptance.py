@@ -206,7 +206,7 @@ def test_ac6_genetic_optimizer():
     monotone_a = bool(np.all(np.diff(hist.best_fitness) >= 0.0))
     aligned_gain = abs(analytic.compute_stats(los_geom, los_cfg, best).f[0])
     # the alignment optimum itself is exactly N
-    hbar, _ = los_components(los_geom, los_cfg)
+    hbar = los_components(los_geom, los_cfg).hbar
     a_ris = array_response(los_cfg.N, los_geom.ris_aod[0], los_geom.ris_aod[1])
     exact = abs(analytic.compute_stats(
         los_geom, los_cfg, PhaseConfig(np.angle(a_ris) - np.angle(hbar[:, 0]))).f[0])

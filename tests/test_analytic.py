@@ -40,7 +40,7 @@ def test_stats_invariants(desk):
 
 def test_aligned_phases_reach_maximum_gain(desk):
     cfg, geom, _, _ = desk
-    hbar, _ = los_components(geom, cfg)
+    hbar = los_components(geom, cfg).hbar
     a_ris = array_response(cfg.N, geom.ris_aod[0], geom.ris_aod[1], cfg.d_over_lambda)
     for k in range(cfg.K):
         aligned = PhaseConfig(np.angle(a_ris) - np.angle(hbar[:, k]))
@@ -199,7 +199,7 @@ def test_population_rows_match_single_evaluations(
     assert budget.startup_met == powered
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (4, N))
     # one row aligned to user 0, where |f_0| reaches N
-    hbar, _ = los_components(geom, cfg)
+    hbar = los_components(geom, cfg).hbar
     a_ris = array_response(N, geom.ris_aod[0], geom.ris_aod[1], cfg.d_over_lambda)
     theta[0] = np.mod(np.angle(a_ris) - np.angle(hbar[:, 0]), 2.0 * np.pi)
 

@@ -43,9 +43,11 @@ def test_array_response_rejects_empty():
 
 def test_los_components_norms(desk_cfg):
     geom = make_geometry(desk_cfg)
-    hbar, Hbar2 = los_components(geom, desk_cfg)
+    hbar, a_ris, a_bs = los_components(geom, desk_cfg)
     for k in range(desk_cfg.K):
         assert np.linalg.norm(hbar[:, k]) ** 2 == pytest.approx(desk_cfg.N, rel=1e-12)
+    assert a_ris.shape == (desk_cfg.N,) and a_bs.shape == (desk_cfg.M,)
+    Hbar2 = np.outer(a_bs, a_ris.conj())
     assert np.linalg.norm(Hbar2) ** 2 == pytest.approx(desk_cfg.M * desk_cfg.N, rel=1e-12)
     # rank-one outer product: gram is M * a a^H with trace M*N
     gram = Hbar2.conj().T @ Hbar2
@@ -98,7 +100,7 @@ def test_sample_channels_los_limit():
     # enormous Rician factor collapses the user channel onto its LoS part
     cfg = SystemConfig(M=16, N=4, K=2, epsilon=(1e12, 1e12), trials=10, seed=3)
     geom = make_geometry(cfg)
-    hbar, _ = los_components(geom, cfg)
+    hbar = los_components(geom, cfg).hbar
     real = sample_channels(geom, cfg, substream(9, 0))
     expected = np.sqrt(geom.alpha) * hbar
     np.testing.assert_allclose(real.H1, expected, rtol=1e-5, atol=0)

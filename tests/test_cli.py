@@ -94,15 +94,18 @@ def test_total_power_marks_startup_cutoff(tmp_path):
 
 @pytest.fixture
 def draws(monkeypatch):
-    """(M, N, spawn key) of every fading batch drawn while the test runs."""
+    """(M, N, spawn key) of every fading batch drawn while the test runs,
+    full (`sample_channel_batch`) or reduced (`sample_reduced_batch`)."""
     seen = []
-    draw = arisim.transceiver.sample_channel_batch
 
-    def counting(geom, cfg, rng, count):
-        seen.append((cfg.M, cfg.N, rng.bit_generator.seed_seq.spawn_key))
-        return draw(geom, cfg, rng, count)
+    def counting(draw):
+        def counted(geom, cfg, rng, count, los=None):
+            seen.append((cfg.M, cfg.N, rng.bit_generator.seed_seq.spawn_key))
+            return draw(geom, cfg, rng, count, los)
+        return counted
 
-    monkeypatch.setattr(arisim.transceiver, "sample_channel_batch", counting)
+    for name in ("sample_channel_batch", "sample_reduced_batch"):
+        monkeypatch.setattr(arisim.transceiver, name, counting(getattr(arisim.transceiver, name)))
     return seen
 
 
@@ -314,6 +317,21 @@ def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system)
     assert main(["--config", config, "--experiment", experiment,
                  "--output", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, block, system", [
+    ("total-power", {"N": 8, "P_T_dbm_grid": [True, 30.0]}, {}),
+    ("total-power", {"N": 8, "P_T_dbm_grid": [30.0, "thirty"]}, {}),
+    ("verify", dict(VERIFY_BLOCK, wishart_tol=True), {"seed": 42}),
+])
+def test_boolean_real_values_fail(tmp_path, capsys, experiment, block, system):
+    # a boolean total power used to run as 1.0 dBm, a boolean tolerance as 1.0
+    config = write_config(tmp_path, system=dict(TINY_SYSTEM, **system),
+                          experiments={experiment: block})
+    assert main(["--config", config, "--experiment", experiment,
+                 "--output", str(tmp_path / "out")]) == 1
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "total_power.csv").exists()
 
 
 def test_unknown_experiment_rejected(tmp_path):

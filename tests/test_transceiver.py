@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -23,9 +24,21 @@ from arisim import (
     sinr,
     trial_statistics,
 )
-from arisim.channel import STREAM_FADING, complex_planes, sample_channel_batch, substream
+from arisim.channel import (
+    STREAM_FADING,
+    complex_planes,
+    los_components,
+    sample_channel_batch,
+    sample_reduced_batch,
+    substream,
+)
 from arisim import transceiver
-from arisim.transceiver import BATCH, quantization_gain
+from arisim.transceiver import (
+    BATCH,
+    literal_trial_statistics,
+    quantization_gain,
+    reduced_draw_applies,
+)
 
 from helpers import sinr_from_definition
 
@@ -255,7 +268,7 @@ def test_one_statistics_set_serves_every_budget():
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(14, 0))
     trials = 6
-    stats = trial_statistics(geom, cfg, phases, trials)
+    stats = literal_trial_statistics(geom, cfg, phases, trials)
     H1, planes = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), trials)
     H2 = complex_planes(planes)
     active = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
@@ -278,14 +291,23 @@ def test_one_statistics_set_serves_every_budget():
 
 
 def test_trial_statistics_follow_the_batch_layout(desk):
-    # trial BATCH + t is trial t of batch 1 of the fading stream
+    # trial BATCH + t is trial t of batch 1 of the fading stream, for full
+    # draws of both hops and for the reduced draw alike
     cfg, geom, phases, _ = desk
-    stats = trial_statistics(geom, cfg, phases, BATCH + 7)
+    stats = literal_trial_statistics(geom, cfg, phases, BATCH + 7)
     assert all(x.shape[0] == BATCH + 7 for x in stats)
     H1, planes = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
     G0 = (complex_planes(planes) * phases.phi) @ H1
     np.testing.assert_allclose(stats.channel_gain[BATCH:], (np.abs(G0) ** 2).sum(axis=1),
                                rtol=1e-12)
+
+    assert reduced_draw_applies(cfg.M, cfg.N, cfg.K)
+    stats = trial_statistics(geom, cfg, phases, BATCH + 7)
+    assert all(x.shape[0] == BATCH + 7 for x in stats)
+    batch = sample_reduced_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
+    want = _reduced(geom, cfg, phases, batch)
+    for name, value in zip(Moments._fields, want):
+        np.testing.assert_array_equal(getattr(stats, name)[BATCH:], value, err_msg=name)
 
 
 def test_trial_statistics_checks_inputs(desk):
@@ -300,13 +322,13 @@ def test_trial_statistics_checks_inputs(desk):
 
 
 def test_kernel_slices_do_not_change_statistics():
-    # at (64, 64) the kernel takes 16 trials at a time; reducing the whole
-    # batch in one call gives the same bits
+    # at (64, 64) the literal kernel takes 16 trials at a time; reducing the
+    # whole batch in one call gives the same bits
     cfg = SystemConfig(M=64, N=64, K=3, epsilon=(10.0, 1.0, 0.0), seed=3)
     assert transceiver.KERNEL_BYTES // (16 * cfg.M * cfg.N) <= transceiver.KERNEL_MIN_TRIALS
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(4, 0))
-    stats = trial_statistics(geom, cfg, phases, 40)
+    stats = literal_trial_statistics(geom, cfg, phases, 40)
     H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 40)
     whole = transceiver._batch_statistics(H1, H2, phases.phi)
     for name, value in zip(Moments._fields, whole):
@@ -321,9 +343,143 @@ def test_trial_statistics_memory_is_about_one_planar_batch():
     trials = 256
     tracemalloc.start()
     try:
-        trial_statistics(geom, cfg, phases, trials)
+        literal_trial_statistics(geom, cfg, phases, trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     planes = 16 * trials * cfg.M * cfg.N
     assert peak <= 1.2 * planes
+
+
+def _reduced(geom, cfg, phases, batch):
+    """The reduced kernel on one whole `sample_reduced_batch` draw."""
+    los = los_components(geom, cfg)
+    a_bs_los = math.sqrt(geom.beta * cfg.delta / (cfg.delta + 1.0)) * los.a_bs
+    return transceiver._reduced_statistics(*batch, phases.phi, los.a_ris, a_bs_los)
+
+
+# the law check's systems: delta off {0, 1} with mixed Rician factors and a
+# prime N; delta = 0 with one user; M = K at the edge N = K + 2
+LAW_SYSTEMS = [
+    dict(M=8, N=7, K=3, delta=0.5, epsilon=(10.0, 0.0, 1.0), seed=4),
+    dict(M=6, N=5, K=1, delta=0.0, epsilon=(3.0,), seed=6),
+    dict(M=3, N=5, K=3, delta=2.0, epsilon=(2.0, 0.0, 10.0), seed=8),
+]
+
+
+@pytest.mark.parametrize("kwargs", LAW_SYSTEMS)
+def test_reduced_draw_has_the_law_of_full_draws(kwargs):
+    # every moment's mean within 4 combined standard errors of the literal
+    # kernel's on independent full draws
+    cfg = SystemConfig(**kwargs)
+    assert reduced_draw_applies(cfg.M, cfg.N, cfg.K)
+    geom = make_geometry(cfg)
+    phases = PhaseConfig.random(cfg.N, substream(cfg.seed, 9))
+    trials = 6000
+    reduced = trial_statistics(geom, cfg, phases, trials, stream=(cfg.seed, 10))
+    full = literal_trial_statistics(geom, cfg, phases, trials, stream=(cfg.seed, 11))
+    for name, x, y in zip(Moments._fields, reduced, full):
+        se = np.sqrt((x.var(axis=0, ddof=1) + y.var(axis=0, ddof=1)) / trials)
+        gap = np.abs(x.mean(axis=0) - y.mean(axis=0))
+        assert np.all(gap <= 4.0 * se), (name, gap / np.where(se > 0.0, se, 1.0))
+
+
+def test_reduced_draw_survives_degenerate_factors(monkeypatch):
+    # a pure-LoS user at aligned phases makes [Phi H1, a_ris] singular, and
+    # a pure-LoS surface-BS hop makes G0^H G0 singular: the factorizations
+    # fall back to QR and to the eigendecomposition, and the moments keep
+    # the law of full draws
+    fallbacks = []
+    for name in ("qr", "eigh"):
+        def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            fallbacks.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for kwargs, align, fallback in (
+        (dict(M=8, N=6, K=1, delta=1.0, epsilon=(1e30,), seed=3), True, "qr"),
+        (dict(M=6, N=4, K=2, delta=1e30, epsilon=(1e30, 1.0), seed=8), False, "eigh"),
+    ):
+        cfg = SystemConfig(**kwargs)
+        geom = make_geometry(cfg)
+        los = los_components(geom, cfg)
+        phases = (PhaseConfig(np.angle(los.a_ris) - np.angle(los.hbar[:, 0])) if align
+                  else PhaseConfig.random(cfg.N, substream(1, 2)))
+        trials = 2000
+        fallbacks.clear()
+        reduced = trial_statistics(geom, cfg, phases, trials, stream=(1, 10))
+        assert fallback in fallbacks
+        full = literal_trial_statistics(geom, cfg, phases, trials, stream=(1, 11))
+        for name, x, y in zip(Moments._fields, reduced, full):
+            assert np.all(np.isfinite(x)), name
+            se = np.sqrt((x.var(axis=0, ddof=1) + y.var(axis=0, ddof=1)) / trials)
+            gap = np.abs(x.mean(axis=0) - y.mean(axis=0))
+            assert np.all(gap <= 4.0 * se + 1e-9 * np.abs(y.mean(axis=0))), name
+
+
+def _digest(stats):
+    """sha256 of the moments at 10 significant digits: they pass through
+    BLAS, whose last bits may differ between CPUs."""
+    text = " ".join(f"{v:.9e}" for x in stats for v in np.ravel(x))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# digests of the first five trials of the reduced draw's moments
+PINNED_MOMENTS = [
+    (dict(M=16, N=8, K=4, delta=1.0, epsilon=(10.0, 10.0, 10.0, 10.0), seed=3),
+     "1eb8ec71077451d63f6e3b2b2e630861cf79c22623435c57ca338a63df9e447b"),
+    (dict(M=12, N=7, K=2, delta=0.5, epsilon=(0.0, 3.0), seed=9),
+     "6af06e34ff3e969872abb6a494b0299e7a00ec411d542c1048744c9b153acc86"),
+]
+
+
+@pytest.mark.parametrize("kwargs, sha", PINNED_MOMENTS, ids=["M16-N8-K4", "M12-N7-K2"])
+def test_reduced_moments_match_pinned_values(kwargs, sha):
+    cfg = SystemConfig(**kwargs)
+    geom = make_geometry(cfg)
+    phases = PhaseConfig.random(cfg.N, substream(cfg.seed, 9))
+    assert _digest(trial_statistics(geom, cfg, phases, 5)) == sha
+
+
+def test_reduced_kernel_slices_do_not_change_statistics():
+    # at (144, 64, 4) the reduced kernel takes 45 trials at a time
+    cfg = SystemConfig(M=144, N=64, K=4, epsilon=(10.0, 1.0, 0.0, 2.0), delta=0.5, seed=3)
+    assert transceiver.KERNEL_BYTES // (16 * cfg.M * (cfg.K + 1)) < 100
+    geom = make_geometry(cfg)
+    phases = PhaseConfig.random(cfg.N, substream(4, 0))
+    stats = trial_statistics(geom, cfg, phases, 100)
+    batch = sample_reduced_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 100)
+    for name, value in zip(Moments._fields, _reduced(geom, cfg, phases, batch)):
+        np.testing.assert_array_equal(getattr(stats, name), value, err_msg=name)
+
+
+@pytest.mark.parametrize("M, N, K", [(8, 4, 3), (8, 3, 3), (2, 8, 3)])
+def test_literal_kernel_where_the_reduced_draw_does_not_apply(M, N, K):
+    # N <= K + 1 leaves no complement to reduce, M < K a singular G0^H G0
+    cfg = SystemConfig(M=M, N=N, K=K, epsilon=(10.0, 0.0, 1.0), seed=5)
+    assert not reduced_draw_applies(M, N, K)
+    geom = make_geometry(cfg)
+    phases = PhaseConfig.random(cfg.N, substream(6, 0))
+    got = trial_statistics(geom, cfg, phases, 40)
+    want = literal_trial_statistics(geom, cfg, phases, 40)
+    for name in Moments._fields:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    if N <= K + 1:
+        with pytest.raises(ValueError):
+            sample_reduced_batch(geom, cfg, substream(7, 0), 4)
+
+
+def test_reduced_draw_memory_is_far_below_one_planar_batch():
+    # the reduced batch at (144, 64, 4) is about an eighth of the H2 planes
+    # of a full batch, and the kernel's slices add little to it
+    cfg = SystemConfig(M=144, N=64, K=4, seed=2)
+    geom = make_geometry(cfg)
+    phases = PhaseConfig.random(cfg.N, substream(3, 0))
+    trials = 256
+    tracemalloc.start()
+    try:
+        trial_statistics(geom, cfg, phases, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    planes = 16 * trials * cfg.M * cfg.N
+    assert peak <= 0.2 * planes
