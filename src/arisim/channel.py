@@ -4,9 +4,13 @@ Geometry (user positions, arrival/departure angles, large-scale gains) is
 drawn once per experiment from a dedicated seeded stream and then held
 fixed; Monte Carlo trials vary only the small-scale fading.  The LoS
 steering vectors of a site (`los_components`) are built once per Monte
-Carlo run and passed to each of its batches.  A fading batch draws both hops in full
-(`sample_channel_batch`) or, for the Monte Carlo moments, only the parts of
-the RIS-BS hop that they depend on (`sample_reduced_batch`).  Every random
+Carlo run and passed to each of its batches.  A fading batch draws both
+hops in full (`sample_channel_batch`) or, for the Monte Carlo moments, only
+what they depend on, in Gram form (`sample_gram_batch`): the first hop's
+scattered part on a (K+1)-dimensional basis, the RIS-BS hop's scattered
+part on a basis of span{Phi H1, a_ris}, and Bartlett factors
+(`bartlett_factor`) whose complex Wishart Gram matrices stand for both
+hops' parts on the complements.  Every random
 stream is derived from the master seed through `numpy.random.SeedSequence`
 spawn keys, so results are reproducible and independent of how trials are
 batched across workers.
@@ -178,36 +182,68 @@ def sample_channel_batch(
     return H1, H2
 
 
-def sample_reduced_batch(
+def _interleaved(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
+    """Complex normals of the given shape, each drawn as a (real, imaginary)
+    pair of standard normals scaled by `scale`, viewed without a copy."""
+    z = rng.standard_normal(size=tuple(shape) + (2,))
+    z *= scale
+    return z.view(complex)[..., 0]
+
+
+def bartlett_factor(rng: np.random.Generator, count: int, n: int, K: int) -> np.ndarray:
+    """`count` Bartlett factors T, complex (count, min(n, K), K), each with
+    T^H T distributed as Z^H Z for Z (n, K) with iid CN(0, 1) entries: a
+    complex Wishart matrix with n degrees of freedom.
+
+    T is the triangular factor of a QR decomposition of Z: upper
+    trapezoidal, with T[i, i] = sqrt(Gamma(n - i)) and CN(0, 1) entries
+    above the diagonal.  The draws are the gammas, (count, min(n, K)), then
+    the entries above the diagonal row by row as (real, imaginary) pairs.
+    """
+    r = min(n, K)
+    T = np.zeros((count, r, K), dtype=complex)
+    i = np.arange(r)
+    T[:, i, i] = np.sqrt(rng.standard_gamma(n - i, size=(count, r)))
+    rows, cols = np.triu_indices(r, 1, K)
+    T[:, rows, cols] = _interleaved(rng, (count, rows.size), math.sqrt(0.5))
+    return T
+
+
+def sample_gram_batch(
     geom: Geometry,
     cfg: SystemConfig,
     rng: np.random.Generator,
     count: int,
-    los: LineOfSight | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw `count` realizations of what the combined-channel moments need
-    of the two hops: H1 as in `sample_channel_batch`, then the scattered
-    part of H2 on an (N, K+1) orthonormal basis U of span{Phi H1, a_ris},
-    complex (count, M, K+1), then (count, N-K-1, K) normals that stand for
-    the scattered part on U's complement.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw `count` trials of what the combined-channel moments need of the
+    two hops, in this order:
 
-    Both blocks are iid CN(0, beta/(delta+1)), the scattered variance of
-    H2's entries, drawn with real and imaginary parts interleaved so that
-    each is viewed as complex without a copy; the transceiver's reduced
-    kernel builds U and maps them onto H2 U and onto the complement's
-    share of the dynamic noise.  Needs N > K + 1.
+        X   complex (count, K+1, K), CN(0, 1): the first hop's scattered
+            part on an (N, K+1) orthonormal basis V of a space that holds
+            a_ris and Phi times the first hop's mean;
+        T1  `bartlett_factor` with n = N-K-1: T1^H T1 stands for the Gram
+            matrix of that scattered part on V's complement;
+        SU  complex (count, M, K+1), CN(0, beta/(delta+1)): H2's scattered
+            part on an orthonormal basis U of span{Phi H1, a_ris};
+        T2  `bartlett_factor` with n = N-K-1, scaled by
+            sqrt(beta/(delta+1)): T2^H T2 stands for the Gram matrix of
+            the (N-K-1, K) normals through which H2's scattered part on
+            U's complement enters the dynamic noise.
+
+    The complex normals are (real, imaginary) pairs.  The transceiver's
+    reduced kernel maps them onto the moments with exactly the law of full
+    draws.  Needs N > K + 1.
     """
     M, N, K = cfg.M, cfg.N, cfg.K
     if N <= K + 1:
         raise ValueError(f"the reduced draw needs N > K + 1, got N = {N}, K = {K}")
-    H1 = sample_user_channels(geom, cfg, rng, count, los)
-    scale = math.sqrt(0.5 * geom.beta / (cfg.delta + 1.0))
-    blocks = []
-    for shape in ((count, M, K + 1, 2), (count, N - K - 1, K, 2)):
-        z = rng.standard_normal(size=shape)
-        z *= scale
-        blocks.append(z.view(complex)[..., 0])
-    return H1, blocks[0], blocks[1]
+    n = N - K - 1
+    X = _interleaved(rng, (count, K + 1, K), math.sqrt(0.5))
+    T1 = bartlett_factor(rng, count, n, K)
+    SU = _interleaved(rng, (count, M, K + 1), math.sqrt(0.5 * geom.beta / (cfg.delta + 1.0)))
+    T2 = bartlett_factor(rng, count, n, K)
+    T2 *= math.sqrt(geom.beta / (cfg.delta + 1.0))
+    return X, T1, SU, T2
 
 
 def complex_planes(H: np.ndarray) -> np.ndarray:
@@ -229,8 +265,7 @@ def sample_user_channels(
     los: LineOfSight | None = None,
 ) -> np.ndarray:
     """Draw only the user -> RIS hop, (count, N, K): the first hop of
-    `sample_channel_batch`, of `sample_reduced_batch` and of the surface
-    power measurement."""
+    `sample_channel_batch` and of the surface power measurement."""
     hbar = (los_components(geom, cfg) if los is None else los).hbar
     eps = np.asarray(cfg.epsilon)
     h_nlos = crandn(rng, (count, cfg.N, cfg.K))

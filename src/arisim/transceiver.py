@@ -14,12 +14,15 @@ expectations.
 Monte Carlo trials are processed in fixed-size batches, each with its own
 generator derived from (seed, batch index), so results depend only on the
 seed and trial count, never on execution order or worker count.  The
-moments need H2 only through H2 U, for an orthonormal basis U of
-span{Phi H1, a_ris}, and through the norms ||H2^H g0_k||^2; so wherever
-N > K + 1 and M >= K a batch draws only those parts
-(`channel.sample_reduced_batch`), and the reduced kernel's moments have
-exactly the law of full draws.  The literal kernel on full draws of both
-hops serves the other sizes and the oracle (`literal_trial_statistics`).
+moments need the first hop only through the Gram matrix of
+B = [Phi H1, a_ris], and H2 only through H2 U, for an orthonormal basis U
+of B's columns, and through the norms ||H2^H g0_k||^2; so wherever
+N > K + 1 and M >= K a batch draws those in Gram form
+(`channel.sample_gram_batch`): Bartlett factors for the parts on the
+complements, and only H2 U at full size, as the quantization moment needs
+every entry of G0.  The reduced kernel's moments have exactly the law of
+full draws.  The literal kernel on full draws of both hops serves the
+other sizes and the oracle (`literal_trial_statistics`).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .channel import (
     crandn,
     los_components,
     sample_channel_batch,
-    sample_reduced_batch,
+    sample_gram_batch,
     sample_user_channels,
     substream,
 )
@@ -275,46 +278,85 @@ def _square_root(A: np.ndarray) -> np.ndarray:
         return V * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
 
 
-def _reduced_statistics(H1: np.ndarray, SU: np.ndarray, SV: np.ndarray, phi: np.ndarray,
-                        a_ris: np.ndarray, a_bs_los: np.ndarray) -> Moments:
-    """Unit moments of every trial of a `sample_reduced_batch` draw: the
+class _GramSite(NamedTuple):
+    """The parts of the reduced kernel fixed by the geometry and the phases,
+    built once per Monte Carlo run.  With the first hop's mean
+    A = Phi hbar diag(sqrt(alpha eps/(eps+1))), its scattered scale
+    s = sqrt(alpha/(eps+1)) and a Householder QR [A, a_ris] = V R_site,
+    P = V^H A = R_site[:, :K] and q = V^H a_ris = R_site[:, K].  V, (N, K+1),
+    has orthonormal columns even where [A, a_ris] is rank-deficient, as it
+    is when a user has no LoS (eps = 0).  There a square root of the Gram
+    matrix of [A, a_ris] in place of the QR would also serve, but a
+    rounding-level change of [A, a_ris] then moves the moments by about
+    1e-6 of their size, against 1e-15 with the QR."""
+
+    P: np.ndarray    # (K+1, K)
+    q: np.ndarray    # (K+1,)
+    s: np.ndarray    # (K,)
+    N: int
+    los_gain: float  # sqrt(beta delta/(delta+1)), the RIS-BS LoS amplitude
+
+
+def _gram_site(geom: Geometry, cfg: SystemConfig, los, phi: np.ndarray) -> _GramSite:
+    eps = np.asarray(cfg.epsilon)
+    A = phi[:, None] * los.hbar * np.sqrt(geom.alpha * eps / (eps + 1.0))
+    R = np.linalg.qr(np.column_stack([A, los.a_ris]), mode="r")
+    return _GramSite(R[:, :cfg.K], R[:, cfg.K], np.sqrt(geom.alpha / (eps + 1.0)), cfg.N,
+                     math.sqrt(geom.beta * cfg.delta / (cfg.delta + 1.0)))
+
+
+def _gram_statistics(X: np.ndarray, T1: np.ndarray, SU: np.ndarray, T2: np.ndarray,
+                     site: _GramSite) -> Moments:
+    """Unit moments of every trial of a `sample_gram_batch` draw: the
     reduced kernel, exact in law to `_batch_statistics` on full draws.
 
-    Write B = [Phi H1, a_ris] = U R with U (N, K+1) orthonormal and R
-    upper triangular; R^H R = B^H B, whose Cholesky factor needs only
-    H1^H H1 and a_ris^H Phi H1.  H2 enters the moments only through
-    H2 U = a_bs_los R[:, K]^H + SU, which gives G0 = H2 U R[:, :K] and the
-    part ||(H2 U)^H g0_k||^2 of ||H2^H g0_k||^2, and through H2's scattered
-    part on U's complement, whose share of ||H2^H g0_k||^2 has the law of
-    (F S F^H)_kk with F F^H = G0^H G0 and S = SV^H SV.  SU is consumed in
-    place.
+    Phi H1 = A + Phi W diag(s) with W iid CN(0, 1), and Phi W has the law
+    of W.  Split on the site's basis V (`_GramSite`) and its complement,
+    B = [Phi H1, a_ris] has the Gram matrix C with
+    C[:K, :K] = Y^H Y + (T1 s)^H (T1 s), C[K, :K] = q^H Y and C[K, K] = N,
+    where Y = P + X s.  For any R with R^H R = C, B = U R for some U
+    (N, K+1) with orthonormal columns, so H2 enters the moments only
+    through H2 U, which gives G0 = H2 U R[:, :K] and the part
+    ||(H2 U)^H g0_k||^2 of ||H2^H g0_k||^2, and through H2's scattered part
+    on U's complement, whose share of ||H2^H g0_k||^2 has the law of the
+    squared column norms of T2 F^H, with F F^H = G0^H G0.
+
+    The moments do not change when the rows of G0 and H2 are rotated by a
+    diagonal unitary, and a_bs has unit-modulus entries, so rotating by
+    diag(conj(a_bs)) turns H2's LoS part into los_gain 1 a_ris^H while its
+    scattered part keeps its law: H2 U = SU + los_gain 1 R[:, K]^H.  SU is
+    consumed in place.
     """
-    T, N, K = H1.shape
-    C = np.empty((T, K + 1, K + 1), dtype=complex)
-    C[:, :K, :K] = _hermitian(_gram(H1.view(np.float64)))
-    c = (a_ris.conj() * phi) @ H1                    # a_ris^H Phi H1, (T, K)
+    T, K1, K = X.shape
+    Z = np.empty((T, K1 + T1.shape[1], K), dtype=complex)
+    Y = Z[:, :K1]
+    np.multiply(X, site.s, out=Y)
+    Y += site.P
+    np.multiply(T1, site.s, out=Z[:, K1:])
+    C = np.empty((T, K1, K1), dtype=complex)
+    C[:, :K, :K] = _hermitian(_gram(Z.view(np.float64)))
+    c = site.q.conj() @ Y                            # a_ris^H Phi H1, (T, K)
     C[:, K, :K] = c
     C[:, :K, K] = c.conj()
-    C[:, K, K] = N
-    try:
-        R = np.linalg.cholesky(C).conj().swapaxes(1, 2)
-    except np.linalg.LinAlgError:  # B is rank-deficient in some trial
-        B = np.concatenate([phi[:, None] * H1, np.broadcast_to(a_ris[:, None], (T, N, 1))], 2)
-        R = np.linalg.qr(B, mode="r")
+    C[:, K, K] = site.N
+    # R^H R = C; from the eigendecomposition R is not triangular, so G0
+    # takes all K+1 rows of R
+    R = _square_root(C).conj().swapaxes(1, 2)
     H2U = SU
-    H2U += a_bs_los[:, None] * R[:, None, :, K].conj()
-    Rk = R[:, :K, :K]
+    H2U += site.los_gain * R[:, None, :, K].conj()
+    Rk = R[:, :, :K]
     Q = _hermitian(_gram(H2U.view(np.float64)))     # (H2 U)^H H2 U, (T, K+1, K+1)
-    P = Q[:, :, :K] @ Rk                             # (H2 U)^H G0
-    gram = Rk.conj().swapaxes(1, 2) @ P[:, :K]       # G0^H G0
+    P = Q @ Rk                                       # (H2 U)^H G0
+    gram = Rk.conj().swapaxes(1, 2) @ P              # G0^H G0
     P = P.view(np.float64)
     P *= P
     p = P.sum(axis=1)
     dyn = p[:, 0::2] + p[:, 1::2]
-    F = _square_root(gram)
-    FS = F @ _hermitian(_gram(SV.view(np.float64)))
-    dyn += (FS.real * F.real + FS.imag * F.imag).sum(axis=2)
-    G = (H2U[:, :, :K] @ Rk).view(np.float64)        # G0 as [re, im] pairs
+    TF = (T2 @ _square_root(gram).conj().swapaxes(1, 2)).view(np.float64)
+    TF *= TF
+    t = TF.sum(axis=1)
+    dyn += t[:, 0::2] + t[:, 1::2]
+    G = (H2U @ Rk).view(np.float64)                  # G0 as [re, im] pairs
     G *= G
     power = np.add(G[..., 0::2], G[..., 1::2])       # |G0_mk|^2, (T, M, K)
     norm2 = np.diagonal(gram.real, axis1=1, axis2=2).copy()
@@ -346,15 +388,14 @@ def _statistics(geom, cfg, phases, trials, stream, reduced: bool) -> Moments:
                      np.empty((T, K)), np.empty((T, K)))
     phi = phases.phi
     if reduced:
-        a_bs_los = math.sqrt(geom.beta * cfg.delta / (cfg.delta + 1.0)) * los.a_bs
+        site = _gram_site(geom, cfg, los, phi)
         step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * (K + 1)))
 
         def draw(rng, count):
-            return sample_reduced_batch(geom, cfg, rng, count, los)
+            return sample_gram_batch(geom, cfg, rng, count)
 
         def reduce(batch, part):
-            H1, SU, SV = batch
-            return _reduced_statistics(H1[part], SU[part], SV[part], phi, los.a_ris, a_bs_los)
+            return _gram_statistics(*(x[part] for x in batch), site)
     else:
         step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * cfg.N))
 
@@ -388,8 +429,8 @@ def trial_statistics(
     Batch b comes from `substream(*stream, b)`, by default the fading
     stream `(cfg.seed, STREAM_FADING)`, so the result depends only on the
     stream and the trial count.  Where `reduced_draw_applies`, a batch
-    draws only what the moments need (`sample_reduced_batch`), whose
-    moments have exactly the law of full draws; elsewhere it draws both
+    draws only what the moments need, in Gram form (`sample_gram_batch`),
+    whose moments have exactly the law of full draws; elsewhere it draws both
     hops in full, as `literal_trial_statistics` always does.  Each batch is
     reduced in slices once drawn, so the slicing changes no value, and
     dropped before the next one.

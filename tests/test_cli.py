@@ -94,17 +94,17 @@ def test_total_power_marks_startup_cutoff(tmp_path):
 
 @pytest.fixture
 def draws(monkeypatch):
-    """(M, N, spawn key) of every fading batch drawn while the test runs,
-    full (`sample_channel_batch`) or reduced (`sample_reduced_batch`)."""
+    """(draw, M, N, spawn key) of every fading batch drawn while the test runs,
+    full (`sample_channel_batch`) or in Gram form (`sample_gram_batch`)."""
     seen = []
 
     def counting(draw):
-        def counted(geom, cfg, rng, count, los=None):
-            seen.append((cfg.M, cfg.N, rng.bit_generator.seed_seq.spawn_key))
-            return draw(geom, cfg, rng, count, los)
+        def counted(geom, cfg, rng, count, *los):
+            seen.append((draw.__name__, cfg.M, cfg.N, rng.bit_generator.seed_seq.spawn_key))
+            return draw(geom, cfg, rng, count, *los)
         return counted
 
-    for name in ("sample_channel_batch", "sample_reduced_batch"):
+    for name in ("sample_channel_batch", "sample_gram_batch"):
         monkeypatch.setattr(arisim.transceiver, name, counting(getattr(arisim.transceiver, name)))
     return seen
 
@@ -116,12 +116,14 @@ def draws(monkeypatch):
     ("adc-bits", {"bits": [1, 4, "ideal"], "pairs": [[4, 4], [8, 4]]}, 2),
 ])
 def test_sweeps_draw_each_fading_batch_once(tmp_path, draws, experiment, block, sites):
-    # two batches per geometry: every point of a geometry shares them
+    # two batches per geometry: every point of a geometry shares them; every
+    # site here has N > K + 1 and M >= K, so each batch is a Gram-form draw
     config = write_config(tmp_path, experiments={experiment: block})
     assert main(["--config", config, "--experiment", experiment, "--output",
                  str(tmp_path / "out"), "--trials", str(BATCH + 1)]) == 0
     assert len(draws) == 2 * sites
     assert len(set(draws)) == len(draws)
+    assert {d[0] for d in draws} == {"sample_gram_batch"}
 
 
 def test_sweep_rates_match_monte_carlo_rate(tmp_path):
@@ -376,3 +378,12 @@ def test_shipped_default_config_loads():
     cfg = build_system(raw)
     assert cfg.M == 64 and cfg.N == 16 and cfg.K == 4
     assert cfg.epsilon == (10.0,) * 4
+
+
+def test_config_loader_matches_safe_load():
+    # libyaml's safe loader, where available, parses the shipped config to
+    # the same dict as PyYAML's pure-Python one
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
+    with open(path) as fh:
+        want = yaml.safe_load(fh)
+    assert load_config(path) == want

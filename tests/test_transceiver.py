@@ -26,10 +26,11 @@ from arisim import (
 )
 from arisim.channel import (
     STREAM_FADING,
+    bartlett_factor,
     complex_planes,
     los_components,
     sample_channel_batch,
-    sample_reduced_batch,
+    sample_gram_batch,
     substream,
 )
 from arisim import transceiver
@@ -292,7 +293,7 @@ def test_one_statistics_set_serves_every_budget():
 
 def test_trial_statistics_follow_the_batch_layout(desk):
     # trial BATCH + t is trial t of batch 1 of the fading stream, for full
-    # draws of both hops and for the reduced draw alike
+    # draws of both hops and for the Gram-form draw alike
     cfg, geom, phases, _ = desk
     stats = literal_trial_statistics(geom, cfg, phases, BATCH + 7)
     assert all(x.shape[0] == BATCH + 7 for x in stats)
@@ -304,7 +305,7 @@ def test_trial_statistics_follow_the_batch_layout(desk):
     assert reduced_draw_applies(cfg.M, cfg.N, cfg.K)
     stats = trial_statistics(geom, cfg, phases, BATCH + 7)
     assert all(x.shape[0] == BATCH + 7 for x in stats)
-    batch = sample_reduced_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
+    batch = sample_gram_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
     want = _reduced(geom, cfg, phases, batch)
     for name, value in zip(Moments._fields, want):
         np.testing.assert_array_equal(getattr(stats, name)[BATCH:], value, err_msg=name)
@@ -352,18 +353,22 @@ def test_trial_statistics_memory_is_about_one_planar_batch():
 
 
 def _reduced(geom, cfg, phases, batch):
-    """The reduced kernel on one whole `sample_reduced_batch` draw."""
-    los = los_components(geom, cfg)
-    a_bs_los = math.sqrt(geom.beta * cfg.delta / (cfg.delta + 1.0)) * los.a_bs
-    return transceiver._reduced_statistics(*batch, phases.phi, los.a_ris, a_bs_los)
+    """The reduced kernel on one whole `sample_gram_batch` draw."""
+    site = transceiver._gram_site(geom, cfg, los_components(geom, cfg), phases.phi)
+    return transceiver._gram_statistics(*batch, site)
 
 
 # the law check's systems: delta off {0, 1} with mixed Rician factors and a
-# prime N; delta = 0 with one user; M = K at the edge N = K + 2
+# prime N; delta = 0 with one user; M = K at the edge N = K + 2; fewer
+# complement dimensions than users (N - K - 1 = 1 < K); every user without
+# LoS, so the first hop's mean is zero; power_sweep's size
 LAW_SYSTEMS = [
     dict(M=8, N=7, K=3, delta=0.5, epsilon=(10.0, 0.0, 1.0), seed=4),
     dict(M=6, N=5, K=1, delta=0.0, epsilon=(3.0,), seed=6),
     dict(M=3, N=5, K=3, delta=2.0, epsilon=(2.0, 0.0, 10.0), seed=8),
+    dict(M=4, N=6, K=4, delta=1.0, epsilon=(10.0, 1.0, 0.0, 3.0), seed=5),
+    dict(M=8, N=9, K=3, delta=1.0, epsilon=(0.0, 0.0, 0.0), seed=7),
+    dict(M=64, N=128, K=4, delta=1.0, epsilon=(10.0,) * 4, seed=1),
 ]
 
 
@@ -375,7 +380,7 @@ def test_reduced_draw_has_the_law_of_full_draws(kwargs):
     assert reduced_draw_applies(cfg.M, cfg.N, cfg.K)
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(cfg.seed, 9))
-    trials = 6000
+    trials = 6000 if cfg.M * cfg.N <= 1024 else 2000  # full draws at (64, 128) are slow
     reduced = trial_statistics(geom, cfg, phases, trials, stream=(cfg.seed, 10))
     full = literal_trial_statistics(geom, cfg, phases, trials, stream=(cfg.seed, 11))
     for name, x, y in zip(Moments._fields, reduced, full):
@@ -385,19 +390,21 @@ def test_reduced_draw_has_the_law_of_full_draws(kwargs):
 
 
 def test_reduced_draw_survives_degenerate_factors(monkeypatch):
-    # a pure-LoS user at aligned phases makes [Phi H1, a_ris] singular, and
-    # a pure-LoS surface-BS hop makes G0^H G0 singular: the factorizations
-    # fall back to QR and to the eigendecomposition, and the moments keep
+    # a pure-LoS user at aligned phases makes B = [Phi H1, a_ris] singular,
+    # and a pure-LoS surface-BS hop makes G0^H G0 singular: the Cholesky
+    # factorization of the per-trial (K+1)-square B^H B, or of the K-square
+    # G0^H G0, falls back to the eigendecomposition, and the moments keep
     # the law of full draws
     fallbacks = []
-    for name in ("qr", "eigh"):
-        def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
-            fallbacks.append(_name)
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    for kwargs, align, fallback in (
-        (dict(M=8, N=6, K=1, delta=1.0, epsilon=(1e30,), seed=3), True, "qr"),
-        (dict(M=6, N=4, K=2, delta=1e30, epsilon=(1e30, 1.0), seed=8), False, "eigh"),
+
+    def counted(a, _f=np.linalg.eigh):
+        fallbacks.append(a.shape[-1])
+        return _f(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for kwargs, align, size in (
+        (dict(M=8, N=6, K=1, delta=1.0, epsilon=(1e30,), seed=3), True, 2),     # B^H B
+        (dict(M=6, N=4, K=2, delta=1e30, epsilon=(1e30, 1.0), seed=8), False, 2),  # G0^H G0
     ):
         cfg = SystemConfig(**kwargs)
         geom = make_geometry(cfg)
@@ -407,7 +414,7 @@ def test_reduced_draw_survives_degenerate_factors(monkeypatch):
         trials = 2000
         fallbacks.clear()
         reduced = trial_statistics(geom, cfg, phases, trials, stream=(1, 10))
-        assert fallback in fallbacks
+        assert size in fallbacks, fallbacks
         full = literal_trial_statistics(geom, cfg, phases, trials, stream=(1, 11))
         for name, x, y in zip(Moments._fields, reduced, full):
             assert np.all(np.isfinite(x)), name
@@ -426,9 +433,9 @@ def _digest(stats):
 # digests of the first five trials of the reduced draw's moments
 PINNED_MOMENTS = [
     (dict(M=16, N=8, K=4, delta=1.0, epsilon=(10.0, 10.0, 10.0, 10.0), seed=3),
-     "1eb8ec71077451d63f6e3b2b2e630861cf79c22623435c57ca338a63df9e447b"),
+     "b0179e80ce523d53203cefc48e55ae11fb3e6b4f4a39dc3df742f02b78330df2"),
     (dict(M=12, N=7, K=2, delta=0.5, epsilon=(0.0, 3.0), seed=9),
-     "6af06e34ff3e969872abb6a494b0299e7a00ec411d542c1048744c9b153acc86"),
+     "bc0926b85f232191e91429aac8de3c41c0a93394815b850566a7743e8715d996"),
 ]
 
 
@@ -440,6 +447,28 @@ def test_reduced_moments_match_pinned_values(kwargs, sha):
     assert _digest(trial_statistics(geom, cfg, phases, 5)) == sha
 
 
+@pytest.mark.parametrize("n, K", [(6, 3), (2, 4)])
+def test_bartlett_factor_has_the_wishart_law(n, K):
+    # T^H T against W = Z^H Z with Z (n, K) iid CN(0, 1): E W = n I and
+    # E|W_ij - E W_ij|^2 = n on and off the diagonal, also for n < K,
+    # where W is singular
+    count = 20000
+    T = bartlett_factor(substream(21, n), count, n, K)
+    r = min(n, K)
+    assert T.shape == (count, r, K)
+    i = np.arange(r)
+    assert np.all(T[:, i, i].real > 0.0) and np.all(T[:, i, i].imag == 0.0)
+    assert not np.tril(T, -1).any()
+    W = T.conj().swapaxes(1, 2) @ T
+    dev = W - n * np.eye(K)
+    for part in (dev.real, dev.imag):
+        se = part.std(axis=0) / math.sqrt(count)
+        assert np.all(np.abs(part.mean(axis=0)) <= 4.0 * se + 1e-12)
+    d = np.abs(dev) ** 2
+    se = d.std(axis=0) / math.sqrt(count)
+    assert np.all(np.abs(d.mean(axis=0) - n) <= 4.0 * se)
+
+
 def test_reduced_kernel_slices_do_not_change_statistics():
     # at (144, 64, 4) the reduced kernel takes 45 trials at a time
     cfg = SystemConfig(M=144, N=64, K=4, epsilon=(10.0, 1.0, 0.0, 2.0), delta=0.5, seed=3)
@@ -447,7 +476,7 @@ def test_reduced_kernel_slices_do_not_change_statistics():
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(4, 0))
     stats = trial_statistics(geom, cfg, phases, 100)
-    batch = sample_reduced_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 100)
+    batch = sample_gram_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 100)
     for name, value in zip(Moments._fields, _reduced(geom, cfg, phases, batch)):
         np.testing.assert_array_equal(getattr(stats, name), value, err_msg=name)
 
@@ -465,7 +494,7 @@ def test_literal_kernel_where_the_reduced_draw_does_not_apply(M, N, K):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     if N <= K + 1:
         with pytest.raises(ValueError):
-            sample_reduced_batch(geom, cfg, substream(7, 0), 4)
+            sample_gram_batch(geom, cfg, substream(7, 0), 4)
 
 
 def test_reduced_draw_memory_is_far_below_one_planar_batch():
