@@ -35,12 +35,7 @@ from .channel import (
     substream,
 )
 from .ga import GAHistory, GAParams, crossover, mutate, optimize_phases
-from .oracle import (
-    MomentEstimates,
-    WishartMomentReport,
-    estimate_moments,
-    wishart_moment_check,
-)
+from .oracle import estimate_moments
 from .transceiver import (
     Moments,
     PhaseConfig,

@@ -10,10 +10,11 @@ the combined channel g_k = eta * H2 * Phi * h_k:
 Each moment has a closed form in the array sizes, the Rician factors, the
 large-scale gains and two phase-dependent functionals: the aligned LoS gain
 f_k = a_N^H(ris departure) Phi hbar_k and the steering inner products
-hbar_k^H hbar_i.  The dynamic-noise moment additionally relies on a
-central-Wishart approximation of the second hop's Gram matrix, so it is the
-least exact of the five; all are validated against brute-force Monte Carlo
-estimates in the oracle module.
+hbar_k^H hbar_i.  All five are exact; the dynamic-noise moment uses the
+second moment of the second hop's non-central Gram matrix,
+E{(H2^H H2)^2} = P^2 + (2M+N) s P + s tr(P) I + s^2 M(M+N) I with
+P = Hbar2^H Hbar2 and s the scattered variance.  Each is validated against
+brute-force Monte Carlo estimates in the oracle module.
 
 Only f depends on the phases.  `closed_form_site` gathers everything else
 once per geometry, with each moment collected into coefficients of |f_k|^2
@@ -74,15 +75,15 @@ def _moment_coefficients(
                + N**2 * (e**2 + 2 * d * e + 2 * d + 2 * e + 1)
                + M * N * (2 * d + 2 * e + 1)
                + N * (2 * d + 2 * e + 1)),
-        Mu2 * 2.0 * d * e * (2 * M * N + M * N * e + M * N + 2 * M + N * e + N + 2),
+        Mu2 * 2.0 * d * e * (2 * d * M * N + M * N * e + M * N + 2 * M + N * e + N + 2),
         Mu2 * M * d**2 * e**2,
     )
     gain = (M * u * (d * N + e * N + N), M * u * d * e)
     b_u = beta * u
     dynamic_noise = (
         M**2 * b_u / (d + 1.0) * (2 * N * d + N**2 * d**2 + N * e + N)
-        + M * N * b_u * (N * d + N * e + N),
-        M**2 * b_u / (d + 1.0) * d * e * (2.0 + d * N) + M * N * b_u * d * e,
+        + M * N**2 * b_u / (d + 1.0) * (d * e + 2 * d + e + 1),
+        M**2 * b_u / (d + 1.0) * d * e * (2.0 + d * N) + M * N * b_u / (d + 1.0) * d * e,
     )
     quantization = (
         Mu2 * (2.0 * N**2 * (d + e + 1) ** 2 + 2.0 * N * (2 * d + 2 * e + 1)),
@@ -104,10 +105,11 @@ def _moment_coefficients(
     ))
     # quantization cross term for i != k:
     # (a_k + b_k F_k) (a_i + b_i F_i) + 2d (e_k e_i c_ki + e_k F_k + e_i F_i + N)
+    #   + e_k e_i |hbar_k^H hbar_i|^2 + N (e_k + e_i + 1)
     a, b = N * (d + e + 1), d * e
     ak, ai, bk, bi = a[:, None], a[None, :], b[:, None], b[None, :]
     quantization_cross = tuple(off * Mu * x for x in (
-        ak * ai + 2.0 * d * N,
+        ak * ai + 2.0 * d * N + ek * ei * np.abs(hbar_inner) ** 2 + N * (ek + ei + 1),
         bk * ai + 2.0 * d * ek,
         ak * bi + 2.0 * d * ei,
         bk * bi,

@@ -68,7 +68,7 @@ def test_ac2_moment_oracle_equivalence():
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     stats = analytic.compute_stats(geom, cfg, phases)
     ref = moments_at(stats.unit, budget, cfg)
-    est = estimate_moments(geom, cfg, phases, budget, trials=100_000, seed=cfg.seed + 1)
+    est, se = estimate_moments(geom, cfg, phases, budget, trials=100_000, seed=cfg.seed + 1)
 
     worst = {}
 
@@ -80,23 +80,19 @@ def test_ac2_moment_oracle_equivalence():
 
     ok = True
     for k in range(cfg.K):
-        ok &= within("signal", est.signal[k], est.se_signal[k], ref.signal[k], 0.03)
-        ok &= within("channel_gain", est.channel_gain[k], est.se_channel_gain[k],
-                     ref.channel_gain[k], 0.03)
-        ok &= within("quantization", est.quantization[k], est.se_quantization[k],
-                     ref.quantization[k], 0.03)
-        ok &= within("dynamic_noise", est.dynamic_noise[k], est.se_dynamic_noise[k],
-                     ref.dynamic_noise[k], 0.05)
+        for name in ("signal", "channel_gain", "quantization", "dynamic_noise"):
+            ok &= within(name, getattr(est, name)[k], getattr(se, name)[k],
+                         getattr(ref, name)[k], 0.03)
         for i in range(cfg.K):
             if i != k:
-                ok &= within("interference", est.interference[k, i], est.se_interference[k, i],
+                ok &= within("interference", est.interference[k, i], se.interference[k, i],
                              ref.interference[k, i], 0.03)
 
     # the misprinted prefactor variant, u_k^2 u_i^2 in place of u_k u_i,
     # must fail the very same check
     u = stats.site.u
     bad_ref = ref.interference[0, 1] * (u[0] * u[1])
-    bad_tol = max(0.03 * abs(bad_ref), 4.0 * est.se_interference[0, 1])
+    bad_tol = max(0.03 * abs(bad_ref), 4.0 * se.interference[0, 1])
     printed_fails = abs(est.interference[0, 1] - bad_ref) > bad_tol
 
     elapsed = time.monotonic() - start
@@ -282,8 +278,8 @@ def test_ac7_invariant_suite(baseline):
     mc_a = monte_carlo_rate(geom, cfg, phases, budget, trials=200)
     mc_b = monte_carlo_rate(geom, cfg, phases, budget, trials=200)
     det_ok &= np.array_equal(mc_a.per_user_rate, mc_b.per_user_rate)
-    est_a = estimate_moments(geom, cfg, phases, budget, 500, 3)
-    est_b = estimate_moments(geom, cfg, phases, budget, 500, 3)
+    est_a, _ = estimate_moments(geom, cfg, phases, budget, 500, 3)
+    est_b, _ = estimate_moments(geom, cfg, phases, budget, 500, 3)
     det_ok &= np.array_equal(est_a.signal, est_b.signal)
     small = SystemConfig(M=16, N=8, K=2, epsilon=(10.0, 10.0), trials=10, seed=17)
     sg = make_geometry(small)

@@ -272,9 +272,8 @@ def test_ga_params_seed_defaults_to_system_seed():
         ga_params(cfg, {"max_iter": 3})
 
 
-# seed 42 is the geometry the acceptance gate certifies; the tiny 4x4
-# system makes the Wishart surrogate coarse, hence the loose bound
-VERIFY_BLOCK = {"M": 8, "N": 4, "K": 2, "trials": 40000, "wishart_tol": 0.30}
+# seed 42 is the geometry the acceptance gate certifies
+VERIFY_BLOCK = {"M": 8, "N": 4, "K": 2, "trials": 40000}
 
 
 def test_verify_run(tmp_path, capsys):
@@ -288,12 +287,13 @@ def test_verify_run(tmp_path, capsys):
     rows = read_rows(out / "verify.csv")
     want = []
     for k in range(2):
-        want += [(name, str(k)) for name in
-                 ("signal", "dynamic_noise", "channel_gain", "quantization")]
-        want += [("interference", str(k)) for i in range(2) if i != k]
-    want += [("surface_power", "-1"), ("wishart_surrogate", "-1")]
+        want += [("signal", str(k)), ("interference", str(k)), ("dynamic_noise", str(k)),
+                 ("channel_gain", str(k)), ("quantization", str(k))]
+    want += [("surface_power", "-1")]
     assert [(r[0], r[1]) for r in rows[1:]] == want
     assert all(r[-1] == "PASS" for r in rows[1:])
+    # every moment is held to the one 3% tolerance
+    assert {r[6] for r in rows[1:-1]} == {"0.03"}
 
 
 @pytest.mark.parametrize("experiment, block, system", [
@@ -324,16 +324,34 @@ def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system)
 @pytest.mark.parametrize("experiment, block, system", [
     ("total-power", {"N": 8, "P_T_dbm_grid": [True, 30.0]}, {}),
     ("total-power", {"N": 8, "P_T_dbm_grid": [30.0, "thirty"]}, {}),
-    ("verify", dict(VERIFY_BLOCK, wishart_tol=True), {"seed": 42}),
 ])
 def test_boolean_real_values_fail(tmp_path, capsys, experiment, block, system):
-    # a boolean total power used to run as 1.0 dBm, a boolean tolerance as 1.0
+    # a boolean total power used to run as 1.0 dBm
     config = write_config(tmp_path, system=dict(TINY_SYSTEM, **system),
                           experiments={experiment: block})
     assert main(["--config", config, "--experiment", experiment,
                  "--output", str(tmp_path / "out")]) == 1
     assert "must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out" / "total_power.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, block, typo", [
+    ("antennas-elements", {"M_grid": [4], "N_grid": [4]}, "n_grid"),
+    ("total-power", {"N": 8}, "P_T_grid"),
+    ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, "bit"),
+    ("verify", VERIFY_BLOCK, "wishart_tol"),
+    ("optimize", {"n_total": 20, "n_elite": 2, "n_parents": 4, "n_crossover": 14,
+                  "n_mutation": 4, "max_iters": 2}, "max_iter"),
+])
+def test_unknown_block_keys_fail(tmp_path, capsys, experiment, block, typo):
+    # outside the GA settings a misspelt key used to be ignored, and the run
+    # went ahead on the default
+    config = write_config(tmp_path, system=dict(TINY_SYSTEM, seed=42),
+                          experiments={experiment: dict(block, **{typo: True})})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", experiment, "--output", str(out)]) == 1
+    assert f"unknown {experiment} config keys: ['{typo}']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_experiment_rejected(tmp_path):
