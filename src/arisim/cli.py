@@ -58,7 +58,8 @@ def load_config(path: str) -> dict:
 def build_system(raw: dict, **overrides) -> SystemConfig:
     """Construct a SystemConfig from the config's system section.
 
-    A scalar `epsilon` is broadcast to all K users; unknown keys, and Rician
+    A scalar `epsilon` is broadcast to all K users, and without one every
+    user takes the default's first entry; unknown keys, and Rician
     factors that are not finite numbers (a boolean among them), are
     rejected so typos fail loudly.
     """
@@ -69,7 +70,7 @@ def build_system(raw: dict, **overrides) -> SystemConfig:
     if unknown:
         raise ConfigurationError(f"unknown system config keys: {sorted(unknown)}")
     K = int(section.get("K", SystemConfig.K))
-    eps = section.get("epsilon", SystemConfig.epsilon)
+    eps = section.get("epsilon", SystemConfig.epsilon[0])
     eps = list(eps) if isinstance(eps, (list, tuple)) else [eps] * K
     bad = [e for e in eps if not _is_finite_real(e)]
     if bad:
@@ -418,7 +419,15 @@ def main(argv=None) -> int:
         raw = load_config(args.config)
         cfg = build_system(raw, seed=args.seed, trials=args.trials)
         mode = Mode(args.mode)
-        block = dict(raw.get("experiments", {}).get(args.experiment, {}) or {})
+        experiments = raw.get("experiments", {}) or {}
+        if not isinstance(experiments, dict):
+            raise ConfigurationError("experiments must map experiment names to blocks")
+        misspelt = set(experiments) - set(EXPERIMENTS)
+        if misspelt:
+            raise ConfigurationError(f"unknown experiments sections: {sorted(misspelt)}")
+        block = experiments.get(args.experiment) or {}
+        if not isinstance(block, dict):
+            raise ConfigurationError(f"the {args.experiment} block must be a mapping")
         unknown = set(block) - BLOCK_KEYS[args.experiment]
         if unknown:
             raise ConfigurationError(f"unknown {args.experiment} config keys: {sorted(unknown)}")

@@ -7,6 +7,10 @@ unchanged, making the best-ever fitness monotone), fitness-proportional
 parent selection among the non-elites, per-gene uniform crossover, and
 Gaussian mutation of the leftover individuals.  Iteration stops at the
 generation cap or once the mean fitness has stopped moving.
+
+Each generation is bred from five array draws, in this order: the roulette
+parents, the crossover pairs (C, 2), the crossover masks (C, N), the
+mutation pick and the mutation noise (Mu, N).
 """
 
 from __future__ import annotations
@@ -109,14 +113,16 @@ class GAHistory:
 
 
 def crossover(parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-gene uniform choice between the two parents."""
-    mask = rng.random(parent_a.shape[0]) < 0.5
+    """Per-gene uniform choice between the two parents, for one pair (N,)
+    or a stack of pairs (..., N), from one draw of a fair-coin mask."""
+    mask = rng.random(parent_a.shape) < 0.5
     return np.where(mask, parent_a, parent_b)
 
 
 def mutate(theta: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add zero-mean Gaussian noise to every gene, reduced modulo 2*pi."""
-    return np.mod(theta + rng.normal(0.0, sigma, theta.shape[0]), TWO_PI)
+    """Add zero-mean Gaussian noise to every gene of one individual (N,) or
+    a stack (..., N), reduced modulo 2*pi."""
+    return np.mod(theta + rng.normal(0.0, sigma, theta.shape), TWO_PI)
 
 
 def _roulette(indices: np.ndarray, weights: np.ndarray, count: int, rng) -> np.ndarray:
@@ -177,21 +183,13 @@ def optimize_phases(
 
         parent_idx = _roulette(non_elite, fit[non_elite], params.n_parents, rng)
         parents = pop[parent_idx]
-        children = np.empty((params.n_crossover, cfg.N))
-        for c in range(params.n_crossover):
-            # two scalar draws take the same bits as one draw of size 2, at
-            # a fraction of the call overhead
-            a = rng.integers(0, params.n_parents)
-            b = rng.integers(0, params.n_parents)
-            children[c] = crossover(parents[a], parents[b], rng)
+        pairs = rng.integers(0, params.n_parents, size=(params.n_crossover, 2))
+        children = crossover(parents[pairs[:, 0]], parents[pairs[:, 1]], rng)
 
-        if params.n_mutation > 0:
-            leftover = np.setdiff1d(non_elite, parent_idx)
-            pick = rng.choice(leftover, size=params.n_mutation,
-                              replace=len(leftover) < params.n_mutation)
-            mutants = np.array([mutate(pop[j], params.mutation_sigma, rng) for j in pick])
-        else:
-            mutants = np.empty((0, cfg.N))
+        leftover = np.setdiff1d(non_elite, parent_idx)
+        pick = rng.choice(leftover, size=params.n_mutation,
+                          replace=len(leftover) < params.n_mutation)
+        mutants = mutate(pop[pick], params.mutation_sigma, rng)
 
         pop = np.concatenate([elites, children, mutants])
         fit = score(pop)

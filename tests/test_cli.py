@@ -6,7 +6,14 @@ import yaml
 
 import arisim.cli
 import arisim.transceiver
-from arisim import ConfigurationError, Mode, make_geometry, monte_carlo_rate, resolve_budget
+from arisim import (
+    ConfigurationError,
+    Mode,
+    SystemConfig,
+    make_geometry,
+    monte_carlo_rate,
+    resolve_budget,
+)
 from arisim.cli import build_system, experiment_phases, ga_params, load_config, main
 from arisim.transceiver import BATCH
 
@@ -354,6 +361,21 @@ def test_unknown_block_keys_fail(tmp_path, capsys, experiment, block, typo):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiments, message", [
+    # a total_power section used to be ignored, and the run wrote the
+    # default grid
+    ({"total_power": {"N": 8}}, "unknown experiments sections: ['total_power']"),
+    (["total-power"], "experiments must map experiment names to blocks"),
+    ({"total-power": [8]}, "the total-power block must be a mapping"),
+])
+def test_misspelt_experiment_section_fails(tmp_path, capsys, experiments, message):
+    config = write_config(tmp_path, experiments=experiments)
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", "total-power", "--output", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_experiment_rejected(tmp_path):
     config = write_config(tmp_path)
     with pytest.raises(SystemExit) as err:
@@ -379,6 +401,13 @@ def test_inconsistent_dimensions_fail(tmp_path):
     config = write_config(tmp_path, system=system)
     assert main(["--config", config, "--experiment", "adc-bits",
                  "--output", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 5])
+def test_default_epsilon_fits_any_user_count(K):
+    system = {key: value for key, value in TINY_SYSTEM.items() if key != "epsilon"}
+    cfg = build_system({"system": dict(system, K=K)})
+    assert cfg.epsilon == (SystemConfig.epsilon[0],) * K
 
 
 def test_unknown_key_fails(tmp_path):
