@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .analytic import closed_form_rates, closed_form_sum_rate, compute_stats
+from .analytic import closed_form_rates, closed_form_site, compute_stats
 from .budget import (
     ConfigurationError,
     Mode,
@@ -127,22 +127,23 @@ def experiment_phases(cfg: SystemConfig) -> PhaseConfig:
     return PhaseConfig.random(cfg.N, substream(cfg.seed, STREAM_PHASES, cfg.N))
 
 
-def _site_rates(geom, cfg, phases, trials):
+def _site_rates(geom, closed, cfg, phases, trials):
     """Rate evaluator for the sweep points that share `geom` and `phases`.
 
-    The closed-form statistics are computed once.  The fading statistics
-    are drawn when the first live point needs them and then serve every
-    point (common random numbers), so each fading batch is drawn once per
-    site and the rates still depend only on (seed, trials).  The returned
+    The closed-form statistics are computed once, on `closed`, the
+    geometry's closed-form site.  The fading statistics are drawn when the
+    first live point needs them and then serve every point (common random
+    numbers), so each fading batch is drawn once per site and the rates
+    still depend only on (seed, trials).  The returned
     function maps (point config, mode) to (analytic sum rate, MC sum rate,
     MC stderr, budget).
     """
-    closed = compute_stats(geom, cfg, phases)
+    stats = closed.stats(phases.theta)
     fading = functools.cache(lambda: trial_statistics(geom, cfg, phases, trials))
 
     def rates(point, mode):
         budget = resolve_budget(point, geom.alpha, mode)
-        analytic_sum = float(closed_form_rates(closed, budget, point).sum())
+        analytic_sum = float(closed_form_rates(stats, budget, point).sum())
         if not budget.startup_met:
             return analytic_sum, 0.0, 0.0, budget
         report = rate_from_statistics(fading(), budget, point)
@@ -175,14 +176,16 @@ class Site(NamedTuple):
 
 def _site_job(site: Site, trials: int) -> list:
     """(analytic sum rate, MC sum rate, MC stderr, budget) of every point of
-    `site`, then of the optimised phases when the site has a GA."""
+    `site`, then of the optimised phases when the site has a GA.  The
+    geometry and its closed-form site are built once for both."""
     geom = make_geometry(site.cfg)
-    rates = _site_rates(geom, site.cfg, experiment_phases(site.cfg), trials)
+    closed = closed_form_site(geom, site.cfg)
+    rates = _site_rates(geom, closed, site.cfg, experiment_phases(site.cfg), trials)
     results = [rates(point, mode) for point, mode in site.points]
     if site.ga is not None:
         budget = resolve_budget(site.cfg, geom.alpha, Mode.ACTIVE)
-        best, _ = optimize_phases(geom, site.cfg, budget, site.ga)
-        results.append(_site_rates(geom, site.cfg, best, trials)(site.cfg, Mode.ACTIVE))
+        best, _ = optimize_phases(geom, site.cfg, budget, site.ga, site=closed)
+        results.append(_site_rates(geom, closed, site.cfg, best, trials)(site.cfg, Mode.ACTIVE))
     return results
 
 
@@ -213,7 +216,7 @@ def run_sites(sites: list, trials: int) -> list:
         return list(pool.map(_site_job, sites, [trials] * len(sites)))
 
 
-def run_antennas_elements(cfg, block, out_dir, trials, optimize, mode):
+def run_antennas_elements(cfg, geom, block, out_dir, trials, optimize, mode):
     m_grid = [_integer(m, "M_grid entry") for m in block.get("M_grid", [16, 36, 64, 100, 144])]
     n_grid = [_integer(n, "N_grid entry") for n in block.get("N_grid", [4, 16, 36, 64])]
     sites = []
@@ -235,7 +238,7 @@ def run_antennas_elements(cfg, block, out_dir, trials, optimize, mode):
     return [path]
 
 
-def run_total_power(cfg, block, out_dir, trials, optimize, mode):
+def run_total_power(cfg, geom, block, out_dir, trials, optimize, mode):
     n_elements = _integer(block.get("N", 128), "total-power N")
     grid = block.get("P_T_dbm_grid",
                      [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30])
@@ -254,7 +257,7 @@ def run_total_power(cfg, block, out_dir, trials, optimize, mode):
     return [path]
 
 
-def run_adc_bits(cfg, block, out_dir, trials, optimize, mode):
+def run_adc_bits(cfg, geom, block, out_dir, trials, optimize, mode):
     bits = [b if b == "ideal" else _integer(b, "bits entry")
             for b in block.get("bits", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "ideal"])]
     pairs = [tuple(_integer(v, "pairs entry") for v in mn)
@@ -275,7 +278,7 @@ def run_adc_bits(cfg, block, out_dir, trials, optimize, mode):
     return [path]
 
 
-def run_verify(cfg, block, out_dir, trials, optimize, mode):
+def run_verify(cfg, geom, block, out_dir, trials, optimize, mode):
     """Numerical certification at a desk-scale instance: every moment of the
     closed form against the oracle, and the surface-power identity.  Fails
     the run when any check fails."""
@@ -286,7 +289,7 @@ def run_verify(cfg, block, out_dir, trials, optimize, mode):
         K=_integer(block.get("K", 2), "verify K"),
     )
     n_trials = _integer(block.get("trials", trials), "verify trials")
-    geom = make_geometry(point)
+    geom = make_geometry(point)  # the desk-scale point's own geometry
     phases = experiment_phases(point)
     budget = resolve_budget(point, geom.alpha, Mode.ACTIVE)
     reference = moments_at(compute_stats(geom, point, phases).unit, budget, point)
@@ -324,13 +327,14 @@ def run_verify(cfg, block, out_dir, trials, optimize, mode):
     return [path]
 
 
-def run_optimize(cfg, block, out_dir, trials, optimize, mode):
-    geom = make_geometry(cfg)
+def run_optimize(cfg, geom, block, out_dir, trials, optimize, mode):
     budget = resolve_budget(cfg, geom.alpha, mode)
     params = ga_params(cfg, block)
-    best, history = optimize_phases(geom, cfg, budget, params)
-    a_base = closed_form_sum_rate(geom, cfg, budget, experiment_phases(cfg))
-    a_best, mc_best, se_best, _ = _site_rates(geom, cfg, best, trials)(cfg, mode)
+    closed = closed_form_site(geom, cfg)
+    best, history = optimize_phases(geom, cfg, budget, params, site=closed)
+    baseline = closed.stats(experiment_phases(cfg).theta)
+    a_base = float(closed_form_rates(baseline, budget, cfg).sum())
+    a_best, mc_best, se_best, _ = _site_rates(geom, closed, cfg, best, trials)(cfg, mode)
 
     hist_path = os.path.join(out_dir, "ga_history.csv")
     write_csv(hist_path, ["generation", "best_fitness", "mean_fitness"], history.rows())
@@ -434,8 +438,8 @@ def main(argv=None) -> int:
 
         os.makedirs(args.output, exist_ok=True)
         geom = make_geometry(cfg)
-        artifacts = RUNNERS[args.experiment](cfg, block, args.output, cfg.trials, args.optimize,
-                                             mode)
+        artifacts = RUNNERS[args.experiment](cfg, geom, block, args.output, cfg.trials,
+                                             args.optimize, mode)
         manifest = write_manifest(args.output, cfg, geom, args, artifacts)
         print(f"wrote {len(artifacts)} artifact(s) + {os.path.basename(manifest)} to {args.output}")
         return 0

@@ -9,8 +9,15 @@ Gaussian mutation of the leftover individuals.  Iteration stops at the
 generation cap or once the mean fitness has stopped moving.
 
 Each generation is bred from five array draws, in this order: the roulette
-parents, the crossover pairs (C, 2), the crossover masks (C, N), the
+keys, one exponential per non-elite (the parents are the smallest keys
+scaled by fitness, which draws them without replacement in proportion to
+fitness), the crossover pairs (C, 2), the crossover masks (C, N), the
 mutation pick and the mutation noise (Mu, N).
+
+The unit phasors exp(j*theta) travel beside the phases: elites keep theirs
+and children gather theirs through their crossover, so each generation
+exponentiates only its mutants before the whole population, elites
+included, is scored through one closed-form call.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import closed_form_rates, closed_form_site
+from .analytic import ClosedFormSite, closed_form_rates, closed_form_site
 from .budget import (
     ConfigurationError,
     LinkBudget,
@@ -126,11 +133,50 @@ def mutate(theta: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndar
 
 
 def _roulette(indices: np.ndarray, weights: np.ndarray, count: int, rng) -> np.ndarray:
-    """Fitness-proportional selection without replacement; strictly positive
-    weights are guaranteed by shifting, so degenerate fitness falls back to
-    a nearly uniform draw."""
+    """Fitness-proportional selection without replacement, in the order of
+    successive sampling: the `count` smallest of n exponential keys
+    E_i / w_i, in key order (Efraimidis and Spirakis, IPL 2006).  Strictly
+    positive weights are guaranteed by shifting, so degenerate fitness falls
+    back to a nearly uniform draw."""
     w = weights - weights.min() + 1e-12
-    return rng.choice(indices, size=count, replace=False, p=w / w.sum())
+    keys = rng.standard_exponential(len(w)) / w
+    return indices[np.argsort(keys)[:count]]
+
+
+def _next_generation(pop: np.ndarray, phasors: np.ndarray, fit: np.ndarray, params: GAParams,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The bred population and its unit phasors exp(j*theta), from one
+    scored generation and the five draws of the module docstring.
+
+    Elites keep their phasors, and children gather theirs through the same
+    crossover of parent rows as their genes, so only the mutants are
+    exponentiated again; every row still equals np.exp(1j * theta) bit for
+    bit.
+    """
+    n_total, n_genes = pop.shape
+    order = np.argsort(-fit, kind="stable")
+    elites = order[: params.n_elite]
+    non_elite = order[params.n_elite :]
+
+    parent_idx = _roulette(non_elite, fit[non_elite], params.n_parents, rng)
+    pairs = parent_idx[rng.integers(0, params.n_parents, size=(params.n_crossover, 2))]
+    # cross the parents' row indices over gene by gene, then gather the
+    # children's genes and phasors through them
+    shape = (params.n_crossover, n_genes)
+    rows = crossover(np.broadcast_to(pairs[:, :1], shape), np.broadcast_to(pairs[:, 1:], shape),
+                     rng)
+    genes = np.arange(n_genes)
+
+    spare = np.ones(n_total, dtype=bool)
+    spare[elites] = False
+    spare[parent_idx] = False
+    leftover = np.flatnonzero(spare)
+    pick = rng.choice(leftover, size=params.n_mutation,
+                      replace=len(leftover) < params.n_mutation)
+    mutants = mutate(pop[pick], params.mutation_sigma, rng)
+
+    return (np.concatenate([pop[elites], pop[rows, genes], mutants]),
+            np.concatenate([phasors[elites], phasors[rows, genes], np.exp(1j * mutants)]))
 
 
 def optimize_phases(
@@ -139,13 +185,15 @@ def optimize_phases(
     budget: LinkBudget,
     params: GAParams,
     fitness=None,
+    site: ClosedFormSite | None = None,
 ) -> tuple[PhaseConfig, GAHistory]:
     """Run the genetic search and return the best phases ever seen.
 
     `fitness` maps a phase vector (N,) to a scalar and is called once per
     individual.  By default the closed-form sum rate for the budget's
-    operating mode scores each whole generation in one call, from
-    statistics whose phase-free part is built once.  The surface must be
+    operating mode scores each whole generation in one call, on the unit
+    phasors carried beside the phases, through `site` (the closed-form site
+    of `geom` and `cfg`, built here when not given).  The surface must be
     started up, otherwise every candidate scores zero and there is nothing
     to optimize.
     """
@@ -153,17 +201,18 @@ def optimize_phases(
         raise ConfigurationError("cannot optimize a surface that does not start up")
 
     if fitness is None:
-        site = closed_form_site(geom, cfg)
+        site = site if site is not None else closed_form_site(geom, cfg)
 
-        def score(population):
-            return closed_form_rates(site.stats(population), budget, cfg).sum(axis=-1)
+        def score(population, phasors):
+            return closed_form_rates(site.phasor_stats(phasors), budget, cfg).sum(axis=-1)
     else:
-        def score(population):
+        def score(population, phasors):
             return np.array([fitness(t) for t in population])
 
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     pop = rng.uniform(0.0, TWO_PI, (params.n_total, cfg.N))
-    fit = score(pop)
+    phasors = np.exp(1j * pop)
+    fit = score(pop, phasors)
 
     history = GAHistory()
     best_idx = int(np.argmax(fit))
@@ -177,22 +226,8 @@ def optimize_phases(
 
     record()
     for _ in range(params.max_iters):
-        order = np.argsort(-fit, kind="stable")
-        elites = pop[order[: params.n_elite]]
-        non_elite = order[params.n_elite :]
-
-        parent_idx = _roulette(non_elite, fit[non_elite], params.n_parents, rng)
-        parents = pop[parent_idx]
-        pairs = rng.integers(0, params.n_parents, size=(params.n_crossover, 2))
-        children = crossover(parents[pairs[:, 0]], parents[pairs[:, 1]], rng)
-
-        leftover = np.setdiff1d(non_elite, parent_idx)
-        pick = rng.choice(leftover, size=params.n_mutation,
-                          replace=len(leftover) < params.n_mutation)
-        mutants = mutate(pop[pick], params.mutation_sigma, rng)
-
-        pop = np.concatenate([elites, children, mutants])
-        fit = score(pop)
+        pop, phasors = _next_generation(pop, phasors, fit, params, rng)
+        fit = score(pop, phasors)
 
         gen_best = int(np.argmax(fit))
         if fit[gen_best] > best_fit:

@@ -38,3 +38,32 @@ def rayleigh_norm4_mean(m, n):
     """E{||X y||^4} for X (m x n) and y (n,) with iid unit complex Gaussian
     entries: m(m+1) * n(n+1)."""
     return m * (m + 1) * n * (n + 1)
+
+
+def _pair_form(c, F, coupling):
+    """x00 + x10 F_k + x01 F_i + x11 F_k F_i + xc c_ki over (..., K, K)."""
+    x00, x10, x01, x11, xc = c
+    Fk, Fi = F[..., :, None], F[..., None, :]
+    return (x11 * Fi + x10) * Fk + x01 * Fi + x00 + xc * coupling
+
+
+def polynomial_moments(site, theta):
+    """Unit moments of phases `theta`, (N,) or (P, N), from the site's
+    moment coefficients, each moment evaluated as its own polynomial in
+    the aligned gains F_k = |f_k|^2 and the LoS coupling
+    c_ki = Re{f_k conj(f_i) hbar_k^H hbar_i}."""
+    from arisim import Moments
+
+    f = np.exp(1j * np.asarray(theta, dtype=float)) @ site.B
+    F = f.real**2 + f.imag**2
+    coupling = (f[..., :, None] * f.conj()[..., None, :] * site.hbar_inner).real
+    c = site.coefficients
+    s0, s1, s2 = c.signal
+    q0, q1, q2 = c.quantization
+    return Moments(
+        (s2 * F + s1) * F + s0,
+        _pair_form(c.interference, F, coupling),
+        c.dynamic_noise[1] * F + c.dynamic_noise[0],
+        c.gain[1] * F + c.gain[0],
+        (q2 * F + q1) * F + q0 + _pair_form(c.quantization_cross, F, coupling).sum(axis=-1),
+    )

@@ -18,6 +18,7 @@ from arisim import (
 )
 from arisim import analytic
 from arisim.channel import array_response, los_components, substream
+from helpers import polynomial_moments
 
 
 def rayleigh_moments(m, n, k_users=1):
@@ -216,3 +217,28 @@ def test_population_rows_match_single_evaluations(
         for name, value in zip(arrays._fields, moments_at(one.unit, budget, cfg)):
             np.testing.assert_allclose(value, getattr(arrays, name)[p], rtol=1e-12, atol=0.0,
                                        err_msg=name)
+
+
+@given(
+    K=st.integers(1, 4),
+    N=st.sampled_from(PRIMES),
+    M=st.integers(1, 12),
+    delta=st.sampled_from([0.0, 0.5, 3.0]),
+    eps=st.lists(st.sampled_from([0.0, 1.0, 10.0]), min_size=4, max_size=4),
+    P=st.sampled_from([1, 7]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_moment_weights_match_reference_polynomials(K, N, M, delta, eps, P, seed):
+    # one matmul over the monomials against each moment's own polynomial
+    # in F_k and the coupling, for a population and for its first row alone
+    cfg = SystemConfig(M=M, N=N, K=K, delta=delta, epsilon=tuple(eps[:K]), trials=10, seed=seed)
+    site = analytic.closed_form_site(make_geometry(cfg), cfg)
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (P, N))
+    for phases in (theta, theta[0]):
+        unit = site.stats(phases).unit
+        for name, value, want in zip(unit._fields, unit, polynomial_moments(site, phases)):
+            assert value.shape == want.shape, name
+            np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0, err_msg=name)
+        assert np.all(np.diagonal(unit.interference, axis1=-2, axis2=-1) == 0.0)
+

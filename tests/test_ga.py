@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from arisim import (
     Mode,
     PhaseConfig,
     SystemConfig,
+    closed_form_rates,
+    closed_form_site,
     closed_form_sum_rate,
     crossover,
     make_geometry,
@@ -16,6 +20,7 @@ from arisim import (
     optimize_phases,
     resolve_budget,
 )
+from arisim import ga
 from arisim.channel import substream
 
 
@@ -192,25 +197,25 @@ def test_population_fitness_matches_per_individual_fitness(ga_instance):
 
 def test_random_stream_layout_is_stable(ga_instance):
     # best phases and mean-fitness history of this search with array-drawn
-    # breeding; they change only if the GA's random stream layout changes.
-    # The best phases come from the initial population, so the mean-fitness
-    # history is what pins the breeding draws.
+    # breeding and exponential-key roulette parents; they change only if the
+    # GA's random stream layout changes.  The best phases come from
+    # generation 9, so they pin the breeding draws too.
     cfg, geom, budget = ga_instance
     best, hist = optimize_phases(geom, cfg, budget, tiny_params(seed=9))
     np.testing.assert_array_equal(best.theta, [
-        1.2425486098824603, 3.540768163703528, 0.3825060194993916, 1.986055400177148,
-        1.3290051601162032, 4.332361585301779, 0.9113801232722087, 2.327328087902356,
+        5.2655694840182585, 5.656140831082619, 2.8158432173952304, 2.7329558154997042,
+        0.6627152704596939, 0.5229424105689147, 2.493258158604393, 4.775251050436767,
     ])
     np.testing.assert_allclose(hist.mean_fitness, [
-        4.191055278968366, 4.3135686192051255, 4.444977330356476, 4.517146612021354,
-        4.261469024689993, 4.448542299199842, 4.690031599646223, 4.529877872590846,
-        4.495469791367616, 4.429239700455331, 4.597075026535033, 4.709584598091029,
-        4.705903809315145,
+        4.191055278968366, 4.233748451095485, 4.193623063433769, 4.32845051764926,
+        4.365471774914511, 4.306283983724902, 4.240111911078796, 4.392713987391231,
+        4.599067951620407, 4.646940782334371, 4.824182598389662, 4.843675159133846,
+        4.737817380411904,
     ], rtol=1e-12, atol=0.0)
 
 
 def test_generation_replays_from_documented_draw_order(ga_instance):
-    # rebuild generation 1 by hand from a twin generator: roulette parents,
+    # rebuild generation 1 by hand from a twin generator: roulette keys,
     # crossover pairs (C, 2), masks (C, N), mutation pick, noise (Mu, N)
     cfg, geom, budget = ga_instance
     params = tiny_params(max_iters=1, seed=5)
@@ -231,7 +236,8 @@ def test_generation_replays_from_documented_draw_order(ga_instance):
     order = np.argsort(-fit, kind="stable")
     non_elite = order[params.n_elite:]
     w = fit[non_elite] - fit[non_elite].min() + 1e-12
-    parent_idx = rng.choice(non_elite, size=params.n_parents, replace=False, p=w / w.sum())
+    keys = rng.standard_exponential(len(non_elite)) / w
+    parent_idx = non_elite[np.argsort(keys)[: params.n_parents]]
     pairs = rng.integers(0, params.n_parents, size=(params.n_crossover, 2))
     mask = rng.random((params.n_crossover, cfg.N)) < 0.5
     children = np.where(mask, pop[parent_idx][pairs[:, 0]], pop[parent_idx][pairs[:, 1]])
@@ -241,6 +247,52 @@ def test_generation_replays_from_documented_draw_order(ga_instance):
     mutants = np.mod(pop[pick] + noise, 2 * np.pi)
     expected = np.concatenate([pop[order[: params.n_elite]], children, mutants])
     np.testing.assert_array_equal(bred, expected)
+
+
+def test_carried_phasors_are_the_exponentiated_phases(ga_instance):
+    # drive the search's own breeding step generation by generation: the
+    # phasors carried beside the phases equal np.exp(1j * pop) bit for bit,
+    # and the scores on them replay the search's history exactly
+    cfg, geom, budget = ga_instance
+    params = tiny_params(max_iters=15, seed=6)
+    site = closed_form_site(geom, cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(params.seed))
+    pop = rng.uniform(0.0, 2 * np.pi, (params.n_total, cfg.N))
+    phasors = np.exp(1j * pop)
+    means = []
+    for _ in range(params.max_iters + 1):
+        np.testing.assert_array_equal(phasors, np.exp(1j * pop))
+        fit = closed_form_rates(site.phasor_stats(phasors), budget, cfg).sum(axis=-1)
+        means.append(float(fit.mean()))
+        pop, phasors = ga._next_generation(pop, phasors, fit, params, rng)
+    _, hist = optimize_phases(geom, cfg, budget, params)
+    assert hist.mean_fitness == means
+
+
+def test_roulette_follows_successive_sampling():
+    # per-position selection frequencies of the exponential-key draw against
+    # the exact law of drawing without replacement in proportion to weight;
+    # the least fit individual's shifted weight is 1e-12
+    fitness = np.array([0.0, 1.0, 2.5, 0.5, 3.0, 1.5, 4.0, 0.25])
+    weights = fitness + 1e-12
+    count, draws = 3, 20000
+    exact = np.zeros((count, len(weights)))
+    for prefix in itertools.permutations(range(len(weights)), count):
+        prob, left = 1.0, weights.sum()
+        for item in prefix:
+            prob *= weights[item] / left
+            left -= weights[item]
+        for position, item in enumerate(prefix):
+            exact[position, item] += prob
+
+    rng = substream(11, 0)
+    labels = np.arange(10, 18)
+    picked = np.array([ga._roulette(labels, fitness, count, rng) for _ in range(draws)]) - 10
+    freq = np.stack([np.bincount(picked[:, j], minlength=len(weights)) for j in range(count)])
+    freq = freq / draws
+    se = np.sqrt(exact * (1.0 - exact) / draws)
+    assert np.all(np.abs(freq - exact) <= 4.0 * se + 1e-9)
+    assert np.all(np.sort(picked, axis=1)[:, 1:] != np.sort(picked, axis=1)[:, :-1])
 
 
 @pytest.mark.parametrize("counts", [
