@@ -11,7 +11,6 @@ from .analytic import (
     ClosedFormSite,
     closed_form_rates,
     closed_form_site,
-    closed_form_sum_rate,
     compute_stats,
 )
 from .budget import (
@@ -26,12 +25,10 @@ from .budget import (
     watts_to_dbm,
 )
 from .channel import (
-    ChannelRealization,
     Geometry,
     array_response,
     los_components,
     make_geometry,
-    sample_channels,
     substream,
 )
 from .ga import GAHistory, GAParams, crossover, mutate, optimize_phases
@@ -41,8 +38,6 @@ from .transceiver import (
     PhaseConfig,
     RateReport,
     aqnm_alpha,
-    cascaded_channel,
-    instantaneous_sinr,
     measured_ris_power,
     moments_at,
     monte_carlo_rate,

@@ -258,13 +258,3 @@ def closed_form_rates(stats: ChannelStats, budget: LinkBudget, cfg: SystemConfig
     if not budget.startup_met:
         return np.zeros(np.shape(stats.f))
     return np.log2(1.0 + sinr(stats.unit, budget, cfg))
-
-
-def closed_form_sum_rate(
-    geom: Geometry, cfg: SystemConfig, budget: LinkBudget, phases: PhaseConfig
-) -> float:
-    """Sum of the per-user closed-form rates for one phase configuration."""
-    if not budget.startup_met:
-        return 0.0
-    stats = compute_stats(geom, cfg, phases)
-    return float(closed_form_rates(stats, budget, cfg).sum())

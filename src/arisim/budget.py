@@ -70,13 +70,15 @@ def _is_finite_real(value) -> bool:
     )
 
 
-# SystemConfig fields that must hold an integer, and those that must hold a
-# finite real number (the tuple fields are checked entry by entry).
+# SystemConfig fields that must hold an integer, those that must hold a
+# finite real number, and those that must hold a sequence of finite real
+# numbers, stored as a tuple of floats.
 _INTEGER_FIELDS = ("M", "N", "K", "trials", "seed")
 _REAL_FIELDS = (
     "delta", "sigma_n2_dbm", "sigma_v2_dbm", "P_T_dbm", "P_SW_dbm", "P_DC_dbm", "split",
     "pathloss_exp_user", "pathloss_exp_ris", "user_radius", "d_over_lambda",
 )
+_TUPLE_FIELDS = ("epsilon", "bs_pos", "ris_pos", "user_center")
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,6 @@ class SystemConfig:
     seed: int = 42                   # master seed for geometry and fading streams
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", tuple(float(e) for e in self.epsilon))
-        object.__setattr__(self, "bs_pos", tuple(float(v) for v in self.bs_pos))
-        object.__setattr__(self, "ris_pos", tuple(float(v) for v in self.ris_pos))
-        object.__setattr__(self, "user_center", tuple(float(v) for v in self.user_center))
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             if not _is_integer(value):
@@ -124,8 +122,16 @@ class SystemConfig:
             value = getattr(self, name)
             if not _is_finite_real(value):
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        if not all(map(math.isfinite, self.epsilon + self.bs_pos + self.ris_pos + self.user_center)):
-            raise ConfigurationError("Rician factors and positions must be finite")
+        for name in _TUPLE_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and all(map(_is_finite_real, value))):
+                raise ConfigurationError(
+                    f"{name} must be a sequence of finite numbers, got {value!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in value))
+        if not isinstance(self.restrict_elevation, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"restrict_elevation must be true or false, got {self.restrict_elevation!r}")
+        object.__setattr__(self, "restrict_elevation", bool(self.restrict_elevation))
         if self.M < 1 or self.N < 1 or self.K < 1:
             raise ConfigurationError("M, N and K must be positive")
         if self.b != "ideal":

@@ -121,14 +121,6 @@ def make_geometry(cfg: SystemConfig) -> Geometry:
     return Geometry(user_aoa, ris_aod, bs_aoa, user_pos, dist_user, dist_ris, alpha, beta)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One small-scale fading draw of both hops."""
-
-    H1: np.ndarray  # (N, K) user -> RIS channel matrix
-    H2: np.ndarray  # (M, N) RIS -> BS channel matrix
-
-
 class LineOfSight(NamedTuple):
     """Deterministic LoS parts of one site, built once per closed-form site
     or Monte Carlo run."""
@@ -153,7 +145,7 @@ def sample_channel_batch(
     cfg: SystemConfig,
     rng: np.random.Generator,
     count: int,
-    los: LineOfSight | None = None,
+    los: LineOfSight,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `count` independent realizations: H1 as complex (count, N, K)
     and H2 as its real and imaginary planes, float (2, count, M, N).
@@ -165,9 +157,8 @@ def sample_channel_batch(
     planes are the stream's real and imaginary normal draws themselves (the
     layout of `crandn`), scaled in place with the roundings of the complex
     expression, so no complex H2-sized array is formed.  `los` is the
-    site's `los_components`, built here when not given.
+    site's `los_components`.
     """
-    los = los_components(geom, cfg) if los is None else los
     H1 = sample_user_channels(geom, cfg, rng, count, los)
 
     # sqrt(beta) * (sqrt(d/(d+1)) Hbar2 + sqrt(1/(d+1)) sqrt(1/2) (z0 + j z1))
@@ -246,29 +237,17 @@ def sample_gram_batch(
     return X, T1, SU, T2
 
 
-def complex_planes(H: np.ndarray) -> np.ndarray:
-    """Complex array from its stacked real and imaginary planes (2, ...)."""
-    return H[0] + 1j * H[1]
-
-
-def sample_channels(geom: Geometry, cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw a single realization from the given stream."""
-    H1, H2 = sample_channel_batch(geom, cfg, rng, 1)
-    return ChannelRealization(H1[0], complex_planes(H2[:, 0]))
-
-
 def sample_user_channels(
     geom: Geometry,
     cfg: SystemConfig,
     rng: np.random.Generator,
     count: int,
-    los: LineOfSight | None = None,
+    los: LineOfSight,
 ) -> np.ndarray:
     """Draw only the user -> RIS hop, (count, N, K): the first hop of
     `sample_channel_batch` and of the surface power measurement."""
-    hbar = (los_components(geom, cfg) if los is None else los).hbar
     eps = np.asarray(cfg.epsilon)
     h_nlos = crandn(rng, (count, cfg.N, cfg.K))
     return np.sqrt(geom.alpha) * (
-        np.sqrt(eps / (eps + 1.0)) * hbar + np.sqrt(1.0 / (eps + 1.0)) * h_nlos
+        np.sqrt(eps / (eps + 1.0)) * los.hbar + np.sqrt(1.0 / (eps + 1.0)) * h_nlos
     )

@@ -59,9 +59,8 @@ def build_system(raw: dict, **overrides) -> SystemConfig:
     """Construct a SystemConfig from the config's system section.
 
     A scalar `epsilon` is broadcast to all K users, and without one every
-    user takes the default's first entry; unknown keys, and Rician
-    factors that are not finite numbers (a boolean among them), are
-    rejected so typos fail loudly.
+    user takes the default's first entry; unknown keys are rejected so
+    typos fail loudly, and SystemConfig checks every value.
     """
     section = dict(raw["system"])
     section.update({k: v for k, v in overrides.items() if v is not None})
@@ -69,16 +68,10 @@ def build_system(raw: dict, **overrides) -> SystemConfig:
     unknown = set(section) - known
     if unknown:
         raise ConfigurationError(f"unknown system config keys: {sorted(unknown)}")
-    K = int(section.get("K", SystemConfig.K))
     eps = section.get("epsilon", SystemConfig.epsilon[0])
-    eps = list(eps) if isinstance(eps, (list, tuple)) else [eps] * K
-    bad = [e for e in eps if not _is_finite_real(e)]
-    if bad:
-        raise ConfigurationError(f"epsilon entries must be finite numbers, got {bad[0]!r}")
-    section["epsilon"] = tuple(float(e) for e in eps)
-    for key in ("bs_pos", "ris_pos", "user_center"):
-        if key in section:
-            section[key] = tuple(section[key])
+    K = section.get("K", SystemConfig.K)
+    if not isinstance(eps, (list, tuple)) and _is_integer(K):
+        section["epsilon"] = (eps,) * K
     return SystemConfig(**section)
 
 
@@ -410,19 +403,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials override")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--output", default=".", help="output directory")
-    parser.add_argument("--mode", choices=[m.value for m in Mode], default="active",
-                        help="operating mode for single-mode experiments (optimize)")
+    parser.add_argument("--mode", choices=[m.value for m in Mode], default=None,
+                        help="operating mode of the optimize experiment (default active)")
     parser.add_argument("--optimize", action="store_true",
-                        help="add GA-optimized points to sweep experiments")
+                        help="add GA-optimized points to the antennas-elements sweep")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # each flag has one reader; elsewhere it would be silently ignored
+        if args.optimize and args.experiment != "antennas-elements":
+            raise ConfigurationError("--optimize applies only to the antennas-elements experiment")
+        if args.mode is not None and args.experiment != "optimize":
+            raise ConfigurationError("--mode applies only to the optimize experiment")
         raw = load_config(args.config)
         cfg = build_system(raw, seed=args.seed, trials=args.trials)
-        mode = Mode(args.mode)
+        mode = Mode(args.mode or Mode.ACTIVE.value)
         experiments = raw.get("experiments", {}) or {}
         if not isinstance(experiments, dict):
             raise ConfigurationError("experiments must map experiment names to blocks")

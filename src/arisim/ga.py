@@ -184,35 +184,29 @@ def optimize_phases(
     cfg: SystemConfig,
     budget: LinkBudget,
     params: GAParams,
-    fitness=None,
     site: ClosedFormSite | None = None,
 ) -> tuple[PhaseConfig, GAHistory]:
     """Run the genetic search and return the best phases ever seen.
 
-    `fitness` maps a phase vector (N,) to a scalar and is called once per
-    individual.  By default the closed-form sum rate for the budget's
-    operating mode scores each whole generation in one call, on the unit
-    phasors carried beside the phases, through `site` (the closed-form site
-    of `geom` and `cfg`, built here when not given).  The surface must be
+    The fitness is the closed-form sum rate for the budget's operating
+    mode, scored for each whole generation in one call, on the unit phasors
+    carried beside the phases, through `site` (the closed-form site of
+    `geom` and `cfg`, built here when not given).  The surface must be
     started up, otherwise every candidate scores zero and there is nothing
     to optimize.
     """
     if not budget.startup_met:
         raise ConfigurationError("cannot optimize a surface that does not start up")
 
-    if fitness is None:
-        site = site if site is not None else closed_form_site(geom, cfg)
+    site = site if site is not None else closed_form_site(geom, cfg)
 
-        def score(population, phasors):
-            return closed_form_rates(site.phasor_stats(phasors), budget, cfg).sum(axis=-1)
-    else:
-        def score(population, phasors):
-            return np.array([fitness(t) for t in population])
+    def score(phasors):
+        return closed_form_rates(site.phasor_stats(phasors), budget, cfg).sum(axis=-1)
 
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     pop = rng.uniform(0.0, TWO_PI, (params.n_total, cfg.N))
     phasors = np.exp(1j * pop)
-    fit = score(pop, phasors)
+    fit = score(phasors)
 
     history = GAHistory()
     best_idx = int(np.argmax(fit))
@@ -227,7 +221,7 @@ def optimize_phases(
     record()
     for _ in range(params.max_iters):
         pop, phasors = _next_generation(pop, phasors, fit, params, rng)
-        fit = score(pop, phasors)
+        fit = score(phasors)
 
         gen_best = int(np.argmax(fit))
         if fit[gen_best] > best_fit:

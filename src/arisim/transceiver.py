@@ -37,7 +37,6 @@ from .budget import LinkBudget, Mode, SystemConfig
 from .channel import (
     STREAM_FADING,
     STREAM_SYMBOLS,
-    ChannelRealization,
     Geometry,
     crandn,
     los_components,
@@ -88,17 +87,9 @@ class PhaseConfig:
         object.__setattr__(self, "theta", t)
 
     @property
-    def n_elements(self) -> int:
-        return self.theta.shape[0]
-
-    @property
     def phi(self) -> np.ndarray:
         """Diagonal of the unit-modulus reflection matrix, exp(j*theta)."""
         return np.exp(1j * self.theta)
-
-    def shifted(self, offset: float) -> "PhaseConfig":
-        """Same configuration with a common offset added to every element."""
-        return PhaseConfig(self.theta + offset)
 
     @staticmethod
     def random(n: int, rng: np.random.Generator) -> "PhaseConfig":
@@ -119,16 +110,6 @@ class RateReport:
     def silent(K: int) -> "RateReport":
         """Report of a surface that did not start up: zero rates, no trials."""
         return RateReport(np.zeros(K), 0.0, np.zeros(K), 0, 0.0)
-
-
-def cascaded_channel(real: ChannelRealization, phases: PhaseConfig, eta: float) -> np.ndarray:
-    """Effective BS-side channel G = eta * H2 * diag(exp(j*theta)) * H1, (M, K)."""
-    H1, H2 = real.H1, real.H2
-    if H2.shape[1] != phases.n_elements or H1.shape[0] != phases.n_elements:
-        raise ValueError(
-            f"dimension mismatch: H2 {H2.shape}, H1 {H1.shape}, {phases.n_elements} phases"
-        )
-    return eta * (H2 * phases.phi) @ H1
 
 
 def batch_ranges(trials: int):
@@ -379,8 +360,8 @@ def _statistics(geom, cfg, phases, trials, stream, reduced: bool) -> Moments:
     T = cfg.trials if trials is None else int(trials)
     if T < 1:
         raise ValueError("trials must be positive")
-    if phases.n_elements != cfg.N:
-        raise ValueError(f"{phases.n_elements} phases for {cfg.N} surface elements")
+    if len(phases.theta) != cfg.N:
+        raise ValueError(f"{len(phases.theta)} phases for {cfg.N} surface elements")
     key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
     los = los_components(geom, cfg)
     K = cfg.K
@@ -470,19 +451,6 @@ def rate_from_statistics(stats: Moments, budget: LinkBudget, cfg: SystemConfig) 
     return RateReport(per_user, float(per_user.sum()), std_err, T, sum_std_err)
 
 
-def instantaneous_sinr(
-    real: ChannelRealization,
-    phases: PhaseConfig,
-    budget: LinkBudget,
-    cfg: SystemConfig,
-) -> np.ndarray:
-    """SINR per user for one realization; all zeros if the surface is down."""
-    if not budget.startup_met:
-        return np.zeros(cfg.K)
-    H2 = np.stack([real.H2.real, real.H2.imag])[:, None]
-    return sinr(_batch_statistics(real.H1[None], H2, phases.phi), budget, cfg)[0]
-
-
 def monte_carlo_rate(
     geom: Geometry,
     cfg: SystemConfig,
@@ -521,11 +489,12 @@ def measured_ris_power(
     sqrt_p = np.sqrt(budget.p)
     sv = math.sqrt(budget.sigma_v2_w)
     phi = phases.phi
+    los = los_components(geom, cfg)
     total = 0.0
     for b_idx, lo, hi in batch_ranges(trials):
         rng = substream(cfg.seed, STREAM_SYMBOLS, b_idx)
         count = hi - lo
-        H1 = sample_user_channels(geom, cfg, rng, count)
+        H1 = sample_user_channels(geom, cfg, rng, count, los)
         x = crandn(rng, (count, cfg.K))
         v = sv * crandn(rng, (count, cfg.N))
         y = budget.eta * phi * (np.einsum("tnk,tk->tn", H1, sqrt_p * x) + v)

@@ -34,6 +34,16 @@ def sinr_from_definition(H1, H2, theta, p, eta, sigma_v2, sigma_n2, alpha):
     return out
 
 
+def literal_draw(geom, cfg, *stream):
+    """Complex H1 (N, K) and H2 (M, N) of the one trial that
+    `literal_trial_statistics(geom, cfg, phases, 1, stream=stream)` reduces:
+    trial 0 of batch 0 of `stream`, both hops drawn in full."""
+    from arisim.channel import los_components, sample_channel_batch, substream
+
+    H1, H2 = sample_channel_batch(geom, cfg, substream(*stream, 0), 1, los_components(geom, cfg))
+    return H1[0], H2[0, 0] + 1j * H2[1, 0]
+
+
 def rayleigh_norm4_mean(m, n):
     """E{||X y||^4} for X (m x n) and y (n,) with iid unit complex Gaussian
     entries: m(m+1) * n(n+1)."""

@@ -16,18 +16,20 @@ from arisim import (
     PhaseConfig,
     SystemConfig,
     estimate_moments,
-    instantaneous_sinr,
     make_geometry,
     measured_ris_power,
     moments_at,
     monte_carlo_rate,
     optimize_phases,
     resolve_budget,
-    sample_channels,
+    sinr,
 )
 from arisim import analytic
 from arisim.channel import STREAM_PHASES, array_response, los_components, substream
 from arisim.ga import GAParams
+from arisim.transceiver import literal_trial_statistics
+
+from helpers import literal_draw
 
 
 def _report(name, ok, detail):
@@ -214,11 +216,10 @@ def test_ac6_genetic_optimizer():
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     best_b, hist_b = optimize_phases(geom, cfg, budget, GAParams(seed=5))
     monotone_b = bool(np.all(np.diff(hist_b.best_fitness) >= 0.0))
-    rng = substream(2025, 0)
-    baseline_mean = float(np.mean([
-        analytic.closed_form_sum_rate(geom, cfg, budget, PhaseConfig.random(cfg.N, rng))
-        for _ in range(100)
-    ]))
+    random_theta = substream(2025, 0).uniform(0.0, 2 * np.pi, (100, cfg.N))
+    site = analytic.closed_form_site(geom, cfg)
+    baseline_mean = float(
+        analytic.closed_form_rates(site.stats(random_theta), budget, cfg).sum(axis=-1).mean())
     improved = hist_b.best_fitness[-1] >= baseline_mean
 
     elapsed = time.monotonic() - start
@@ -236,13 +237,16 @@ def test_ac7_invariant_suite(baseline):
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     stats = analytic.compute_stats(geom, cfg, phases)
 
-    # global-phase invariance of the SINR and of every closed-form moment
-    real = sample_channels(geom, cfg, substream(cfg.seed, 9, 0))
-    sinr_base = instantaneous_sinr(real, phases, budget, cfg)
-    sinr_shift = instantaneous_sinr(real, phases.shifted(0.731), budget, cfg)
+    # global-phase invariance of the SINR of several literal-kernel trials
+    # and of every closed-form moment
+    shifted = PhaseConfig(phases.theta + 0.731)
+    literal = literal_trial_statistics(geom, cfg, phases, 8, stream=(cfg.seed, 9))
+    sinr_base = sinr(literal, budget, cfg)
+    sinr_shift = sinr(literal_trial_statistics(geom, cfg, shifted, 8, stream=(cfg.seed, 9)),
+                      budget, cfg)
     phase_ok = bool(np.all(np.abs(sinr_shift - sinr_base) <= 1e-10 * np.abs(sinr_base)))
     ref = moments_at(stats.unit, budget, cfg)
-    moved = moments_at(analytic.compute_stats(geom, cfg, phases.shifted(0.731)).unit, budget, cfg)
+    moved = moments_at(analytic.compute_stats(geom, cfg, shifted).unit, budget, cfg)
     for k in range(cfg.K):
         pairs = [
             (ref.signal[k], moved.signal[k]),
@@ -273,8 +277,11 @@ def test_ac7_invariant_suite(baseline):
     det_ok = True
     g2 = make_geometry(cfg)
     det_ok &= np.array_equal(geom.user_aoa, g2.user_aoa) and geom.beta == g2.beta
-    r2 = sample_channels(geom, cfg, substream(cfg.seed, 9, 0))
-    det_ok &= np.array_equal(real.H1, r2.H1) and np.array_equal(real.H2, r2.H2)
+    H1_a, H2_a = literal_draw(geom, cfg, cfg.seed, 9)
+    H1_b, H2_b = literal_draw(geom, cfg, cfg.seed, 9)
+    det_ok &= np.array_equal(H1_a, H1_b) and np.array_equal(H2_a, H2_b)
+    again = literal_trial_statistics(geom, cfg, phases, 8, stream=(cfg.seed, 9))
+    det_ok &= all(np.array_equal(a, b) for a, b in zip(literal, again))
     mc_a = monte_carlo_rate(geom, cfg, phases, budget, trials=200)
     mc_b = monte_carlo_rate(geom, cfg, phases, budget, trials=200)
     det_ok &= np.array_equal(mc_a.per_user_rate, mc_b.per_user_rate)
@@ -290,19 +297,18 @@ def test_ac7_invariant_suite(baseline):
     ga_b, _ = optimize_phases(sg, small, sb, tiny)
     det_ok &= np.array_equal(ga_a.theta, ga_b.theta)
 
-    # quantization sandwich per realization
+    # quantization sandwich per realization, over five literal-kernel trials
     sandwich_ok = True
     ideal_budget = resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC)
-    for draw in range(5):
-        r = sample_channels(geom, cfg, substream(cfg.seed, 10, draw))
-        prev = None
-        for bits in (1, 2, 4, 8):
-            s = instantaneous_sinr(r, phases, budget, replace(cfg, b=bits))
-            if prev is not None:
-                sandwich_ok &= bool(np.all(s >= prev - 1e-15))
-            prev = s
-        top = instantaneous_sinr(r, phases, ideal_budget, cfg)
-        sandwich_ok &= bool(np.all(top >= prev))
+    draws = literal_trial_statistics(geom, cfg, phases, 5, stream=(cfg.seed, 10))
+    prev = None
+    for bits in (1, 2, 4, 8):
+        s = sinr(draws, budget, replace(cfg, b=bits))
+        if prev is not None:
+            sandwich_ok &= bool(np.all(s >= prev - 1e-15))
+        prev = s
+    top = sinr(draws, ideal_budget, cfg)
+    sandwich_ok &= bool(np.all(top >= prev))
 
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

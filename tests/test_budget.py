@@ -218,6 +218,37 @@ def test_config_rejects_non_finite_rician_factor(value):
         SystemConfig(epsilon=(10.0, 10.0, 10.0, value))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(epsilon=(True,) * 4),
+        dict(epsilon=("10",) * 4),
+        dict(epsilon=(10.0, 10.0, 10.0, None)),
+        dict(epsilon=10.0),                   # a scalar, not one entry per user
+        dict(bs_pos=(True, 0, 25)),
+        dict(ris_pos=("5", 100.0, 30.0)),
+        dict(user_center=(5.0, math.nan, 1.6)),
+        dict(bs_pos=(0.0, math.inf, 25.0)),
+        dict(restrict_elevation="no"),
+        dict(restrict_elevation="false"),     # a quoted YAML false is truthy
+        dict(restrict_elevation=1),
+        dict(restrict_elevation=None),
+    ],
+)
+def test_config_rejects_mistyped_values(kwargs):
+    # each of these used to be coerced by float() or read as truthy
+    with pytest.raises(ConfigurationError):
+        SystemConfig(**kwargs)
+
+
+def test_config_stores_tuples_of_floats():
+    cfg = SystemConfig(K=2, epsilon=[10, np.float32(1.5)], bs_pos=[0, 0, 25],
+                       restrict_elevation=np.True_)
+    assert cfg.epsilon == (10.0, 1.5) and all(type(e) is float for e in cfg.epsilon)
+    assert cfg.bs_pos == (0.0, 0.0, 25.0) and all(type(v) is float for v in cfg.bs_pos)
+    assert cfg.restrict_elevation is True
+
+
 def test_config_accepts_numpy_integers():
     cfg = SystemConfig(M=np.int64(16), N=np.int32(4), K=np.int64(2), epsilon=(10.0, 10.0),
                        b=np.int64(2), trials=np.int64(8), seed=np.uint8(3))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arisim import SystemConfig, array_response, los_components, make_geometry, sample_channels
+from arisim import SystemConfig, array_response, los_components, make_geometry
 from arisim.budget import path_loss
-from arisim.channel import STREAM_FADING, complex_planes, sample_channel_batch, substream
+from arisim.channel import STREAM_FADING, sample_channel_batch, substream
 
 
 def test_array_response_single_element():
@@ -88,22 +88,23 @@ def test_geometry_elevation_restriction():
 
 def test_sample_channels_deterministic(desk_cfg):
     geom = make_geometry(desk_cfg)
-    a = sample_channels(geom, desk_cfg, substream(123, 0))
-    b = sample_channels(geom, desk_cfg, substream(123, 0))
-    np.testing.assert_array_equal(a.H1, b.H1)
-    np.testing.assert_array_equal(a.H2, b.H2)
-    c = sample_channels(geom, desk_cfg, substream(124, 0))
-    assert not np.array_equal(a.H1, c.H1)
+    los = los_components(geom, desk_cfg)
+    a = sample_channel_batch(geom, desk_cfg, substream(123, 0), 1, los)
+    b = sample_channel_batch(geom, desk_cfg, substream(123, 0), 1, los)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    c = sample_channel_batch(geom, desk_cfg, substream(124, 0), 1, los)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_sample_channels_los_limit():
     # enormous Rician factor collapses the user channel onto its LoS part
     cfg = SystemConfig(M=16, N=4, K=2, epsilon=(1e12, 1e12), trials=10, seed=3)
     geom = make_geometry(cfg)
-    hbar = los_components(geom, cfg).hbar
-    real = sample_channels(geom, cfg, substream(9, 0))
-    expected = np.sqrt(geom.alpha) * hbar
-    np.testing.assert_allclose(real.H1, expected, rtol=1e-5, atol=0)
+    los = los_components(geom, cfg)
+    H1, _ = sample_channel_batch(geom, cfg, substream(9, 0), 1, los)
+    expected = np.sqrt(geom.alpha) * los.hbar
+    np.testing.assert_allclose(H1[0], expected, rtol=1e-5, atol=0)
 
 
 @pytest.mark.parametrize("eps_value", [0.0, 1.0, 10.0])
@@ -112,7 +113,7 @@ def test_mean_channel_power_split(eps_value):
     cfg = SystemConfig(M=4, N=4, K=2, epsilon=(eps_value, eps_value), seed=21)
     geom = make_geometry(cfg)
     draws = 100_000
-    H1, _ = sample_channel_batch(geom, cfg, substream(77, 0), draws)
+    H1, _ = sample_channel_batch(geom, cfg, substream(77, 0), draws, los_components(geom, cfg))
     norm2 = (np.abs(H1) ** 2).sum(axis=1)  # (draws, K)
     scaled = norm2 / (cfg.N * geom.alpha)
     for k in range(cfg.K):
@@ -124,7 +125,7 @@ def test_second_hop_power_normalization():
     cfg = SystemConfig(M=8, N=4, K=2, epsilon=(10.0, 10.0), seed=13)
     geom = make_geometry(cfg)
     draws = 20_000
-    _, H2 = sample_channel_batch(geom, cfg, substream(31, 0), draws)
+    _, H2 = sample_channel_batch(geom, cfg, substream(31, 0), draws, los_components(geom, cfg))
     frob = (H2**2).sum(axis=(0, 2, 3))  # real and imaginary planes
     target = cfg.M * cfg.N * geom.beta
     se = frob.std(ddof=1) / math.sqrt(draws)
@@ -153,17 +154,11 @@ PINNED_DRAWS = [
 @pytest.mark.parametrize("kwargs, h1_sha, h2_sha", PINNED_DRAWS)
 def test_planar_draws_match_pinned_values(kwargs, h1_sha, h2_sha):
     cfg = SystemConfig(**kwargs)
-    H1, H2 = sample_channel_batch(make_geometry(cfg), cfg,
-                                  substream(cfg.seed, STREAM_FADING, 0), 5)
+    geom = make_geometry(cfg)
+    H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 5,
+                                  los_components(geom, cfg))
     assert H1.shape == (5, cfg.N, cfg.K) and H1.dtype == np.complex128
     assert H2.shape == (2, 5, cfg.M, cfg.N) and H2.dtype == np.float64
     assert hashlib.sha256(np.ascontiguousarray(H1).tobytes()).hexdigest() == h1_sha
     assert hashlib.sha256(np.ascontiguousarray(H2).tobytes()).hexdigest() == h2_sha
 
-
-def test_single_realization_is_the_complex_batch_entry(desk_cfg):
-    geom = make_geometry(desk_cfg)
-    real = sample_channels(geom, desk_cfg, substream(123, 0))
-    H1, H2 = sample_channel_batch(geom, desk_cfg, substream(123, 0), 1)
-    np.testing.assert_array_equal(real.H1, H1[0])
-    np.testing.assert_array_equal(real.H2, complex_planes(H2)[0])

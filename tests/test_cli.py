@@ -317,6 +317,9 @@ def test_verify_run(tmp_path, capsys):
     ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"epsilon": True}),
     ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"epsilon": [10.0, True]}),
     ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"epsilon": None}),
+    ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"epsilon": "10"}),
+    ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"bs_pos": [True, 0, 25]}),
+    ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"restrict_elevation": "false"}),
 ])
 def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system):
     # each of these used to run and pass, truncated (16.9 -> 16) or coerced
@@ -359,6 +362,41 @@ def test_unknown_block_keys_fail(tmp_path, capsys, experiment, block, typo):
     assert main(["--config", config, "--experiment", experiment, "--output", str(out)]) == 1
     assert f"unknown {experiment} config keys: ['{typo}']" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, flags, message", [
+    # each of these used to exit 0: --optimize wrote optimized=false on every
+    # row, and --mode wrote active rows whatever it named
+    ("total-power", ["--optimize"], "--optimize applies only to the antennas-elements"),
+    ("adc-bits", ["--optimize"], "--optimize applies only to the antennas-elements"),
+    ("verify", ["--optimize"], "--optimize applies only to the antennas-elements"),
+    ("optimize", ["--optimize"], "--optimize applies only to the antennas-elements"),
+    ("adc-bits", ["--mode", "passive"], "--mode applies only to the optimize"),
+    ("total-power", ["--mode", "active"], "--mode applies only to the optimize"),
+    ("antennas-elements", ["--mode", "ideal"], "--mode applies only to the optimize"),
+    ("verify", ["--mode", "passive"], "--mode applies only to the optimize"),
+])
+def test_flags_the_experiment_ignores_fail(tmp_path, capsys, experiment, flags, message):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", experiment, "--output", str(out),
+                 *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_mode_defaults_to_active(tmp_path):
+    config = write_config(tmp_path, experiments={"optimize": dict(SMALL_GA, max_iters=2)})
+    outputs = {}
+    for name, flags in (("default", []), ("active", ["--mode", "active"]),
+                        ("passive", ["--mode", "passive"])):
+        out = tmp_path / name
+        assert main(["--config", config, "--experiment", "optimize", "--output", str(out),
+                     *flags]) == 0
+        outputs[name] = [(out / f).read_bytes() for f in
+                         ("ga_history.csv", "best_phases.csv", "optimize_summary.csv")]
+    assert outputs["default"] == outputs["active"]
+    assert outputs["passive"] != outputs["active"]
 
 
 @pytest.mark.parametrize("experiments, message", [

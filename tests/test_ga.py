@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,11 +10,10 @@ from arisim import (
     ConfigurationError,
     GAParams,
     Mode,
-    PhaseConfig,
     SystemConfig,
     closed_form_rates,
     closed_form_site,
-    closed_form_sum_rate,
+    compute_stats,
     crossover,
     make_geometry,
     mutate,
@@ -131,8 +131,12 @@ def test_mutate_stays_feasible(sigma, seed):
 
 
 def test_constant_landscape_keeps_best(ga_instance):
+    # zero moment weights make every closed-form rate 0
     cfg, geom, budget = ga_instance
-    best, hist = optimize_phases(geom, cfg, budget, tiny_params(), fitness=lambda theta: 0.0)
+    site = closed_form_site(geom, cfg)
+    flat = dataclasses.replace(site, W=np.zeros_like(site.W))
+    best, hist = optimize_phases(geom, cfg, budget, tiny_params(), site=flat)
+    assert hist.best_fitness[0] == 0.0
     assert all(f == hist.best_fitness[0] for f in hist.best_fitness)
 
 
@@ -154,7 +158,7 @@ def test_history_and_feasibility(ga_instance):
     rows = hist.rows()
     assert rows[0][0] == 0 and len(rows) == hist.generations
     assert hist.best_fitness[-1] == pytest.approx(
-        closed_form_sum_rate(geom, cfg, budget, best), rel=1e-12
+        closed_form_rates(compute_stats(geom, cfg, best), budget, cfg).sum(), rel=1e-12
     )
 
 
@@ -183,18 +187,6 @@ def test_stop_reason(ga_instance):
     assert hist.stop_reason == "max_iters"
 
 
-def test_population_fitness_matches_per_individual_fitness(ga_instance):
-    cfg, geom, budget = ga_instance
-    params = tiny_params(max_iters=20, seed=4)
-    best, hist = optimize_phases(geom, cfg, budget, params)
-    best_cb, hist_cb = optimize_phases(
-        geom, cfg, budget, params,
-        fitness=lambda th: closed_form_sum_rate(geom, cfg, budget, PhaseConfig(th)),
-    )
-    np.testing.assert_array_equal(best.theta, best_cb.theta)
-    np.testing.assert_allclose(hist.best_fitness, hist_cb.best_fitness, rtol=1e-12, atol=0.0)
-
-
 def test_random_stream_layout_is_stable(ga_instance):
     # best phases and mean-fitness history of this search with array-drawn
     # breeding and exponential-key roulette parents; they change only if the
@@ -214,25 +206,31 @@ def test_random_stream_layout_is_stable(ga_instance):
     ], rtol=1e-12, atol=0.0)
 
 
-def test_generation_replays_from_documented_draw_order(ga_instance):
+def test_generation_replays_from_documented_draw_order(ga_instance, monkeypatch):
     # rebuild generation 1 by hand from a twin generator: roulette keys,
     # crossover pairs (C, 2), masks (C, N), mutation pick, noise (Mu, N)
     cfg, geom, budget = ga_instance
     params = tiny_params(max_iters=1, seed=5)
-    scored = []
+    site = closed_form_site(geom, cfg)
+    calls = []
+    breed = ga._next_generation
 
-    def fitness(theta):
-        scored.append(theta.copy())
-        return float(np.sum(np.cos(theta)))
+    def recorded(pop, phasors, fit, params, rng):
+        bred = breed(pop, phasors, fit, params, rng)
+        calls.append((pop.copy(), fit.copy(), bred[0].copy()))
+        return bred
 
-    optimize_phases(geom, cfg, budget, params, fitness=fitness)
-    assert len(scored) == 2 * params.n_total
-    initial, bred = np.array(scored[: params.n_total]), np.array(scored[params.n_total:])
+    monkeypatch.setattr(ga, "_next_generation", recorded)
+    optimize_phases(geom, cfg, budget, params, site=site)
+    assert len(calls) == 1
+    initial, scored, bred = calls[0]
 
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     pop = rng.uniform(0.0, 2 * np.pi, (params.n_total, cfg.N))
     np.testing.assert_array_equal(initial, pop)
-    fit = np.array([fitness(t) for t in pop])
+    # scoring the phases gives the bits of the carried phasors' scores
+    fit = closed_form_rates(site.stats(pop), budget, cfg).sum(axis=-1)
+    np.testing.assert_array_equal(scored, fit)
     order = np.argsort(-fit, kind="stable")
     non_elite = order[params.n_elite:]
     w = fit[non_elite] - fit[non_elite].min() + 1e-12
@@ -311,11 +309,9 @@ def test_empty_offspring_groups(ga_instance, counts):
 def test_optimizer_beats_random_baseline(ga_instance):
     cfg, geom, budget = ga_instance
     best, hist = optimize_phases(geom, cfg, budget, tiny_params(max_iters=30, seed=2))
-    rng = substream(1000, 0)
-    baseline = np.mean([
-        closed_form_sum_rate(geom, cfg, budget, PhaseConfig.random(cfg.N, rng))
-        for _ in range(100)
-    ])
+    random_theta = substream(1000, 0).uniform(0.0, 2 * np.pi, (100, cfg.N))
+    site = closed_form_site(geom, cfg)
+    baseline = closed_form_rates(site.stats(random_theta), budget, cfg).sum(axis=-1).mean()
     assert hist.best_fitness[-1] >= baseline
 
 

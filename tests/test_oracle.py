@@ -18,7 +18,6 @@ from arisim import (
 from arisim import analytic
 from arisim.channel import (
     array_response,
-    complex_planes,
     los_components,
     sample_channel_batch,
     substream,
@@ -82,9 +81,10 @@ def test_estimates_match_direct_definition(desk):
     samples = {name: [] for name in ("sig", "cross", "dyn", "gain", "quant")}
     Phi = np.diag(phases.phi)
     I = np.eye(cfg.M)
+    los = los_components(geom, cfg)
     for b_idx, count in ((0, BATCH), (1, trials - BATCH)):
-        H1, planes = sample_channel_batch(geom, cfg, substream(seed, b_idx), count)
-        H2 = complex_planes(planes)
+        H1, planes = sample_channel_batch(geom, cfg, substream(seed, b_idx), count, los)
+        H2 = planes[0] + 1j * planes[1]
         for t in range(count):
             G = budget.eta * H2[t] @ Phi @ H1[t]
             R_in = G @ G.conj().T

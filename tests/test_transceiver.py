@@ -7,27 +7,22 @@ import numpy as np
 import pytest
 
 from arisim import (
-    ChannelRealization,
     LinkBudget,
     Mode,
     PhaseConfig,
     SystemConfig,
     Moments,
     aqnm_alpha,
-    cascaded_channel,
-    instantaneous_sinr,
     make_geometry,
     measured_ris_power,
     monte_carlo_rate,
     resolve_budget,
-    sample_channels,
     sinr,
     trial_statistics,
 )
 from arisim.channel import (
     STREAM_FADING,
     bartlett_factor,
-    complex_planes,
     los_components,
     sample_channel_batch,
     sample_gram_batch,
@@ -41,7 +36,7 @@ from arisim.transceiver import (
     reduced_draw_applies,
 )
 
-from helpers import sinr_from_definition
+from helpers import literal_draw, sinr_from_definition
 
 
 def test_aqnm_alpha_table():
@@ -72,21 +67,10 @@ def test_phase_config_reduction():
     np.testing.assert_allclose(np.abs(phases.phi), 1.0, atol=1e-15)
 
 
-def test_cascaded_channel_single_element():
-    rng = substream(5, 0)
-    H1 = (rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3)))
-    H2 = (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
-    real = ChannelRealization(H1, H2)
-    got = cascaded_channel(real, PhaseConfig(np.zeros(1)), eta=1.0)
-    np.testing.assert_allclose(got, H2 @ H1, rtol=1e-14)
-    doubled = cascaded_channel(real, PhaseConfig(np.zeros(1)), eta=2.0)
-    np.testing.assert_allclose(doubled, 2.0 * got, rtol=1e-14)
-
-
-def test_cascaded_channel_dimension_mismatch():
-    real = ChannelRealization(np.zeros((4, 2), complex), np.zeros((8, 4), complex))
-    with pytest.raises(ValueError):
-        cascaded_channel(real, PhaseConfig(np.zeros(3)), eta=1.0)
+def one_trial(geom, cfg, phases, s):
+    """Unit moments of the literal kernel's one trial from stream (s,), the
+    draw of `literal_draw(geom, cfg, s)`."""
+    return literal_trial_statistics(geom, cfg, phases, 1, stream=(s,))
 
 
 def test_sinr_matches_literal_definition(paper_cfg):
@@ -94,11 +78,11 @@ def test_sinr_matches_literal_definition(paper_cfg):
     cfg = paper_cfg
     geom = make_geometry(cfg)
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-    real = sample_channels(geom, cfg, substream(50, 0))
     phases = PhaseConfig.random(cfg.N, substream(51, 0))
-    got = instantaneous_sinr(real, phases, budget, cfg)
+    got = sinr(one_trial(geom, cfg, phases, 50), budget, cfg)[0]
+    H1, H2 = literal_draw(geom, cfg, 50)
     want = sinr_from_definition(
-        real.H1, real.H2, phases.theta, budget.p, budget.eta,
+        H1, H2, phases.theta, budget.p, budget.eta,
         budget.sigma_v2_w, cfg.sigma_n2_w, aqnm_alpha(cfg.b),
     )
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -108,11 +92,11 @@ def test_sinr_passive_matches_definition(paper_cfg):
     cfg = paper_cfg
     geom = make_geometry(cfg)
     budget = resolve_budget(cfg, geom.alpha, Mode.PASSIVE)
-    real = sample_channels(geom, cfg, substream(52, 0))
     phases = PhaseConfig.random(cfg.N, substream(53, 0))
-    got = instantaneous_sinr(real, phases, budget, cfg)
+    got = sinr(one_trial(geom, cfg, phases, 52), budget, cfg)[0]
+    H1, H2 = literal_draw(geom, cfg, 52)
     want = sinr_from_definition(
-        real.H1, real.H2, phases.theta, budget.p, 1.0, 0.0,
+        H1, H2, phases.theta, budget.p, 1.0, 0.0,
         cfg.sigma_n2_w, aqnm_alpha(cfg.b),
     )
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -121,10 +105,10 @@ def test_sinr_passive_matches_definition(paper_cfg):
 def test_ideal_adc_drops_quantization_term(desk):
     cfg, geom, phases, active = desk
     ideal = resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC)
-    real = sample_channels(geom, cfg, substream(54, 0))
-    got = instantaneous_sinr(real, phases, ideal, cfg)
+    got = sinr(one_trial(geom, cfg, phases, 54), ideal, cfg)[0]
+    H1, H2 = literal_draw(geom, cfg, 54)
     want = sinr_from_definition(
-        real.H1, real.H2, phases.theta, ideal.p, ideal.eta,
+        H1, H2, phases.theta, ideal.p, ideal.eta,
         ideal.sigma_v2_w, cfg.sigma_n2_w, alpha=1.0,
     )
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -134,33 +118,33 @@ def test_single_user_has_no_interference():
     cfg = SystemConfig(M=16, N=4, K=1, epsilon=(10.0,), trials=10, seed=3)
     geom = make_geometry(cfg)
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-    real = sample_channels(geom, cfg, substream(55, 0))
-    sinr = instantaneous_sinr(real, PhaseConfig(np.zeros(cfg.N)), budget, cfg)
-    assert sinr.shape == (1,)
-    assert sinr[0] > 0.0
+    got = sinr(one_trial(geom, cfg, PhaseConfig(np.zeros(cfg.N)), 55), budget, cfg)[0]
+    assert got.shape == (1,)
+    assert got[0] > 0.0
 
 
 def test_quantization_sandwich(desk):
     # more bits never hurt, and ideal ADCs dominate every finite resolution
     cfg, geom, phases, budget = desk
-    real = sample_channels(geom, cfg, substream(56, 0))
+    stats = one_trial(geom, cfg, phases, 56)
     prev = None
     for bits in range(1, 9):
-        sinr = instantaneous_sinr(real, phases, budget, cfg=replace(cfg, b=bits))
+        got = sinr(stats, budget, replace(cfg, b=bits))[0]
         if prev is not None:
-            assert np.all(sinr >= prev - 1e-15)
-        prev = sinr
+            assert np.all(got >= prev - 1e-15)
+        prev = got
     ideal = resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC)
-    top = instantaneous_sinr(real, phases, ideal, cfg)
+    top = sinr(stats, ideal, cfg)[0]
     assert np.all(top >= prev)
 
 
 def test_global_phase_invariance(desk):
+    # a common offset on every element leaves each trial's SINR unchanged
     cfg, geom, phases, budget = desk
-    real = sample_channels(geom, cfg, substream(57, 0))
-    base = instantaneous_sinr(real, phases, budget, cfg)
+    base = sinr(literal_trial_statistics(geom, cfg, phases, 8, stream=(57,)), budget, cfg)
     for offset in (0.37, np.pi / 3, 5.1):
-        shifted = instantaneous_sinr(real, phases.shifted(offset), budget, cfg)
+        moved = PhaseConfig(phases.theta + offset)
+        shifted = sinr(literal_trial_statistics(geom, cfg, moved, 8, stream=(57,)), budget, cfg)
         np.testing.assert_allclose(shifted, base, rtol=1e-10)
 
 
@@ -169,8 +153,8 @@ def test_scale_consistency_ideal_mode(desk):
     # constant leaves the ideal-ADC SINR unchanged for a fixed realization
     cfg, geom, phases, _ = desk
     base_budget = resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC)
-    real = sample_channels(geom, cfg, substream(58, 0))
-    base = instantaneous_sinr(real, phases, base_budget, cfg)
+    stats = one_trial(geom, cfg, phases, 58)
+    base = sinr(stats, base_budget, cfg)[0]
     c_db = 20.0  # factor 100
     scaled_cfg = replace(cfg, sigma_n2_dbm=cfg.sigma_n2_dbm + c_db)
     scaled_budget = LinkBudget(
@@ -181,7 +165,7 @@ def test_scale_consistency_ideal_mode(desk):
         mode=Mode.IDEAL_ADC,
         sigma_v2_w=base_budget.sigma_v2_w * 100.0,
     )
-    scaled = instantaneous_sinr(real, phases, scaled_budget, scaled_cfg)
+    scaled = sinr(stats, scaled_budget, scaled_cfg)[0]
     np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 
@@ -262,6 +246,22 @@ def test_measured_power_quadratic_in_gain(desk):
     assert four_x == pytest.approx(4.0 * base, rel=1e-12)
 
 
+def test_measured_power_builds_the_los_parts_once(desk, monkeypatch):
+    # three batches of user channels share one set of steering vectors
+    cfg, geom, phases, budget = desk
+    want = measured_ris_power(geom, cfg, phases, budget, trials=2 * BATCH + 1)
+    built = []
+    los = transceiver.los_components
+
+    def counted(*args):
+        built.append(args)
+        return los(*args)
+
+    monkeypatch.setattr(transceiver, "los_components", counted)
+    assert measured_ris_power(geom, cfg, phases, budget, trials=2 * BATCH + 1) == want
+    assert len(built) == 1
+
+
 def test_one_statistics_set_serves_every_budget():
     # K = 3 with prime N; the last budget has unequal powers, so each
     # interferer carries its own weight
@@ -270,8 +270,9 @@ def test_one_statistics_set_serves_every_budget():
     phases = PhaseConfig.random(cfg.N, substream(14, 0))
     trials = 6
     stats = literal_trial_statistics(geom, cfg, phases, trials)
-    H1, planes = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), trials)
-    H2 = complex_planes(planes)
+    H1, planes = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), trials,
+                                      los_components(geom, cfg))
+    H2 = planes[0] + 1j * planes[1]
     active = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     budgets = [
         active,
@@ -297,8 +298,9 @@ def test_trial_statistics_follow_the_batch_layout(desk):
     cfg, geom, phases, _ = desk
     stats = literal_trial_statistics(geom, cfg, phases, BATCH + 7)
     assert all(x.shape[0] == BATCH + 7 for x in stats)
-    H1, planes = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
-    G0 = (complex_planes(planes) * phases.phi) @ H1
+    H1, planes = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7,
+                                      los_components(geom, cfg))
+    G0 = ((planes[0] + 1j * planes[1]) * phases.phi) @ H1
     np.testing.assert_allclose(stats.channel_gain[BATCH:], (np.abs(G0) ** 2).sum(axis=1),
                                rtol=1e-12)
 
@@ -330,7 +332,8 @@ def test_kernel_slices_do_not_change_statistics():
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(4, 0))
     stats = literal_trial_statistics(geom, cfg, phases, 40)
-    H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 40)
+    H1, H2 = sample_channel_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 40,
+                                  los_components(geom, cfg))
     whole = transceiver._batch_statistics(H1, H2, phases.phi)
     for name, value in zip(Moments._fields, whole):
         np.testing.assert_array_equal(getattr(stats, name), value, err_msg=name)
