@@ -7,7 +7,6 @@ optimizer and a brute-force oracle that certifies every closed form.
 """
 
 from .analytic import (
-    ChannelStats,
     ClosedFormSite,
     closed_form_rates,
     closed_form_site,

@@ -197,15 +197,6 @@ def _moment_weights(c: MomentCoefficients, hbar_inner: np.ndarray) -> np.ndarray
                        minlength=shape[0] * shape[1]).reshape(shape)
 
 
-class ChannelStats(NamedTuple):
-    """Closed-form statistics of one phase vector or a population: the
-    aligned LoS gains f (..., K) and the expected unit moments."""
-
-    site: ClosedFormSite
-    f: np.ndarray
-    unit: Moments
-
-
 @dataclass(frozen=True, eq=False)
 class ClosedFormSite:
     """Phase-free part of the closed form for one (geometry, system)."""
@@ -216,19 +207,18 @@ class ClosedFormSite:
     coefficients: MomentCoefficients
     W: np.ndarray           # (1 + K + 5K^2, 4K + K^2) moment weights, `_moment_weights`
 
-    def stats(self, theta) -> ChannelStats:
-        """Statistics for phases `theta` of shape (N,) or (P, N)."""
+    def stats(self, theta) -> Moments:
+        """Expected unit moments for phases `theta` of shape (N,) or (P, N)."""
         return self.phasor_stats(np.exp(1j * np.asarray(theta, dtype=float)))
 
-    def phasor_stats(self, phasors: np.ndarray) -> ChannelStats:
-        """Statistics for unit phasors exp(j*theta), (N,) or (P, N)."""
+    def phasor_stats(self, phasors: np.ndarray) -> Moments:
+        """Expected unit moments for unit phasors exp(j*theta), (N,) or (P, N)."""
         f = phasors @ self.B
         K = f.shape[-1]
         m = np.moveaxis(_monomials(f), 0, -1) @ self.W
         KK = K + K * K
-        unit = Moments(m[..., :K], m[..., K:KK].reshape(f.shape + (K,)), m[..., KK:KK + K],
+        return Moments(m[..., :K], m[..., K:KK].reshape(f.shape + (K,)), m[..., KK:KK + K],
                        m[..., KK + K:KK + 2 * K], m[..., KK + 2 * K:])
-        return ChannelStats(self, f, unit)
 
 
 def closed_form_site(geom: Geometry, cfg: SystemConfig) -> ClosedFormSite:
@@ -243,18 +233,19 @@ def closed_form_site(geom: Geometry, cfg: SystemConfig) -> ClosedFormSite:
                           _moment_weights(coefficients, hbar_inner))
 
 
-def compute_stats(geom: Geometry, cfg: SystemConfig, phases: PhaseConfig) -> ChannelStats:
-    """Evaluate the phase functionals and large-scale factors once."""
+def compute_stats(geom: Geometry, cfg: SystemConfig, phases: PhaseConfig) -> Moments:
+    """Expected unit moments of one phase vector, from a site built for it."""
     return closed_form_site(geom, cfg).stats(phases.theta)
 
 
-def closed_form_rates(stats: ChannelStats, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
-    """Closed-form approximate per-user rates, bits/s/Hz, (..., K).
+def closed_form_rates(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
+    """Closed-form approximate per-user rates, bits/s/Hz, (..., K), from
+    expected unit moments.
 
-    One formula serves every mode: a passive budget carries no dynamic
-    noise (sigma_v^2 = 0, eta = 1), and ideal ADCs (an ideal-ADC budget, or
-    b = "ideal") drop the quantization term.  Zero when the surface is down.
+    One formula serves both modes: a passive budget carries no dynamic
+    noise (sigma_v^2 = 0, eta = 1), and ideal ADCs (b = "ideal") drop the
+    quantization term.  Zero when the surface is down.
     """
     if not budget.startup_met:
-        return np.zeros(np.shape(stats.f))
-    return np.log2(1.0 + sinr(stats.unit, budget, cfg))
+        return np.zeros(np.shape(unit.channel_gain))
+    return np.log2(1.0 + sinr(unit, budget, cfg))

@@ -25,11 +25,10 @@ class ConfigurationError(ValueError):
 
 
 class Mode(enum.Enum):
-    """Operating mode of the surface / receiver chain."""
+    """Operating mode of the surface; the ADC resolution is `SystemConfig.b`."""
 
-    ACTIVE = "active"        # amplifying surface, low-resolution ADCs
+    ACTIVE = "active"        # amplifying surface
     PASSIVE = "passive"      # unit-gain surface, no dynamic noise, no DC bias
-    IDEAL_ADC = "ideal"      # active surface, quantization disabled at the BS
 
 
 def dbm_to_watts(x_dbm: float) -> float:
@@ -174,7 +173,6 @@ class LinkBudget:
     eta: float             # common element amplification factor (1 in passive mode)
     P_A: float             # surface reflect power, watts (0 in passive mode)
     startup_met: bool      # False when circuit power exceeds the total budget
-    mode: Mode
     sigma_v2_w: float      # dynamic-noise power seen downstream (0 in passive mode)
 
     @property
@@ -218,14 +216,14 @@ def resolve_budget(cfg: SystemConfig, alpha, mode: Mode = Mode.ACTIVE) -> LinkBu
 
     if mode is Mode.PASSIVE:
         if P_T < circuit:
-            return LinkBudget(np.zeros(cfg.K), 1.0, 0.0, False, mode, 0.0)
+            return LinkBudget(np.zeros(cfg.K), 1.0, 0.0, False, 0.0)
         P_t = P_T - circuit
         if P_t <= 0.0:
             raise ConfigurationError("budget exactly covers circuit power; no transmit power left")
-        return LinkBudget(np.full(cfg.K, P_t / cfg.K), 1.0, 0.0, True, mode, 0.0)
+        return LinkBudget(np.full(cfg.K, P_t / cfg.K), 1.0, 0.0, True, 0.0)
 
     if P_T < circuit:
-        return LinkBudget(np.zeros(cfg.K), 0.0, 0.0, False, mode, cfg.sigma_v2_w)
+        return LinkBudget(np.zeros(cfg.K), 0.0, 0.0, False, cfg.sigma_v2_w)
     remainder = P_T - circuit
     P_t = cfg.split * remainder
     P_A = (1.0 - cfg.split) * remainder
@@ -239,4 +237,4 @@ def resolve_budget(cfg: SystemConfig, alpha, mode: Mode = Mode.ACTIVE) -> LinkBu
             f"resolved amplification {eta:.4g} < 1; active elements must amplify "
             "(raise P_T, lower split, or reduce N)"
         )
-    return LinkBudget(p, eta, P_A, True, mode, cfg.sigma_v2_w)
+    return LinkBudget(p, eta, P_A, True, cfg.sigma_v2_w)

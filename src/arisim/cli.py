@@ -91,6 +91,15 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _list(value, name: str, length: int | None = None) -> list:
+    """A list from an experiment block, of `length` entries when given; a
+    scalar or a mapping is an error, not iterated."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length} entries"
+        raise ConfigurationError(f"{name} must be {shape}, got {value!r}")
+    return value
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -120,19 +129,19 @@ def experiment_phases(cfg: SystemConfig) -> PhaseConfig:
     return PhaseConfig.random(cfg.N, substream(cfg.seed, STREAM_PHASES, cfg.N))
 
 
-def _site_rates(geom, closed, cfg, phases, trials):
+def _site_rates(geom, closed, cfg, phases):
     """Rate evaluator for the sweep points that share `geom` and `phases`.
 
     The closed-form statistics are computed once, on `closed`, the
     geometry's closed-form site.  The fading statistics are drawn when the
     first live point needs them and then serve every point (common random
     numbers), so each fading batch is drawn once per site and the rates
-    still depend only on (seed, trials).  The returned
+    still depend only on (seed, cfg.trials).  The returned
     function maps (point config, mode) to (analytic sum rate, MC sum rate,
     MC stderr, budget).
     """
     stats = closed.stats(phases.theta)
-    fading = functools.cache(lambda: trial_statistics(geom, cfg, phases, trials))
+    fading = functools.cache(lambda: trial_statistics(geom, cfg, phases))
 
     def rates(point, mode):
         budget = resolve_budget(point, geom.alpha, mode)
@@ -147,7 +156,10 @@ def _site_rates(geom, closed, cfg, phases, trials):
 
 def ga_params(cfg: SystemConfig, block: dict | None = None) -> GAParams:
     """GA settings from a config block; the seed defaults to the system's.
-    Unknown keys are rejected so typos fail loudly."""
+    A block that is not a mapping, and unknown keys, are rejected so typos
+    fail loudly."""
+    if block is not None and not isinstance(block, dict):
+        raise ConfigurationError(f"the GA block must be a mapping, got {block!r}")
     block = dict(block or {})
     unknown = set(block) - set(GAParams.__dataclass_fields__)
     if unknown:
@@ -167,18 +179,18 @@ class Site(NamedTuple):
     ga: GAParams | None = None
 
 
-def _site_job(site: Site, trials: int) -> list:
+def _site_job(site: Site) -> list:
     """(analytic sum rate, MC sum rate, MC stderr, budget) of every point of
     `site`, then of the optimised phases when the site has a GA.  The
     geometry and its closed-form site are built once for both."""
     geom = make_geometry(site.cfg)
     closed = closed_form_site(geom, site.cfg)
-    rates = _site_rates(geom, closed, site.cfg, experiment_phases(site.cfg), trials)
+    rates = _site_rates(geom, closed, site.cfg, experiment_phases(site.cfg))
     results = [rates(point, mode) for point, mode in site.points]
     if site.ga is not None:
         budget = resolve_budget(site.cfg, geom.alpha, Mode.ACTIVE)
         best, _ = optimize_phases(geom, site.cfg, budget, site.ga, site=closed)
-        results.append(_site_rates(geom, closed, site.cfg, best, trials)(site.cfg, Mode.ACTIVE))
+        results.append(_site_rates(geom, closed, site.cfg, best)(site.cfg, Mode.ACTIVE))
     return results
 
 
@@ -191,7 +203,7 @@ def site_workers(sites: int) -> int:
     return max(1, min(cpus, sites))
 
 
-def run_sites(sites: list, trials: int) -> list:
+def run_sites(sites: list) -> list:
     """Results of every site job, in site order.
 
     Sites run on a thread pool; numpy releases the GIL in the fading draws
@@ -201,17 +213,19 @@ def run_sites(sites: list, trials: int) -> list:
     """
     workers = site_workers(len(sites))
     if workers == 1:
-        return [_site_job(site, trials) for site in sites]
+        return [_site_job(site) for site in sites]
     # imported here: at module level it would add to every start-up
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_site_job, sites, [trials] * len(sites)))
+        return list(pool.map(_site_job, sites))
 
 
-def run_antennas_elements(cfg, geom, block, out_dir, trials, optimize, mode):
-    m_grid = [_integer(m, "M_grid entry") for m in block.get("M_grid", [16, 36, 64, 100, 144])]
-    n_grid = [_integer(n, "N_grid entry") for n in block.get("N_grid", [4, 16, 36, 64])]
+def run_antennas_elements(cfg, geom, block, out_dir, optimize, mode):
+    m_grid = [_integer(m, "M_grid entry")
+              for m in _list(block.get("M_grid", [16, 36, 64, 100, 144]), "M_grid")]
+    n_grid = [_integer(n, "N_grid entry")
+              for n in _list(block.get("N_grid", [4, 16, 36, 64]), "N_grid")]
     sites = []
     for M in sorted(m_grid):
         for N in sorted(n_grid):
@@ -219,7 +233,7 @@ def run_antennas_elements(cfg, geom, block, out_dir, trials, optimize, mode):
             ga = ga_params(point, block.get("ga")) if optimize else None
             sites.append(Site(point, ((point, Mode.ACTIVE), (point, Mode.PASSIVE)), ga))
     rows = []
-    for site, results in zip(sites, run_sites(sites, trials)):
+    for site, results in zip(sites, run_sites(sites)):
         M, N, b = site.cfg.M, site.cfg.N, site.cfg.b
         for (_, point_mode), (a, mc, se, _) in zip(site.points, results):
             rows.append((M, N, point_mode.value, b, a, mc, se, False))
@@ -231,16 +245,17 @@ def run_antennas_elements(cfg, geom, block, out_dir, trials, optimize, mode):
     return [path]
 
 
-def run_total_power(cfg, geom, block, out_dir, trials, optimize, mode):
+def run_total_power(cfg, geom, block, out_dir, optimize, mode):
     n_elements = _integer(block.get("N", 128), "total-power N")
-    grid = block.get("P_T_dbm_grid",
-                     [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30])
+    grid = _list(block.get("P_T_dbm_grid",
+                           [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30]),
+                 "P_T_dbm_grid")
     cfg = _resize(cfg, N=n_elements)
     configs = [replace(cfg, P_T_dbm=p_t)
                for p_t in sorted(_real(p, "P_T_dbm_grid entry") for p in grid)]
     site = Site(cfg, tuple((point, point_mode) for point in configs
                            for point_mode in (Mode.ACTIVE, Mode.PASSIVE)))
-    (results,) = run_sites([site], trials)
+    (results,) = run_sites([site])
     rows = [(point.P_T_dbm, n_elements, point_mode.value, point.b, budget.startup_met,
              budget.eta, a, mc, se, False)
             for (point, point_mode), (a, mc, se, budget) in zip(site.points, results)]
@@ -250,19 +265,17 @@ def run_total_power(cfg, geom, block, out_dir, trials, optimize, mode):
     return [path]
 
 
-def run_adc_bits(cfg, geom, block, out_dir, trials, optimize, mode):
+def run_adc_bits(cfg, geom, block, out_dir, optimize, mode):
     bits = [b if b == "ideal" else _integer(b, "bits entry")
-            for b in block.get("bits", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "ideal"])]
-    pairs = [tuple(_integer(v, "pairs entry") for v in mn)
-             for mn in block.get("pairs", [[64, 16], [100, 36]])]
+            for b in _list(block.get("bits", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "ideal"]), "bits")]
+    pairs = [tuple(_integer(v, "pairs entry") for v in _list(mn, "pairs entry", 2))
+             for mn in _list(block.get("pairs", [[64, 16], [100, 36]]), "pairs")]
     sites = []
     for M, N in sorted(pairs):
         point = _resize(cfg, M=M, N=N)
-        sites.append(Site(point, tuple(
-            (replace(point, b=b), Mode.IDEAL_ADC if b == "ideal" else Mode.ACTIVE) for b in bits
-        )))
+        sites.append(Site(point, tuple((replace(point, b=b), Mode.ACTIVE) for b in bits)))
     rows = []
-    for site, results in zip(sites, run_sites(sites, trials)):
+    for site, results in zip(sites, run_sites(sites)):
         for (point, point_mode), (a, mc, se, _) in zip(site.points, results):
             rows.append((str(point.b), point.M, point.N, point_mode.value, a, mc, se, False))
     path = os.path.join(out_dir, "adc_bits.csv")
@@ -271,7 +284,7 @@ def run_adc_bits(cfg, geom, block, out_dir, trials, optimize, mode):
     return [path]
 
 
-def run_verify(cfg, geom, block, out_dir, trials, optimize, mode):
+def run_verify(cfg, geom, block, out_dir, optimize, mode):
     """Numerical certification at a desk-scale instance: every moment of the
     closed form against the oracle, and the surface-power identity.  Fails
     the run when any check fails."""
@@ -281,11 +294,11 @@ def run_verify(cfg, geom, block, out_dir, trials, optimize, mode):
         N=_integer(block.get("N", 4), "verify N"),
         K=_integer(block.get("K", 2), "verify K"),
     )
-    n_trials = _integer(block.get("trials", trials), "verify trials")
+    n_trials = _integer(block.get("trials", cfg.trials), "verify trials")
     geom = make_geometry(point)  # the desk-scale point's own geometry
     phases = experiment_phases(point)
     budget = resolve_budget(point, geom.alpha, Mode.ACTIVE)
-    reference = moments_at(compute_stats(geom, point, phases).unit, budget, point)
+    reference = moments_at(compute_stats(geom, point, phases), budget, point)
     mean, se = estimate_moments(geom, point, phases, budget, n_trials, point.seed + 1)
 
     rows = []
@@ -320,14 +333,14 @@ def run_verify(cfg, geom, block, out_dir, trials, optimize, mode):
     return [path]
 
 
-def run_optimize(cfg, geom, block, out_dir, trials, optimize, mode):
+def run_optimize(cfg, geom, block, out_dir, optimize, mode):
     budget = resolve_budget(cfg, geom.alpha, mode)
     params = ga_params(cfg, block)
     closed = closed_form_site(geom, cfg)
     best, history = optimize_phases(geom, cfg, budget, params, site=closed)
     baseline = closed.stats(experiment_phases(cfg).theta)
     a_base = float(closed_form_rates(baseline, budget, cfg).sum())
-    a_best, mc_best, se_best, _ = _site_rates(geom, closed, cfg, best, trials)(cfg, mode)
+    a_best, mc_best, se_best, _ = _site_rates(geom, closed, cfg, best)(cfg, mode)
 
     hist_path = os.path.join(out_dir, "ga_history.csv")
     write_csv(hist_path, ["generation", "best_fitness", "mean_fitness"], history.rows())
@@ -436,8 +449,7 @@ def main(argv=None) -> int:
 
         os.makedirs(args.output, exist_ok=True)
         geom = make_geometry(cfg)
-        artifacts = RUNNERS[args.experiment](cfg, geom, block, args.output, cfg.trials,
-                                             args.optimize, mode)
+        artifacts = RUNNERS[args.experiment](cfg, geom, block, args.output, args.optimize, mode)
         manifest = write_manifest(args.output, cfg, geom, args, artifacts)
         print(f"wrote {len(artifacts)} artifact(s) + {os.path.basename(manifest)} to {args.output}")
         return 0

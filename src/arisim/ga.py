@@ -188,8 +188,8 @@ def optimize_phases(
 ) -> tuple[PhaseConfig, GAHistory]:
     """Run the genetic search and return the best phases ever seen.
 
-    The fitness is the closed-form sum rate for the budget's operating
-    mode, scored for each whole generation in one call, on the unit phasors
+    The fitness is the closed-form sum rate under the budget and `cfg.b`,
+    scored for each whole generation in one call, on the unit phasors
     carried beside the phases, through `site` (the closed-form site of
     `geom` and `cfg`, built here when not given).  The surface must be
     started up, otherwise every candidate scores zero and there is nothing

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import LinkBudget, Mode, SystemConfig
+from .budget import LinkBudget, SystemConfig
 from .channel import (
     STREAM_FADING,
     STREAM_SYMBOLS,
@@ -69,11 +69,6 @@ def aqnm_alpha(b) -> float:
         raise ValueError(f"quantization bits must be a positive integer or 'ideal', got {b!r}")
     rho = AQNM_RHO[b] if b <= 5 else (math.pi * math.sqrt(3.0) / 2.0) * 2.0 ** (-2 * b)
     return 1.0 - rho
-
-
-def quantization_gain(cfg: SystemConfig, mode: Mode) -> float:
-    """Effective alpha for the given operating mode."""
-    return 1.0 if mode is Mode.IDEAL_ADC else aqnm_alpha(cfg.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +157,9 @@ def moments_at(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> Moments:
 def sinr(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
     """Post-combining SINR per user, (..., K), from a unit set of moments.
 
-    With the moments of `moments_at` and the quantization gain a, the SINR
-    of user k is, after dividing numerator and denominator by a^2,
+    With the moments of `moments_at` and the quantization gain
+    a = `aqnm_alpha(cfg.b)`, 1 for ideal ADCs, the SINR of user k is,
+    after dividing numerator and denominator by a^2,
 
         p_k ||g_k||^4  /  ( sum_{i!=k} p_i |g_k^H g_i|^2
                             + eta^2 sv2 ||g_k^H H2 Phi||^2
@@ -176,7 +172,7 @@ def sinr(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
     Zero where the denominator is zero.
     """
     m = moments_at(unit, budget, cfg)
-    a = quantization_gain(cfg, budget.mode)
+    a = aqnm_alpha(cfg.b)
     p = budget.p
     den = (m.interference @ p + (budget.eta**2 * budget.sigma_v2_w) * m.dynamic_noise
            + cfg.sigma_n2_w * m.channel_gain + (1.0 - a) / a * m.quantization)

@@ -44,6 +44,14 @@ def literal_draw(geom, cfg, *stream):
     return H1[0], H2[0, 0] + 1j * H2[1, 0]
 
 
+def aligned_gains(geom, cfg, theta):
+    """The aligned LoS gains f_k = a_ris^H Phi hbar_k of phases `theta`,
+    (N,) or (P, N), as the closed-form site forms them: exp(j*theta) @ B."""
+    from arisim import closed_form_site
+
+    return np.exp(1j * np.asarray(theta, dtype=float)) @ closed_form_site(geom, cfg).B
+
+
 def rayleigh_norm4_mean(m, n):
     """E{||X y||^4} for X (m x n) and y (n,) with iid unit complex Gaussian
     entries: m(m+1) * n(n+1)."""

@@ -29,7 +29,7 @@ from arisim.channel import STREAM_PHASES, array_response, los_components, substr
 from arisim.ga import GAParams
 from arisim.transceiver import literal_trial_statistics
 
-from helpers import literal_draw
+from helpers import aligned_gains, literal_draw
 
 
 def _report(name, ok, detail):
@@ -68,8 +68,7 @@ def test_ac2_moment_oracle_equivalence():
     geom = make_geometry(cfg)
     phases = baseline_phases(cfg)
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-    stats = analytic.compute_stats(geom, cfg, phases)
-    ref = moments_at(stats.unit, budget, cfg)
+    ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
     est, se = estimate_moments(geom, cfg, phases, budget, trials=100_000, seed=cfg.seed + 1)
 
     worst = {}
@@ -92,7 +91,7 @@ def test_ac2_moment_oracle_equivalence():
 
     # the misprinted prefactor variant, u_k^2 u_i^2 in place of u_k u_i,
     # must fail the very same check
-    u = stats.site.u
+    u = analytic.closed_form_site(geom, cfg).u
     bad_ref = ref.interference[0, 1] * (u[0] * u[1])
     bad_tol = max(0.03 * abs(bad_ref), 4.0 * se.interference[0, 1])
     printed_fails = abs(est.interference[0, 1] - bad_ref) > bad_tol
@@ -202,12 +201,11 @@ def test_ac6_genetic_optimizer():
     params = GAParams(mutation_sigma=np.pi / 32, max_iters=300, f_tol=0.0, seed=3)
     best, hist = optimize_phases(los_geom, los_cfg, los_budget, params)
     monotone_a = bool(np.all(np.diff(hist.best_fitness) >= 0.0))
-    aligned_gain = abs(analytic.compute_stats(los_geom, los_cfg, best).f[0])
+    aligned_gain = abs(aligned_gains(los_geom, los_cfg, best.theta)[0])
     # the alignment optimum itself is exactly N
     hbar = los_components(los_geom, los_cfg).hbar
     a_ris = array_response(los_cfg.N, los_geom.ris_aod[0], los_geom.ris_aod[1])
-    exact = abs(analytic.compute_stats(
-        los_geom, los_cfg, PhaseConfig(np.angle(a_ris) - np.angle(hbar[:, 0]))).f[0])
+    exact = abs(aligned_gains(los_geom, los_cfg, np.angle(a_ris) - np.angle(hbar[:, 0]))[0])
     assert exact == pytest.approx(los_cfg.N, rel=1e-12)
 
     # (b) baseline system: optimized sum rate at least the random-phase mean
@@ -235,7 +233,6 @@ def test_ac7_invariant_suite(baseline):
     cfg, geom, phases = baseline
     start = time.monotonic()
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-    stats = analytic.compute_stats(geom, cfg, phases)
 
     # global-phase invariance of the SINR of several literal-kernel trials
     # and of every closed-form moment
@@ -245,8 +242,8 @@ def test_ac7_invariant_suite(baseline):
     sinr_shift = sinr(literal_trial_statistics(geom, cfg, shifted, 8, stream=(cfg.seed, 9)),
                       budget, cfg)
     phase_ok = bool(np.all(np.abs(sinr_shift - sinr_base) <= 1e-10 * np.abs(sinr_base)))
-    ref = moments_at(stats.unit, budget, cfg)
-    moved = moments_at(analytic.compute_stats(geom, cfg, shifted).unit, budget, cfg)
+    ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
+    moved = moments_at(analytic.compute_stats(geom, cfg, shifted), budget, cfg)
     for k in range(cfg.K):
         pairs = [
             (ref.signal[k], moved.signal[k]),
@@ -262,7 +259,7 @@ def test_ac7_invariant_suite(baseline):
     # aligned-gain bound over many random phase configurations
     rng = substream(4242, 0)
     bound_ok = all(
-        np.all(np.abs(analytic.compute_stats(geom, cfg, PhaseConfig.random(cfg.N, rng)).f)
+        np.all(np.abs(aligned_gains(geom, cfg, PhaseConfig.random(cfg.N, rng).theta))
                <= cfg.N + 1e-9)
         for _ in range(1000)
     )
@@ -299,7 +296,6 @@ def test_ac7_invariant_suite(baseline):
 
     # quantization sandwich per realization, over five literal-kernel trials
     sandwich_ok = True
-    ideal_budget = resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC)
     draws = literal_trial_statistics(geom, cfg, phases, 5, stream=(cfg.seed, 10))
     prev = None
     for bits in (1, 2, 4, 8):
@@ -307,7 +303,7 @@ def test_ac7_invariant_suite(baseline):
         if prev is not None:
             sandwich_ok &= bool(np.all(s >= prev - 1e-15))
         prev = s
-    top = sinr(draws, ideal_budget, cfg)
+    top = sinr(draws, budget, replace(cfg, b="ideal"))
     sandwich_ok &= bool(np.all(top >= prev))
 
     elapsed = time.monotonic() - start

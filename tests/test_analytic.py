@@ -18,7 +18,7 @@ from arisim import (
 )
 from arisim import analytic
 from arisim.channel import array_response, los_components, substream
-from helpers import polynomial_moments
+from helpers import aligned_gains, polynomial_moments
 
 
 def rayleigh_moments(m, n, k_users=1):
@@ -26,17 +26,17 @@ def rayleigh_moments(m, n, k_users=1):
     large-scale gains."""
     cfg = SystemConfig(M=m, N=n, K=k_users, epsilon=(0.0,) * k_users, delta=0.0)
     geom = replace(make_geometry(cfg), alpha=np.ones(k_users), beta=1.0)
-    return compute_stats(geom, cfg, PhaseConfig(np.zeros(n))).unit
+    return compute_stats(geom, cfg, PhaseConfig(np.zeros(n)))
 
 
 def test_stats_invariants(desk):
     cfg, geom, phases, _ = desk
-    stats = compute_stats(geom, cfg, phases)
-    assert np.all(np.abs(stats.f) <= cfg.N + 1e-9)
-    assert np.all(stats.site.u > 0.0)
-    np.testing.assert_allclose(np.diag(stats.site.hbar_inner).real, cfg.N, rtol=1e-12)
+    site = analytic.closed_form_site(geom, cfg)
+    assert np.all(np.abs(aligned_gains(geom, cfg, phases.theta)) <= cfg.N + 1e-9)
+    assert np.all(site.u > 0.0)
+    np.testing.assert_allclose(np.diag(site.hbar_inner).real, cfg.N, rtol=1e-12)
     expected_u = geom.beta * geom.alpha / ((cfg.delta + 1) * (np.asarray(cfg.epsilon) + 1))
-    np.testing.assert_allclose(stats.site.u, expected_u, rtol=1e-12)
+    np.testing.assert_allclose(site.u, expected_u, rtol=1e-12)
 
 
 def test_aligned_phases_reach_maximum_gain(desk):
@@ -45,8 +45,7 @@ def test_aligned_phases_reach_maximum_gain(desk):
     a_ris = array_response(cfg.N, geom.ris_aod[0], geom.ris_aod[1], cfg.d_over_lambda)
     for k in range(cfg.K):
         aligned = PhaseConfig(np.angle(a_ris) - np.angle(hbar[:, k]))
-        stats = compute_stats(geom, cfg, aligned)
-        assert abs(stats.f[k]) == pytest.approx(cfg.N, rel=1e-12)
+        assert abs(aligned_gains(geom, cfg, aligned.theta)[k]) == pytest.approx(cfg.N, rel=1e-12)
 
 
 def test_identity_phases_on_matched_steering(desk_cfg):
@@ -55,16 +54,16 @@ def test_identity_phases_on_matched_steering(desk_cfg):
     cfg = desk_cfg
     geom = make_geometry(cfg)
     matched = replace(geom, user_aoa=np.vstack([geom.ris_aod, geom.user_aoa[1:]]))
-    stats = compute_stats(matched, cfg, PhaseConfig(np.zeros(cfg.N)))
-    assert abs(stats.f[0]) == pytest.approx(cfg.N, rel=1e-12)
+    f = aligned_gains(matched, cfg, np.zeros(cfg.N))
+    assert abs(f[0]) == pytest.approx(cfg.N, rel=1e-12)
 
 
 def test_gain_bound_over_many_phase_draws(desk):
     cfg, geom, _, _ = desk
     rng = substream(404, 0)
     for _ in range(200):
-        stats = compute_stats(geom, cfg, PhaseConfig.random(cfg.N, rng))
-        assert np.all(np.abs(stats.f) <= cfg.N + 1e-9)
+        f = aligned_gains(geom, cfg, PhaseConfig.random(cfg.N, rng).theta)
+        assert np.all(np.abs(f) <= cfg.N + 1e-9)
 
 
 def test_degenerate_fourth_moment():
@@ -89,27 +88,17 @@ def test_degenerate_cross_moments():
 
 def test_interference_moment_symmetry(desk):
     cfg, geom, phases, budget = desk
-    interference = moments_at(compute_stats(geom, cfg, phases).unit, budget, cfg).interference
+    interference = moments_at(compute_stats(geom, cfg, phases), budget, cfg).interference
     np.testing.assert_allclose(interference, interference.T, rtol=1e-12)
     assert np.all(np.diag(interference) == 0.0)
 
 
 def test_moment_global_phase_invariance(desk):
     cfg, geom, phases, budget = desk
-    base = moments_at(compute_stats(geom, cfg, phases).unit, budget, cfg)
-    shifted = moments_at(compute_stats(geom, cfg, PhaseConfig(phases.theta + 1.234)).unit, budget, cfg)
+    base = moments_at(compute_stats(geom, cfg, phases), budget, cfg)
+    shifted = moments_at(compute_stats(geom, cfg, PhaseConfig(phases.theta + 1.234)), budget, cfg)
     for name, value in zip(base._fields, base):
         np.testing.assert_allclose(getattr(shifted, name), value, rtol=1e-10, err_msg=name)
-
-
-def test_passive_rate_is_active_formula_without_dynamic_noise(desk):
-    cfg, geom, phases, _ = desk
-    passive = resolve_budget(cfg, geom.alpha, Mode.PASSIVE)
-    stats = compute_stats(geom, cfg, phases)
-    # the active formula with eta = 1 and no dynamic noise is definitionally equal
-    unit_gain = replace(passive, mode=Mode.ACTIVE, eta=1.0, sigma_v2_w=0.0)
-    np.testing.assert_allclose(closed_form_rates(stats, passive, cfg),
-                               closed_form_rates(stats, unit_gain, cfg), rtol=1e-12)
 
 
 def test_high_resolution_converges_to_ideal(desk):
@@ -135,7 +124,7 @@ def test_zero_power_zero_rate(desk):
     cfg, geom, phases, budget = desk
     silent = LinkBudget(
         p=np.zeros(cfg.K), eta=budget.eta, P_A=budget.P_A,
-        startup_met=True, mode=Mode.ACTIVE, sigma_v2_w=budget.sigma_v2_w,
+        startup_met=True, sigma_v2_w=budget.sigma_v2_w,
     )
     stats = compute_stats(geom, cfg, phases)
     assert closed_form_rates(stats, silent, cfg)[0] == 0.0
@@ -207,14 +196,14 @@ def test_population_rows_match_single_evaluations(
     pop = analytic.closed_form_site(geom, cfg).stats(theta)
     rates = closed_form_rates(pop, budget, cfg)
     assert rates.shape == (4, K)
-    arrays = moments_at(pop.unit, budget, cfg)
+    arrays = moments_at(pop, budget, cfg)
     for p in range(4):
         one = compute_stats(geom, cfg, PhaseConfig(theta[p]))
         np.testing.assert_allclose(rates[p], closed_form_rates(one, budget, cfg),
                                    rtol=1e-12, atol=0.0)
         if not powered:
             assert np.all(rates[p] == 0.0)
-        for name, value in zip(arrays._fields, moments_at(one.unit, budget, cfg)):
+        for name, value in zip(arrays._fields, moments_at(one, budget, cfg)):
             np.testing.assert_allclose(value, getattr(arrays, name)[p], rtol=1e-12, atol=0.0,
                                        err_msg=name)
 
@@ -236,7 +225,7 @@ def test_moment_weights_match_reference_polynomials(K, N, M, delta, eps, P, seed
     site = analytic.closed_form_site(make_geometry(cfg), cfg)
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (P, N))
     for phases in (theta, theta[0]):
-        unit = site.stats(phases).unit
+        unit = site.stats(phases)
         for name, value, want in zip(unit._fields, unit, polynomial_moments(site, phases)):
             assert value.shape == want.shape, name
             np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0, err_msg=name)

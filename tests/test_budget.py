@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,14 +142,20 @@ def test_sub_unity_amplification_rejected():
         resolve_budget(cfg, np.array([1.0]), Mode.ACTIVE)
 
 
-def test_ideal_adc_budget_matches_active():
+def test_adc_resolution_is_not_a_mode():
+    # the surface mode and the ADC resolution are independent settings:
+    # ideal ADCs are b = "ideal", and the budget does not depend on b
+    assert list(Mode) == [Mode.ACTIVE, Mode.PASSIVE]
     cfg = SystemConfig(M=16, N=16, K=2, epsilon=(10.0, 10.0))
     alpha = np.full(2, 1e-7)
-    active = resolve_budget(cfg, alpha, Mode.ACTIVE)
-    ideal = resolve_budget(cfg, alpha, Mode.IDEAL_ADC)
-    assert ideal.eta == active.eta
-    assert np.array_equal(ideal.p, active.p)
-    assert ideal.mode is Mode.IDEAL_ADC
+    for mode in Mode:
+        budget = resolve_budget(cfg, alpha, mode)
+        ideal = resolve_budget(replace(cfg, b="ideal"), alpha, mode)
+        assert vars(ideal).keys() == vars(budget).keys() == {
+            "p", "eta", "P_A", "startup_met", "sigma_v2_w"}
+        assert (ideal.eta, ideal.P_A, ideal.sigma_v2_w) == (budget.eta, budget.P_A,
+                                                             budget.sigma_v2_w)
+        assert np.array_equal(ideal.p, budget.p)
 
 
 def test_alpha_shape_checked():

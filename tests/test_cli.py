@@ -215,7 +215,8 @@ def test_adc_bits_run(tmp_path):
                  "--output", str(out)]) == 0
     rows = read_rows(out / "adc_bits.csv")
     assert [r[0] for r in rows[1:]] == ["1", "4", "ideal"]
-    assert rows[3][3] == "ideal"  # mode column for the ideal ADC row
+    # every row is an active surface; ideal ADCs are the b column alone
+    assert [r[3] for r in rows[1:]] == ["active"] * 3
 
 
 def test_optimize_run(tmp_path):
@@ -320,10 +321,16 @@ def test_verify_run(tmp_path, capsys):
     ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"epsilon": "10"}),
     ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"bs_pos": [True, 0, 25]}),
     ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, {"restrict_elevation": "false"}),
+    ("total-power", {"N": 8, "P_T_dbm_grid": 30}, {}),
+    ("antennas-elements", {"M_grid": 16, "N_grid": [4]}, {}),
+    ("adc-bits", {"bits": 3, "pairs": [[4, 4]]}, {}),
+    ("adc-bits", {"bits": [1], "pairs": [4, 4]}, {}),
+    ("adc-bits", {"bits": [1], "pairs": [[4, 4, 4]]}, {}),
 ])
 def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system):
     # each of these used to run and pass, truncated (16.9 -> 16) or coerced
-    # (True -> 1), except the empty epsilon, which ended in a traceback
+    # (True -> 1), except the empty epsilon and the scalars in place of a
+    # list or a pair, which ended in a traceback
     config = write_config(tmp_path, system=dict(TINY_SYSTEM, **system),
                           experiments={experiment: block})
     assert main(["--config", config, "--experiment", experiment,
@@ -373,7 +380,7 @@ def test_unknown_block_keys_fail(tmp_path, capsys, experiment, block, typo):
     ("optimize", ["--optimize"], "--optimize applies only to the antennas-elements"),
     ("adc-bits", ["--mode", "passive"], "--mode applies only to the optimize"),
     ("total-power", ["--mode", "active"], "--mode applies only to the optimize"),
-    ("antennas-elements", ["--mode", "ideal"], "--mode applies only to the optimize"),
+    ("antennas-elements", ["--mode", "passive"], "--mode applies only to the optimize"),
     ("verify", ["--mode", "passive"], "--mode applies only to the optimize"),
 ])
 def test_flags_the_experiment_ignores_fail(tmp_path, capsys, experiment, flags, message):
@@ -383,6 +390,27 @@ def test_flags_the_experiment_ignores_fail(tmp_path, capsys, experiment, flags, 
                  *flags]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ga", [[1, 2], 3])
+def test_ga_block_must_be_a_mapping(tmp_path, capsys, ga):
+    # a GA block that was not a mapping used to end in a traceback
+    config = write_config(tmp_path, experiments={
+        "antennas-elements": {"M_grid": [4], "N_grid": [4], "ga": ga}})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", "antennas-elements", "--optimize",
+                 "--output", str(out)]) == 1
+    assert "the GA block must be a mapping" in capsys.readouterr().err
+    assert not (out / "antennas_elements.csv").exists()
+
+
+def test_ideal_is_not_a_mode(tmp_path):
+    # ideal ADCs are `b: ideal` in the system section, not a surface mode
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["--config", config, "--experiment", "optimize", "--mode", "ideal",
+              "--output", str(tmp_path / "out")])
+    assert err.value.code == 2
 
 
 def test_optimize_mode_defaults_to_active(tmp_path):

@@ -39,7 +39,7 @@ def unit_gain_geometry(cfg):
 def unit_budget(cfg, p=1.0):
     return LinkBudget(
         p=np.full(cfg.K, p), eta=1.0, P_A=0.0,
-        startup_met=True, mode=Mode.ACTIVE, sigma_v2_w=cfg.sigma_v2_w,
+        startup_met=True, sigma_v2_w=cfg.sigma_v2_w,
     )
 
 
@@ -126,7 +126,7 @@ def test_moment_oracle_agreement_smoke(desk):
     # light version of the acceptance run: every closed form within a few
     # percent of its estimate at 20k trials
     cfg, geom, phases, budget = desk
-    ref = moments_at(analytic.compute_stats(geom, cfg, phases).unit, budget, cfg)
+    ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
     est, _ = estimate_moments(geom, cfg, phases, budget, 20000, 5)
     for k in range(cfg.K):
         assert est.signal[k] == pytest.approx(ref.signal[k], rel=0.05)
@@ -142,7 +142,7 @@ def test_closed_form_and_oracle_moments_have_one_layout():
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(8, 0))
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-    closed = moments_at(analytic.compute_stats(geom, cfg, phases).unit, budget, cfg)
+    closed = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
     est, se = estimate_moments(geom, cfg, phases, budget, 64, 5)
     for name in closed._fields:
         assert getattr(est, name).shape == getattr(closed, name).shape, name
@@ -175,7 +175,7 @@ def test_every_moment_matches_oracle(M, N, K, delta, eps, aligned, seed):
         a_ris = array_response(N, geom.ris_aod[0], geom.ris_aod[1], cfg.d_over_lambda)
         theta = np.angle(a_ris) - np.angle(hbar[:, 0])
     phases = PhaseConfig(theta)
-    ref = moments_at(analytic.compute_stats(geom, cfg, phases).unit, budget, cfg)
+    ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
     mean, se = estimate_moments(geom, cfg, phases, budget, 20000, seed + 1)
     off_diagonal = ~np.eye(K, dtype=bool)
     for name, m, s, r in zip(Moments._fields, mean, se, ref):

@@ -32,7 +32,6 @@ from arisim import transceiver
 from arisim.transceiver import (
     BATCH,
     literal_trial_statistics,
-    quantization_gain,
     reduced_draw_applies,
 )
 
@@ -104,12 +103,11 @@ def test_sinr_passive_matches_definition(paper_cfg):
 
 def test_ideal_adc_drops_quantization_term(desk):
     cfg, geom, phases, active = desk
-    ideal = resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC)
-    got = sinr(one_trial(geom, cfg, phases, 54), ideal, cfg)[0]
+    got = sinr(one_trial(geom, cfg, phases, 54), active, replace(cfg, b="ideal"))[0]
     H1, H2 = literal_draw(geom, cfg, 54)
     want = sinr_from_definition(
-        H1, H2, phases.theta, ideal.p, ideal.eta,
-        ideal.sigma_v2_w, cfg.sigma_n2_w, alpha=1.0,
+        H1, H2, phases.theta, active.p, active.eta,
+        active.sigma_v2_w, cfg.sigma_n2_w, alpha=1.0,
     )
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -133,8 +131,7 @@ def test_quantization_sandwich(desk):
         if prev is not None:
             assert np.all(got >= prev - 1e-15)
         prev = got
-    ideal = resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC)
-    top = sinr(stats, ideal, cfg)[0]
+    top = sinr(stats, budget, replace(cfg, b="ideal"))[0]
     assert np.all(top >= prev)
 
 
@@ -151,9 +148,9 @@ def test_global_phase_invariance(desk):
 def test_scale_consistency_ideal_mode(desk):
     # multiplying all transmit powers and both noise powers by the same
     # constant leaves the ideal-ADC SINR unchanged for a fixed realization
-    cfg, geom, phases, _ = desk
-    base_budget = resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC)
+    cfg, geom, phases, base_budget = desk
     stats = one_trial(geom, cfg, phases, 58)
+    cfg = replace(cfg, b="ideal")
     base = sinr(stats, base_budget, cfg)[0]
     c_db = 20.0  # factor 100
     scaled_cfg = replace(cfg, sigma_n2_dbm=cfg.sigma_n2_dbm + c_db)
@@ -162,7 +159,6 @@ def test_scale_consistency_ideal_mode(desk):
         eta=base_budget.eta,
         P_A=base_budget.P_A,
         startup_met=True,
-        mode=Mode.IDEAL_ADC,
         sigma_v2_w=base_budget.sigma_v2_w * 100.0,
     )
     scaled = sinr(stats, scaled_budget, scaled_cfg)[0]
@@ -173,7 +169,7 @@ def test_zero_transmit_power_gives_zero_rates(desk):
     cfg, geom, phases, budget = desk
     silent = LinkBudget(
         p=np.zeros(cfg.K), eta=budget.eta, P_A=budget.P_A,
-        startup_met=True, mode=Mode.ACTIVE, sigma_v2_w=budget.sigma_v2_w,
+        startup_met=True, sigma_v2_w=budget.sigma_v2_w,
     )
     report = monte_carlo_rate(geom, cfg, phases, silent, trials=32)
     assert report.sum_rate == 0.0
@@ -229,7 +225,7 @@ def test_measured_power_zero_without_sources(desk):
     cfg, geom, phases, _ = desk
     silent = LinkBudget(
         p=np.zeros(cfg.K), eta=1.0, P_A=0.0,
-        startup_met=True, mode=Mode.PASSIVE, sigma_v2_w=0.0,
+        startup_met=True, sigma_v2_w=0.0,
     )
     assert measured_ris_power(geom, cfg, phases, silent, trials=64) == 0.0
 
@@ -238,7 +234,7 @@ def test_measured_power_quadratic_in_gain(desk):
     cfg, geom, phases, budget = desk
     doubled = LinkBudget(
         p=budget.p, eta=2.0 * budget.eta, P_A=budget.P_A,
-        startup_met=True, mode=Mode.ACTIVE, sigma_v2_w=budget.sigma_v2_w,
+        startup_met=True, sigma_v2_w=budget.sigma_v2_w,
     )
     base = measured_ris_power(geom, cfg, phases, budget, trials=500)
     four_x = measured_ris_power(geom, cfg, phases, doubled, trials=500)
@@ -263,8 +259,9 @@ def test_measured_power_builds_the_los_parts_once(desk, monkeypatch):
 
 
 def test_one_statistics_set_serves_every_budget():
-    # K = 3 with prime N; the last budget has unequal powers, so each
-    # interferer carries its own weight
+    # K = 3 with prime N; both surface modes with b-bit and with ideal
+    # ADCs, and a budget with unequal powers, so each interferer carries its
+    # own weight
     cfg = SystemConfig(M=8, N=5, K=3, epsilon=(10.0, 2.0, 0.0), b=2, seed=13)
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(14, 0))
@@ -274,16 +271,18 @@ def test_one_statistics_set_serves_every_budget():
                                       los_components(geom, cfg))
     H2 = planes[0] + 1j * planes[1]
     active = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-    budgets = [
-        active,
-        resolve_budget(cfg, geom.alpha, Mode.PASSIVE),
-        resolve_budget(cfg, geom.alpha, Mode.IDEAL_ADC),
-        LinkBudget(p=active.p * np.array([0.5, 1.0, 1.5]), eta=active.eta, P_A=active.P_A,
-                   startup_met=True, mode=Mode.ACTIVE, sigma_v2_w=active.sigma_v2_w),
+    passive = resolve_budget(cfg, geom.alpha, Mode.PASSIVE)
+    ideal = replace(cfg, b="ideal")
+    cases = [
+        (active, cfg, aqnm_alpha(2)),
+        (passive, cfg, aqnm_alpha(2)),
+        (active, ideal, 1.0),
+        (passive, ideal, 1.0),
+        (LinkBudget(p=active.p * np.array([0.5, 1.0, 1.5]), eta=active.eta, P_A=active.P_A,
+                    startup_met=True, sigma_v2_w=active.sigma_v2_w), cfg, aqnm_alpha(2)),
     ]
-    for budget in budgets:
-        alpha = quantization_gain(cfg, budget.mode)
-        got = sinr(stats, budget, cfg)
+    for budget, point, alpha in cases:
+        got = sinr(stats, budget, point)
         want = [
             sinr_from_definition(H1[t], H2[t], phases.theta, budget.p, budget.eta,
                                  budget.sigma_v2_w, cfg.sigma_n2_w, alpha)
