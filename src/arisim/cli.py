@@ -22,6 +22,7 @@ import yaml
 from .analytic import closed_form_rates, closed_form_site, compute_stats
 from .budget import (
     ConfigurationError,
+    LinkBudget,
     Mode,
     SystemConfig,
     _is_finite_real,
@@ -92,15 +93,17 @@ def _real(value, name: str) -> float:
 
 
 def _list(value, name: str, length: int | None = None) -> list:
-    """A list from an experiment block, of `length` entries when given; a
-    scalar or a mapping is an error, not iterated."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        shape = "a list" if length is None else f"a list of {length} entries"
+    """A nonempty list from an experiment block, of `length` entries when
+    given; a scalar, a mapping or an empty grid is an error."""
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        shape = "a nonempty list" if length is None else f"a list of {length} entries"
         raise ConfigurationError(f"{name} must be {shape}, got {value!r}")
     return value
 
 
 def _fmt(value) -> str:
+    if isinstance(value, Mode):
+        return value.value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -129,6 +132,16 @@ def experiment_phases(cfg: SystemConfig) -> PhaseConfig:
     return PhaseConfig.random(cfg.N, substream(cfg.seed, STREAM_PHASES, cfg.N))
 
 
+class Rates(NamedTuple):
+    """The rates of one sweep point at its budget; every field but the
+    last, `budget`, is a CSV column of the same name."""
+
+    analytic_sum_rate: float
+    mc_sum_rate: float
+    mc_stderr: float
+    budget: LinkBudget
+
+
 def _site_rates(geom, closed, cfg, phases):
     """Rate evaluator for the sweep points that share `geom` and `phases`.
 
@@ -137,8 +150,7 @@ def _site_rates(geom, closed, cfg, phases):
     first live point needs them and then serve every point (common random
     numbers), so each fading batch is drawn once per site and the rates
     still depend only on (seed, cfg.trials).  The returned
-    function maps (point config, mode) to (analytic sum rate, MC sum rate,
-    MC stderr, budget).
+    function maps (point config, mode) to the point's `Rates`.
     """
     stats = closed.stats(phases.theta)
     fading = functools.cache(lambda: trial_statistics(geom, cfg, phases))
@@ -147,9 +159,9 @@ def _site_rates(geom, closed, cfg, phases):
         budget = resolve_budget(point, geom.alpha, mode)
         analytic_sum = float(closed_form_rates(stats, budget, point).sum())
         if not budget.startup_met:
-            return analytic_sum, 0.0, 0.0, budget
+            return Rates(analytic_sum, 0.0, 0.0, budget)
         report = rate_from_statistics(fading(), budget, point)
-        return analytic_sum, report.sum_rate, report.sum_std_err, budget
+        return Rates(analytic_sum, report.sum_rate, report.sum_std_err, budget)
 
     return rates
 
@@ -168,11 +180,19 @@ def ga_params(cfg: SystemConfig, block: dict | None = None) -> GAParams:
     return GAParams(**block)
 
 
+class Point(NamedTuple):
+    """One CSV row of a sweep, scored at its site's GA-optimised phases
+    when `optimized`, else at the site's baseline phases."""
+
+    cfg: SystemConfig
+    mode: Mode
+    optimized: bool = False
+
+
 class Site(NamedTuple):
-    """One geometry and phase vector of a sweep, with the points evaluated
-    there: `cfg` sets the geometry and the baseline phases, and each point
-    is a (point config, mode) pair.  With `ga`, the site also searches the
-    phases at `cfg` and evaluates the best ones in active mode."""
+    """One geometry of a sweep and its points: `cfg` sets the geometry and
+    the baseline phases.  With `ga`, the site also searches the phases at
+    `cfg` for an active surface and scores its `optimized` points there."""
 
     cfg: SystemConfig
     points: tuple
@@ -180,18 +200,17 @@ class Site(NamedTuple):
 
 
 def _site_job(site: Site) -> list:
-    """(analytic sum rate, MC sum rate, MC stderr, budget) of every point of
-    `site`, then of the optimised phases when the site has a GA.  The
-    geometry and its closed-form site are built once for both."""
+    """`Rates` of every point of `site`, in point order.  The geometry and
+    its closed-form site are built once, and the GA runs only when the
+    site has one."""
     geom = make_geometry(site.cfg)
     closed = closed_form_site(geom, site.cfg)
-    rates = _site_rates(geom, closed, site.cfg, experiment_phases(site.cfg))
-    results = [rates(point, mode) for point, mode in site.points]
+    rates = {False: _site_rates(geom, closed, site.cfg, experiment_phases(site.cfg))}
     if site.ga is not None:
         budget = resolve_budget(site.cfg, geom.alpha, Mode.ACTIVE)
         best, _ = optimize_phases(geom, site.cfg, budget, site.ga, site=closed)
-        results.append(_site_rates(geom, closed, site.cfg, best)(site.cfg, Mode.ACTIVE))
-    return results
+        rates[True] = _site_rates(geom, closed, site.cfg, best)
+    return [rates[point.optimized](point.cfg, point.mode) for point in site.points]
 
 
 def site_workers(sites: int) -> int:
@@ -221,48 +240,44 @@ def run_sites(sites: list) -> list:
         return list(pool.map(_site_job, sites))
 
 
+def write_sweep(path: str, leading: tuple, sites: list) -> list:
+    """Run `sites` and write one CSV row per point: the `leading` columns,
+    then the `Rates` columns, then `optimized`.  Each cell is read by name
+    from the point's `Rates`, the `Point`, its config or its budget."""
+    def cell(name, point, rates):
+        source = next(s for s in (rates, point, point.cfg, rates.budget) if hasattr(s, name))
+        return getattr(source, name)
+
+    header = (*leading, *Rates._fields[:-1], "optimized")
+    write_csv(path, header, [[cell(name, point, rates) for name in header]
+                             for site, results in zip(sites, run_sites(sites))
+                             for point, rates in zip(site.points, results)])
+    return [path]
+
+
 def run_antennas_elements(cfg, geom, block, out_dir, optimize, mode):
     m_grid = [_integer(m, "M_grid entry")
               for m in _list(block.get("M_grid", [16, 36, 64, 100, 144]), "M_grid")]
     n_grid = [_integer(n, "N_grid entry")
               for n in _list(block.get("N_grid", [4, 16, 36, 64]), "N_grid")]
-    sites = []
-    for M in sorted(m_grid):
-        for N in sorted(n_grid):
-            point = _resize(cfg, M=M, N=N)
-            ga = ga_params(point, block.get("ga")) if optimize else None
-            sites.append(Site(point, ((point, Mode.ACTIVE), (point, Mode.PASSIVE)), ga))
-    rows = []
-    for site, results in zip(sites, run_sites(sites)):
-        M, N, b = site.cfg.M, site.cfg.N, site.cfg.b
-        for (_, point_mode), (a, mc, se, _) in zip(site.points, results):
-            rows.append((M, N, point_mode.value, b, a, mc, se, False))
-        for a, mc, se, _ in results[len(site.points):]:
-            rows.append((M, N, Mode.ACTIVE.value, b, a, mc, se, True))
-    path = os.path.join(out_dir, "antennas_elements.csv")
-    write_csv(path, ["M", "N", "mode", "b", "analytic_sum_rate", "mc_sum_rate",
-                     "mc_stderr", "optimized"], rows)
-    return [path]
+    ga = ga_params(cfg, block.get("ga"))  # checked with or without --optimize
+    # an active and a passive row per (M, N), and with --optimize the GA's row
+    kinds = [(Mode.ACTIVE, False), (Mode.PASSIVE, False)] + [(Mode.ACTIVE, True)] * optimize
+    configs = [_resize(cfg, M=M, N=N) for M in sorted(m_grid) for N in sorted(n_grid)]
+    sites = [Site(point, tuple(Point(point, *kind) for kind in kinds), ga if optimize else None)
+             for point in configs]
+    return write_sweep(os.path.join(out_dir, "antennas_elements.csv"),
+                       ("M", "N", "mode", "b"), sites)
 
 
 def run_total_power(cfg, geom, block, out_dir, optimize, mode):
-    n_elements = _integer(block.get("N", 128), "total-power N")
-    grid = _list(block.get("P_T_dbm_grid",
-                           [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30]),
-                 "P_T_dbm_grid")
-    cfg = _resize(cfg, N=n_elements)
-    configs = [replace(cfg, P_T_dbm=p_t)
-               for p_t in sorted(_real(p, "P_T_dbm_grid entry") for p in grid)]
-    site = Site(cfg, tuple((point, point_mode) for point in configs
-                           for point_mode in (Mode.ACTIVE, Mode.PASSIVE)))
-    (results,) = run_sites([site])
-    rows = [(point.P_T_dbm, n_elements, point_mode.value, point.b, budget.startup_met,
-             budget.eta, a, mc, se, False)
-            for (point, point_mode), (a, mc, se, budget) in zip(site.points, results)]
-    path = os.path.join(out_dir, "total_power.csv")
-    write_csv(path, ["P_T_dbm", "N", "mode", "b", "startup_met", "eta",
-                     "analytic_sum_rate", "mc_sum_rate", "mc_stderr", "optimized"], rows)
-    return [path]
+    cfg = _resize(cfg, N=_integer(block.get("N", 128), "total-power N"))
+    grid = _list(block.get("P_T_dbm_grid", list(range(0, 31, 2))), "P_T_dbm_grid")
+    points = tuple(Point(replace(cfg, P_T_dbm=p_t), point_mode)
+                   for p_t in sorted(_real(p, "P_T_dbm_grid entry") for p in grid)
+                   for point_mode in (Mode.ACTIVE, Mode.PASSIVE))
+    return write_sweep(os.path.join(out_dir, "total_power.csv"),
+                       ("P_T_dbm", "N", "mode", "b", "startup_met", "eta"), [Site(cfg, points)])
 
 
 def run_adc_bits(cfg, geom, block, out_dir, optimize, mode):
@@ -270,18 +285,9 @@ def run_adc_bits(cfg, geom, block, out_dir, optimize, mode):
             for b in _list(block.get("bits", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "ideal"]), "bits")]
     pairs = [tuple(_integer(v, "pairs entry") for v in _list(mn, "pairs entry", 2))
              for mn in _list(block.get("pairs", [[64, 16], [100, 36]]), "pairs")]
-    sites = []
-    for M, N in sorted(pairs):
-        point = _resize(cfg, M=M, N=N)
-        sites.append(Site(point, tuple((replace(point, b=b), Mode.ACTIVE) for b in bits)))
-    rows = []
-    for site, results in zip(sites, run_sites(sites)):
-        for (point, point_mode), (a, mc, se, _) in zip(site.points, results):
-            rows.append((str(point.b), point.M, point.N, point_mode.value, a, mc, se, False))
-    path = os.path.join(out_dir, "adc_bits.csv")
-    write_csv(path, ["b", "M", "N", "mode", "analytic_sum_rate", "mc_sum_rate",
-                     "mc_stderr", "optimized"], rows)
-    return [path]
+    sites = [Site(point, tuple(Point(replace(point, b=b), Mode.ACTIVE) for b in bits))
+             for point in (_resize(cfg, M=M, N=N) for M, N in sorted(pairs))]
+    return write_sweep(os.path.join(out_dir, "adc_bits.csv"), ("b", "M", "N", "mode"), sites)
 
 
 def run_verify(cfg, geom, block, out_dir, optimize, mode):
@@ -340,7 +346,7 @@ def run_optimize(cfg, geom, block, out_dir, optimize, mode):
     best, history = optimize_phases(geom, cfg, budget, params, site=closed)
     baseline = closed.stats(experiment_phases(cfg).theta)
     a_base = float(closed_form_rates(baseline, budget, cfg).sum())
-    a_best, mc_best, se_best, _ = _site_rates(geom, closed, cfg, best)(cfg, mode)
+    optimized = _site_rates(geom, closed, cfg, best)(cfg, mode)
 
     hist_path = os.path.join(out_dir, "ga_history.csv")
     write_csv(hist_path, ["generation", "best_fitness", "mean_fitness"], history.rows())
@@ -351,7 +357,8 @@ def run_optimize(cfg, geom, block, out_dir, optimize, mode):
         summary_path,
         ["generations", "baseline_analytic_sum_rate", "optimized_analytic_sum_rate",
          "optimized_mc_sum_rate", "optimized_mc_stderr", "stop_reason"],
-        [(history.generations, a_base, a_best, mc_best, se_best, history.stop_reason)],
+        [(history.generations, a_base, optimized.analytic_sum_rate, optimized.mc_sum_rate,
+          optimized.mc_stderr, history.stop_reason)],
     )
     return [hist_path, phase_path, summary_path]
 

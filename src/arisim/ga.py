@@ -104,7 +104,6 @@ class GAHistory:
 
     best_fitness: list = field(default_factory=list)
     mean_fitness: list = field(default_factory=list)
-    best_theta: list = field(default_factory=list)
     stop_reason: str = "max_iters"  # or "f_tol": the mean fitness stopped moving
 
     @property
@@ -216,7 +215,6 @@ def optimize_phases(
     def record():
         history.best_fitness.append(best_fit)
         history.mean_fitness.append(float(fit.mean()))
-        history.best_theta.append(best_theta.copy())
 
     record()
     for _ in range(params.max_iters):

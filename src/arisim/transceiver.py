@@ -458,12 +458,7 @@ def monte_carlo_rate(
 
     Deterministic for a fixed (seed, trials) pair regardless of batching.
     """
-    T = cfg.trials if trials is None else int(trials)
-    if T < 1:
-        raise ValueError("trials must be positive")
-    if not budget.startup_met:
-        return RateReport.silent(cfg.K)
-    return rate_from_statistics(trial_statistics(geom, cfg, phases, T), budget, cfg)
+    return rate_from_statistics(trial_statistics(geom, cfg, phases, trials), budget, cfg)
 
 
 def measured_ris_power(

@@ -182,6 +182,39 @@ def test_sweep_csvs_do_not_depend_on_worker_count(tmp_path, monkeypatch, experim
         assert [r[-1] for r in rows[1:]].count("true") == 4  # one per (M, N)
 
 
+@pytest.mark.parametrize("experiment, block, csv_name", [
+    ("antennas-elements", {"M_grid": [4], "N_grid": [4]}, "antennas_elements.csv"),
+    ("total-power", {"N": 4, "P_T_dbm_grid": [30.0]}, "total_power.csv"),
+    ("adc-bits", {"bits": [1], "pairs": [[4, 4]]}, "adc_bits.csv"),
+])
+def test_sweeps_share_their_trailing_columns(tmp_path, experiment, block, csv_name):
+    config = write_config(tmp_path, experiments={experiment: block})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", experiment, "--output", str(out)]) == 0
+    header = read_rows(out / csv_name)[0]
+    assert header[-4:] == ["analytic_sum_rate", "mc_sum_rate", "mc_stderr", "optimized"]
+
+
+def test_sweep_ga_row_matches_the_optimize_experiment(tmp_path):
+    # the optimized point of an (M, N) site searches and scores the phases
+    # exactly as the optimize experiment does at the same system
+    system = dict(TINY_SYSTEM, M=16, N=9, b=3, seed=5, trials=700)
+    config = write_config(tmp_path, system=system, experiments={
+        "antennas-elements": {"M_grid": [16], "N_grid": [9], "ga": SMALL_GA},
+        "optimize": SMALL_GA,
+    })
+    sweep, optimize = tmp_path / "sweep", tmp_path / "optimize"
+    assert main(["--config", config, "--experiment", "antennas-elements", "--optimize",
+                 "--output", str(sweep)]) == 0
+    assert main(["--config", config, "--experiment", "optimize", "--output", str(optimize)]) == 0
+    header, *rows = read_rows(sweep / "antennas_elements.csv")
+    (row,) = [r for r in rows if r[header.index("optimized")] == "true"]
+    assert row[header.index("mode")] == "active"
+    summary_header, summary = read_rows(optimize / "optimize_summary.csv")
+    for column in ("analytic_sum_rate", "mc_sum_rate", "mc_stderr"):
+        assert row[header.index(column)] == summary[summary_header.index(f"optimized_{column}")]
+
+
 def test_site_workers_bounds():
     assert arisim.cli.site_workers(1) == 1
     assert 1 <= arisim.cli.site_workers(1000) <= max(os.cpu_count() or 1, 1)
@@ -326,11 +359,19 @@ def test_verify_run(tmp_path, capsys):
     ("adc-bits", {"bits": 3, "pairs": [[4, 4]]}, {}),
     ("adc-bits", {"bits": [1], "pairs": [4, 4]}, {}),
     ("adc-bits", {"bits": [1], "pairs": [[4, 4, 4]]}, {}),
+    ("antennas-elements", {"M_grid": [], "N_grid": [4]}, {}),
+    ("antennas-elements", {"M_grid": [4], "N_grid": []}, {}),
+    ("adc-bits", {"bits": [], "pairs": [[4, 4]]}, {}),
+    ("adc-bits", {"bits": [1], "pairs": []}, {}),
+    ("total-power", {"N": 8, "P_T_dbm_grid": []}, {}),
+    ("antennas-elements", {"M_grid": [4], "N_grid": [4], "ga": {"n_totl": 5}}, {}),
+    ("antennas-elements", {"M_grid": [4], "N_grid": [4], "ga": {"n_total": 5}}, {}),
 ])
 def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system):
     # each of these used to run and pass, truncated (16.9 -> 16) or coerced
     # (True -> 1), except the empty epsilon and the scalars in place of a
-    # list or a pair, which ended in a traceback
+    # list or a pair, which ended in a traceback; an empty grid wrote a
+    # header-only CSV, and without --optimize the GA block went unread
     config = write_config(tmp_path, system=dict(TINY_SYSTEM, **system),
                           experiments={experiment: block})
     assert main(["--config", config, "--experiment", experiment,

@@ -153,8 +153,6 @@ def test_history_and_feasibility(ga_instance):
     best, hist = optimize_phases(geom, cfg, budget, tiny_params())
     assert hist.generations == 13  # initial population plus 12 iterations
     assert np.all(best.theta >= 0.0) and np.all(best.theta < 2 * np.pi)
-    for theta in hist.best_theta:
-        assert np.all(theta >= 0.0) and np.all(theta < 2 * np.pi)
     rows = hist.rows()
     assert rows[0][0] == 0 and len(rows) == hist.generations
     assert hist.best_fitness[-1] == pytest.approx(
