@@ -69,9 +69,45 @@ def _is_finite_real(value) -> bool:
     )
 
 
+def _is_real_sequence(value) -> bool:
+    return isinstance(value, (tuple, list)) and all(map(_is_finite_real, value))
+
+
+def check_fields(record, integers=(), reals=(), sequences=()) -> None:
+    """Check the named fields of the frozen dataclass `record` and store
+    them in place: integers as `int`, finite reals as `float` and sequences
+    of finite reals as tuples of floats.  A bool is none of these, so it is
+    an error, not read as 0 or 1, and a fraction is not truncated."""
+    for names, ok, store, kind in (
+        (integers, _is_integer, int, "an integer"),
+        (reals, _is_finite_real, float, "a finite number"),
+        (sequences, _is_real_sequence, lambda v: tuple(map(float, v)),
+         "a sequence of finite numbers"),
+    ):
+        for name in names:
+            value = getattr(record, name)
+            if not ok(value):
+                raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+            object.__setattr__(record, name, store(value))
+
+
+def checked_block(block, keys, what: str) -> dict:
+    """A config block that must be a mapping of some of `keys`; a missing
+    (null) block reads as empty, and any other key fails, so a typo cannot
+    silently fall back to a default."""
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"the {what} block must be a mapping, got {block!r}")
+    unknown = set(block) - set(keys)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} config keys: {sorted(unknown, key=str)}")
+    return block
+
+
 # SystemConfig fields that must hold an integer, those that must hold a
 # finite real number, and those that must hold a sequence of finite real
-# numbers, stored as a tuple of floats.
+# numbers.
 _INTEGER_FIELDS = ("M", "N", "K", "trials", "seed")
 _REAL_FIELDS = (
     "delta", "sigma_n2_dbm", "sigma_v2_dbm", "P_T_dbm", "P_SW_dbm", "P_DC_dbm", "split",
@@ -112,21 +148,7 @@ class SystemConfig:
     seed: int = 42                   # master seed for geometry and fading streams
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not _is_finite_real(value):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        for name in _TUPLE_FIELDS:
-            value = getattr(self, name)
-            if not (isinstance(value, (tuple, list)) and all(map(_is_finite_real, value))):
-                raise ConfigurationError(
-                    f"{name} must be a sequence of finite numbers, got {value!r}")
-            object.__setattr__(self, name, tuple(float(v) for v in value))
+        check_fields(self, _INTEGER_FIELDS, _REAL_FIELDS, _TUPLE_FIELDS)
         if not isinstance(self.restrict_elevation, (bool, np.bool_)):
             raise ConfigurationError(
                 f"restrict_elevation must be true or false, got {self.restrict_elevation!r}")
@@ -151,6 +173,8 @@ class SystemConfig:
             raise ConfigurationError("positions must be 3-vectors")
         if self.trials < 1:
             raise ConfigurationError("trials must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def sigma_n2_w(self) -> float:

@@ -25,8 +25,8 @@ from .budget import (
     LinkBudget,
     Mode,
     SystemConfig,
-    _is_finite_real,
     _is_integer,
+    checked_block,
     circuit_power,
     resolve_budget,
     watts_to_dbm,
@@ -43,15 +43,14 @@ from .transceiver import (
     trial_statistics,
 )
 
-EXPERIMENTS = ("antennas-elements", "total-power", "adc-bits", "verify", "optimize")
-
-
 def load_config(path: str) -> dict:
     """The parsed YAML config, by libyaml's safe loader where PyYAML was
-    built with it (about five times faster than the pure-Python one)."""
+    built with it (about five times faster than the pure-Python one).  Its
+    top level holds the `system` section and, optionally, `experiments`."""
     with open(path, "r") as fh:
         raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    if not isinstance(raw, dict) or "system" not in raw:
+    raw = checked_block(raw, ("system", "experiments"), "top-level")
+    if "system" not in raw:
         raise ConfigurationError(f"config {path} must contain a 'system' section")
     return raw
 
@@ -60,36 +59,16 @@ def build_system(raw: dict, **overrides) -> SystemConfig:
     """Construct a SystemConfig from the config's system section.
 
     A scalar `epsilon` is broadcast to all K users, and without one every
-    user takes the default's first entry; unknown keys are rejected so
-    typos fail loudly, and SystemConfig checks every value.
+    user takes the default's first entry; the section must be a mapping
+    of SystemConfig fields, and SystemConfig checks every value.
     """
-    section = dict(raw["system"])
+    section = dict(checked_block(raw["system"], SystemConfig.__dataclass_fields__, "system"))
     section.update({k: v for k, v in overrides.items() if v is not None})
-    known = set(SystemConfig.__dataclass_fields__)
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigurationError(f"unknown system config keys: {sorted(unknown)}")
     eps = section.get("epsilon", SystemConfig.epsilon[0])
     K = section.get("K", SystemConfig.K)
     if not isinstance(eps, (list, tuple)) and _is_integer(K):
         section["epsilon"] = (eps,) * K
     return SystemConfig(**section)
-
-
-def _integer(value, name: str) -> int:
-    """An integer from an experiment block; a bool or a fraction is an
-    error, not truncated."""
-    if not _is_integer(value):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    """A finite number from an experiment block; a bool is an error, not
-    read as 0 or 1."""
-    if not _is_finite_real(value):
-        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _list(value, name: str, length: int | None = None) -> list:
@@ -120,11 +99,18 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def _resize(cfg: SystemConfig, **kw) -> SystemConfig:
-    """Replace dimensions, keeping epsilon consistent with K."""
-    if "K" in kw and kw["K"] != cfg.K:
+    """Replace dimensions, keeping epsilon consistent with an integer K
+    (SystemConfig rejects any other)."""
+    if _is_integer(kw.get("K")) and kw["K"] != cfg.K:
         base = cfg.epsilon[0]
         kw.setdefault("epsilon", (base,) * kw["K"])
     return replace(cfg, **kw)
+
+
+def _by_size(cfg: SystemConfig, sizes) -> list:
+    """`cfg` resized to each (M, N) of `sizes`, in (M, N) order; each
+    config checks its values before they are sorted."""
+    return sorted((_resize(cfg, M=M, N=N) for M, N in sizes), key=lambda c: (c.M, c.N))
 
 
 def experiment_phases(cfg: SystemConfig) -> PhaseConfig:
@@ -167,17 +153,10 @@ def _site_rates(geom, closed, cfg, phases):
 
 
 def ga_params(cfg: SystemConfig, block: dict | None = None) -> GAParams:
-    """GA settings from a config block; the seed defaults to the system's.
-    A block that is not a mapping, and unknown keys, are rejected so typos
-    fail loudly."""
-    if block is not None and not isinstance(block, dict):
-        raise ConfigurationError(f"the GA block must be a mapping, got {block!r}")
-    block = dict(block or {})
-    unknown = set(block) - set(GAParams.__dataclass_fields__)
-    if unknown:
-        raise ConfigurationError(f"unknown GA config keys: {sorted(unknown)}")
-    block.setdefault("seed", cfg.seed)
-    return GAParams(**block)
+    """GA settings from a mapping of GAParams fields; the seed defaults to
+    the system's."""
+    return GAParams(**{"seed": cfg.seed,
+                       **checked_block(block, GAParams.__dataclass_fields__, "GA")})
 
 
 class Point(NamedTuple):
@@ -256,37 +235,34 @@ def write_sweep(path: str, leading: tuple, sites: list) -> list:
 
 
 def run_antennas_elements(cfg, geom, block, out_dir, optimize, mode):
-    m_grid = [_integer(m, "M_grid entry")
-              for m in _list(block.get("M_grid", [16, 36, 64, 100, 144]), "M_grid")]
-    n_grid = [_integer(n, "N_grid entry")
-              for n in _list(block.get("N_grid", [4, 16, 36, 64]), "N_grid")]
+    m_grid = _list(block.get("M_grid", [16, 36, 64, 100, 144]), "M_grid")
+    n_grid = _list(block.get("N_grid", [4, 16, 36, 64]), "N_grid")
     ga = ga_params(cfg, block.get("ga"))  # checked with or without --optimize
     # an active and a passive row per (M, N), and with --optimize the GA's row
     kinds = [(Mode.ACTIVE, False), (Mode.PASSIVE, False)] + [(Mode.ACTIVE, True)] * optimize
-    configs = [_resize(cfg, M=M, N=N) for M in sorted(m_grid) for N in sorted(n_grid)]
     sites = [Site(point, tuple(Point(point, *kind) for kind in kinds), ga if optimize else None)
-             for point in configs]
+             for point in _by_size(cfg, [(M, N) for M in m_grid for N in n_grid])]
     return write_sweep(os.path.join(out_dir, "antennas_elements.csv"),
                        ("M", "N", "mode", "b"), sites)
 
 
 def run_total_power(cfg, geom, block, out_dir, optimize, mode):
-    cfg = _resize(cfg, N=_integer(block.get("N", 128), "total-power N"))
+    cfg = replace(cfg, N=block.get("N", 128))
     grid = _list(block.get("P_T_dbm_grid", list(range(0, 31, 2))), "P_T_dbm_grid")
-    points = tuple(Point(replace(cfg, P_T_dbm=p_t), point_mode)
-                   for p_t in sorted(_real(p, "P_T_dbm_grid entry") for p in grid)
+    points = tuple(Point(point, point_mode)
+                   for point in sorted((replace(cfg, P_T_dbm=p_t) for p_t in grid),
+                                       key=lambda c: c.P_T_dbm)
                    for point_mode in (Mode.ACTIVE, Mode.PASSIVE))
     return write_sweep(os.path.join(out_dir, "total_power.csv"),
                        ("P_T_dbm", "N", "mode", "b", "startup_met", "eta"), [Site(cfg, points)])
 
 
 def run_adc_bits(cfg, geom, block, out_dir, optimize, mode):
-    bits = [b if b == "ideal" else _integer(b, "bits entry")
-            for b in _list(block.get("bits", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "ideal"]), "bits")]
-    pairs = [tuple(_integer(v, "pairs entry") for v in _list(mn, "pairs entry", 2))
+    bits = _list(block.get("bits", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "ideal"]), "bits")
+    pairs = [_list(mn, "pairs entry", 2)
              for mn in _list(block.get("pairs", [[64, 16], [100, 36]]), "pairs")]
     sites = [Site(point, tuple(Point(replace(point, b=b), Mode.ACTIVE) for b in bits))
-             for point in (_resize(cfg, M=M, N=N) for M, N in sorted(pairs))]
+             for point in _by_size(cfg, pairs)]
     return write_sweep(os.path.join(out_dir, "adc_bits.csv"), ("b", "M", "N", "mode"), sites)
 
 
@@ -294,18 +270,13 @@ def run_verify(cfg, geom, block, out_dir, optimize, mode):
     """Numerical certification at a desk-scale instance: every moment of the
     closed form against the oracle, and the surface-power identity.  Fails
     the run when any check fails."""
-    point = _resize(
-        cfg,
-        M=_integer(block.get("M", 8), "verify M"),
-        N=_integer(block.get("N", 4), "verify N"),
-        K=_integer(block.get("K", 2), "verify K"),
-    )
-    n_trials = _integer(block.get("trials", cfg.trials), "verify trials")
+    point = _resize(cfg, M=block.get("M", 8), N=block.get("N", 4), K=block.get("K", 2),
+                    trials=block.get("trials", cfg.trials))
     geom = make_geometry(point)  # the desk-scale point's own geometry
     phases = experiment_phases(point)
     budget = resolve_budget(point, geom.alpha, Mode.ACTIVE)
     reference = moments_at(compute_stats(geom, point, phases), budget, point)
-    mean, se = estimate_moments(geom, point, phases, budget, n_trials, point.seed + 1)
+    mean, se = estimate_moments(geom, point, phases, budget, point.trials, point.seed + 1)
 
     rows = []
 
@@ -363,22 +334,13 @@ def run_optimize(cfg, geom, block, out_dir, optimize, mode):
     return [hist_path, phase_path, summary_path]
 
 
-RUNNERS = {
-    "antennas-elements": run_antennas_elements,
-    "total-power": run_total_power,
-    "adc-bits": run_adc_bits,
-    "verify": run_verify,
-    "optimize": run_optimize,
-}
-
-# the keys each experiment block may hold; any other key fails the run, so
-# a typo cannot silently fall back to a default
-BLOCK_KEYS = {
-    "antennas-elements": {"M_grid", "N_grid", "ga"},
-    "total-power": {"N", "P_T_dbm_grid"},
-    "adc-bits": {"bits", "pairs"},
-    "verify": {"M", "N", "K", "trials"},
-    "optimize": set(GAParams.__dataclass_fields__),
+# each experiment's runner and the keys its block may hold
+EXPERIMENTS = {
+    "antennas-elements": (run_antennas_elements, ("M_grid", "N_grid", "ga")),
+    "total-power": (run_total_power, ("N", "P_T_dbm_grid")),
+    "adc-bits": (run_adc_bits, ("bits", "pairs")),
+    "verify": (run_verify, ("M", "N", "K", "trials")),
+    "optimize": (run_optimize, GAParams.__dataclass_fields__),
 }
 
 
@@ -447,16 +409,12 @@ def main(argv=None) -> int:
         misspelt = set(experiments) - set(EXPERIMENTS)
         if misspelt:
             raise ConfigurationError(f"unknown experiments sections: {sorted(misspelt)}")
-        block = experiments.get(args.experiment) or {}
-        if not isinstance(block, dict):
-            raise ConfigurationError(f"the {args.experiment} block must be a mapping")
-        unknown = set(block) - BLOCK_KEYS[args.experiment]
-        if unknown:
-            raise ConfigurationError(f"unknown {args.experiment} config keys: {sorted(unknown)}")
+        runner, keys = EXPERIMENTS[args.experiment]
+        block = checked_block(experiments.get(args.experiment), keys, args.experiment)
 
         os.makedirs(args.output, exist_ok=True)
         geom = make_geometry(cfg)
-        artifacts = RUNNERS[args.experiment](cfg, geom, block, args.output, args.optimize, mode)
+        artifacts = runner(cfg, geom, block, args.output, args.optimize, mode)
         manifest = write_manifest(args.output, cfg, geom, args, artifacts)
         print(f"wrote {len(artifacts)} artifact(s) + {os.path.basename(manifest)} to {args.output}")
         return 0

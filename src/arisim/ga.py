@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import ClosedFormSite, closed_form_rates, closed_form_site
-from .budget import (
-    ConfigurationError,
-    LinkBudget,
-    SystemConfig,
-    _is_finite_real,
-    _is_integer,
-)
+from .budget import ConfigurationError, LinkBudget, SystemConfig, check_fields
 from .channel import Geometry
 from .transceiver import PhaseConfig
 
@@ -66,15 +60,7 @@ class GAParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("mutation_sigma", "f_tol"):
-            value = getattr(self, name)
-            if not _is_finite_real(value):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+        check_fields(self, _INTEGER_FIELDS, reals=("mutation_sigma", "f_tol"))
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.f_tol < 0.0:

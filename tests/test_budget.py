@@ -16,6 +16,7 @@ from arisim import (
     resolve_budget,
     watts_to_dbm,
 )
+from arisim.ga import GAParams
 
 
 def test_dbm_to_watts_definition():
@@ -254,6 +255,15 @@ def test_config_stores_tuples_of_floats():
     assert cfg.epsilon == (10.0, 1.5) and all(type(e) is float for e in cfg.epsilon)
     assert cfg.bs_pos == (0.0, 0.0, 25.0) and all(type(v) is float for v in cfg.bs_pos)
     assert cfg.restrict_elevation is True
+    # reals are stored as floats, so an integer power still writes 30.0
+    assert type(SystemConfig(P_T_dbm=30).P_T_dbm) is float
+    assert type(GAParams(f_tol=0).f_tol) is float
+
+
+def test_config_rejects_negative_seed():
+    # a negative seed used to fail inside numpy, with no field named
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative, got -1"):
+        SystemConfig(seed=-1)
 
 
 def test_config_accepts_numpy_integers():

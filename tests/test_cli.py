@@ -379,6 +379,16 @@ def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system)
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_sweep_value_names_its_field(tmp_path, capsys):
+    # the config that stores a swept value checks it, so the error names the
+    # field, not the grid it came from
+    config = write_config(tmp_path, experiments={
+        "antennas-elements": {"M_grid": [16.9], "N_grid": [4]}})
+    assert main(["--config", config, "--experiment", "antennas-elements",
+                 "--output", str(tmp_path / "out")]) == 1
+    assert "M must be an integer, got 16.9" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment, block, system", [
     ("total-power", {"N": 8, "P_T_dbm_grid": [True, 30.0]}, {}),
     ("total-power", {"N": 8, "P_T_dbm_grid": [30.0, "thirty"]}, {}),
@@ -480,6 +490,39 @@ def test_misspelt_experiment_section_fails(tmp_path, capsys, experiments, messag
     out = tmp_path / "out"
     assert main(["--config", config, "--experiment", "total-power", "--output", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("system", ["[1, 2]", "abc", "[[M, 4]]"])
+def test_system_section_must_be_a_mapping(tmp_path, capsys, system):
+    # these used to end in a traceback, in an error that named no section,
+    # and in a run that read [[M, 4]] as {M: 4} and exited 0
+    path = tmp_path / "config.yaml"
+    path.write_text(f"system: {system}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--experiment", "adc-bits", "--output", str(out)]) == 1
+    assert "the system block must be a mapping" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_misspelt_top_level_section_fails(tmp_path, capsys):
+    # an `experiment` section used to be ignored, and the run swept the
+    # default grid
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"system": dict(TINY_SYSTEM), "experiment": {
+        "total-power": {"N": 4, "P_T_dbm_grid": [30.0]}}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--experiment", "total-power", "--output", str(out)]) == 1
+    assert "unknown top-level config keys: ['experiment']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_fails_before_any_output(tmp_path, capsys):
+    # --seed -1 used to fail inside numpy, after creating the output directory
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path), "--experiment", "adc-bits",
+                 "--output", str(out), "--seed", "-1"]) == 1
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
