@@ -31,12 +31,12 @@ from .channel import (
     substream,
 )
 from .ga import GAHistory, GAParams, crossover, mutate, optimize_phases
-from .oracle import estimate_moments
 from .transceiver import (
     Moments,
     PhaseConfig,
     RateReport,
     aqnm_alpha,
+    estimate_moments,
     measured_ris_power,
     moments_at,
     monte_carlo_rate,

@@ -14,7 +14,7 @@ hbar_k^H hbar_i.  All five are exact; the dynamic-noise moment uses the
 second moment of the second hop's non-central Gram matrix,
 E{(H2^H H2)^2} = P^2 + (2M+N) s P + s tr(P) I + s^2 M(M+N) I with
 P = Hbar2^H Hbar2 and s the scattered variance.  Each is validated against
-brute-force Monte Carlo estimates in the oracle module.
+the brute-force Monte Carlo oracle, `transceiver.estimate_moments`.
 
 Only f depends on the phases.  `closed_form_site` gathers everything else
 once per geometry: each moment's terms are collected into coefficients of
@@ -244,8 +244,6 @@ def closed_form_rates(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> n
 
     One formula serves both modes: a passive budget carries no dynamic
     noise (sigma_v^2 = 0, eta = 1), and ideal ADCs (b = "ideal") drop the
-    quantization term.  Zero when the surface is down.
+    quantization term.  Zero when the surface is down, as p = 0 there.
     """
-    if not budget.startup_met:
-        return np.zeros(np.shape(unit.channel_gain))
     return np.log2(1.0 + sinr(unit, budget, cfg))

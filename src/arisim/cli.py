@@ -33,10 +33,10 @@ from .budget import (
 )
 from .channel import STREAM_PHASES, make_geometry, substream
 from .ga import GAParams, optimize_phases
-from .oracle import estimate_moments
 from .transceiver import (
     Moments,
     PhaseConfig,
+    estimate_moments,
     measured_ris_power,
     moments_at,
     rate_from_statistics,
@@ -135,17 +135,18 @@ def _site_rates(geom, closed, cfg, phases):
     geometry's closed-form site.  The fading statistics are drawn when the
     first live point needs them and then serve every point (common random
     numbers), so each fading batch is drawn once per site and the rates
-    still depend only on (seed, cfg.trials).  The returned
-    function maps (point config, mode) to the point's `Rates`.
+    still depend only on (seed, cfg.trials).  A point whose surface is down
+    has zero rates, as its closed form would give, without evaluating either
+    route.  The returned function maps (point config, mode) to its `Rates`.
     """
     stats = closed.stats(phases.theta)
     fading = functools.cache(lambda: trial_statistics(geom, cfg, phases))
 
     def rates(point, mode):
         budget = resolve_budget(point, geom.alpha, mode)
-        analytic_sum = float(closed_form_rates(stats, budget, point).sum())
         if not budget.startup_met:
-            return Rates(analytic_sum, 0.0, 0.0, budget)
+            return Rates(0.0, 0.0, 0.0, budget)
+        analytic_sum = float(closed_form_rates(stats, budget, point).sum())
         report = rate_from_statistics(fading(), budget, point)
         return Rates(analytic_sum, report.sum_rate, report.sum_std_err, budget)
 
@@ -228,6 +229,7 @@ def write_sweep(path: str, leading: tuple, sites: list) -> list:
         return getattr(source, name)
 
     header = (*leading, *Rates._fields[:-1], "optimized")
+    os.makedirs(os.path.dirname(path), exist_ok=True)  # every point is checked by now
     write_csv(path, header, [[cell(name, point, rates) for name in header]
                              for site, results in zip(sites, run_sites(sites))
                              for point, rates in zip(site.points, results)])
@@ -275,6 +277,7 @@ def run_verify(cfg, geom, block, out_dir, optimize, mode):
     geom = make_geometry(point)  # the desk-scale point's own geometry
     phases = experiment_phases(point)
     budget = resolve_budget(point, geom.alpha, Mode.ACTIVE)
+    os.makedirs(out_dir, exist_ok=True)
     reference = moments_at(compute_stats(geom, point, phases), budget, point)
     mean, se = estimate_moments(geom, point, phases, budget, point.trials, point.seed + 1)
 
@@ -313,6 +316,7 @@ def run_verify(cfg, geom, block, out_dir, optimize, mode):
 def run_optimize(cfg, geom, block, out_dir, optimize, mode):
     budget = resolve_budget(cfg, geom.alpha, mode)
     params = ga_params(cfg, block)
+    os.makedirs(out_dir, exist_ok=True)
     closed = closed_form_site(geom, cfg)
     best, history = optimize_phases(geom, cfg, budget, params, site=closed)
     baseline = closed.stats(experiment_phases(cfg).theta)
@@ -412,7 +416,6 @@ def main(argv=None) -> int:
         runner, keys = EXPERIMENTS[args.experiment]
         block = checked_block(experiments.get(args.experiment), keys, args.experiment)
 
-        os.makedirs(args.output, exist_ok=True)
         geom = make_geometry(cfg)
         artifacts = runner(cfg, geom, block, args.output, args.optimize, mode)
         manifest = write_manifest(args.output, cfg, geom, args, artifacts)

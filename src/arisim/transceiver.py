@@ -22,7 +22,9 @@ N > K + 1 and M >= K a batch draws those in Gram form
 complements, and only H2 U at full size, as the quantization moment needs
 every entry of G0.  The reduced kernel's moments have exactly the law of
 full draws.  The literal kernel on full draws of both hops serves the
-other sizes and the oracle (`literal_trial_statistics`).
+other sizes and the moment oracle (`literal_trial_statistics`,
+`estimate_moments`); this module never imports `analytic`, so the oracle
+is independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import LinkBudget, SystemConfig
+from .budget import LinkBudget, SystemConfig, _is_integer
 from .channel import (
     STREAM_FADING,
     STREAM_SYMBOLS,
@@ -101,10 +103,13 @@ class RateReport:
     trials_used: int
     sum_std_err: float         # standard error of the sum rate (per-trial sums)
 
-    @staticmethod
-    def silent(K: int) -> "RateReport":
-        """Report of a surface that did not start up: zero rates, no trials."""
-        return RateReport(np.zeros(K), 0.0, np.zeros(K), 0, 0.0)
+
+def _sample_mean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the leading trial axis and its standard error, zero for a
+    single trial."""
+    T = x.shape[0]
+    std = x.std(axis=0, ddof=1) if T > 1 else np.zeros(x.shape[1:])
+    return x.mean(axis=0), std / math.sqrt(T)
 
 
 def batch_ranges(trials: int):
@@ -353,9 +358,9 @@ def _statistics(geom, cfg, phases, trials, stream, reduced: bool) -> Moments:
     """Per-trial unit moments from reduced or from full draws, batch by
     batch, each batch reduced in slices of about KERNEL_BYTES; the site's
     LoS parts are built once and serve every batch."""
-    T = cfg.trials if trials is None else int(trials)
-    if T < 1:
-        raise ValueError("trials must be positive")
+    T = cfg.trials if trials is None else trials
+    if not _is_integer(T) or T < 1:
+        raise ValueError(f"trials must be a positive integer, got {T!r}")
     if len(phases.theta) != cfg.N:
         raise ValueError(f"{len(phases.theta)} phases for {cfg.N} surface elements")
     key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
@@ -429,22 +434,33 @@ def literal_trial_statistics(
     return _statistics(geom, cfg, phases, trials, stream, False)
 
 
+def estimate_moments(
+    geom: Geometry,
+    cfg: SystemConfig,
+    phases: PhaseConfig,
+    budget: LinkBudget,
+    trials: int,
+    seed: int,
+) -> tuple[Moments, Moments]:
+    """The oracle: sample means and standard errors of the five moments
+    under `budget`, each a `Moments`, over `trials` full draws of both hops
+    (`literal_trial_statistics`) from the stream (seed,), which no rate
+    simulation draws from; so it checks the reduced draw from outside."""
+    per_trial = moments_at(literal_trial_statistics(geom, cfg, phases, trials, stream=(seed,)),
+                           budget, cfg)
+    mean, std_err = zip(*map(_sample_mean, per_trial))
+    return Moments(*mean), Moments(*std_err)
+
+
 def rate_from_statistics(stats: Moments, budget: LinkBudget, cfg: SystemConfig) -> RateReport:
     """Per-user ergodic rates of one budget over the per-trial unit
     moments of `trial_statistics`."""
-    K = cfg.K
     if not budget.startup_met:
-        return RateReport.silent(K)
+        return RateReport(np.zeros(cfg.K), 0.0, np.zeros(cfg.K), 0, 0.0)
     rates = np.log2(1.0 + sinr(stats, budget, cfg))
-    T = rates.shape[0]
-    per_user = rates.mean(axis=0)
-    if T > 1:
-        std_err = rates.std(axis=0, ddof=1) / math.sqrt(T)
-        sum_std_err = float(rates.sum(axis=1).std(ddof=1) / math.sqrt(T))
-    else:
-        std_err = np.zeros(K)
-        sum_std_err = 0.0
-    return RateReport(per_user, float(per_user.sum()), std_err, T, sum_std_err)
+    per_user, std_err = _sample_mean(rates)
+    _, sum_std_err = _sample_mean(rates.sum(axis=1))
+    return RateReport(per_user, float(per_user.sum()), std_err, rates.shape[0], float(sum_std_err))
 
 
 def monte_carlo_rate(
@@ -475,8 +491,8 @@ def measured_ris_power(
     correctly resolved active budget this reproduces
     eta^2 * N * (sum_k p_k alpha_k + sigma_v^2) = P_A.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not _is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     sqrt_p = np.sqrt(budget.p)
     sv = math.sqrt(budget.sigma_v2_w)
     phi = phases.phi

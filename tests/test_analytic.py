@@ -15,6 +15,8 @@ from arisim import (
     make_geometry,
     moments_at,
     resolve_budget,
+    sinr,
+    trial_statistics,
 )
 from arisim import analytic
 from arisim.channel import array_response, los_components, substream
@@ -136,6 +138,21 @@ def test_startup_failure_zeroes_rates(desk_cfg):
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     stats = compute_stats(geom, cfg, PhaseConfig(np.zeros(cfg.N)))
     assert np.all(closed_form_rates(stats, budget, cfg) == 0.0)
+
+
+@pytest.mark.parametrize("mode", [Mode.ACTIVE, Mode.PASSIVE])
+@pytest.mark.parametrize("b", [1, "ideal"])
+def test_silent_budget_rates_are_exactly_zero(desk_cfg, mode, b):
+    # a surface that did not start up has p = 0, so the SINR is exactly 0 on
+    # expected and on per-trial moments, and the rate is 0.0, not a rounding
+    cfg = replace(desk_cfg, P_T_dbm=-30.0, b=b)
+    geom = make_geometry(cfg)
+    budget = resolve_budget(cfg, geom.alpha, mode)
+    assert not budget.startup_met
+    phases = PhaseConfig(np.zeros(cfg.N))
+    for unit in (compute_stats(geom, cfg, phases), trial_statistics(geom, cfg, phases, 8)):
+        assert np.all(sinr(unit, budget, cfg) == 0.0)
+        assert np.all(closed_form_rates(unit, budget, cfg) == 0.0)
 
 
 def test_passive_wins_between_thresholds():

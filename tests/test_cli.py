@@ -92,6 +92,7 @@ def test_total_power_marks_startup_cutoff(tmp_path):
     # 16 elements need ~8.23 dBm (active) and ~2 dBm (passive)
     assert by[(0.0, "active")][i_started] == "false"
     assert float(by[(0.0, "active")][i_sum]) == 0.0
+    assert by[(0.0, "active")][header.index("analytic_sum_rate")] == "0.0"
     assert by[(5.0, "active")][i_started] == "false"
     assert by[(5.0, "passive")][i_started] == "true"
     assert float(by[(5.0, "passive")][i_sum]) > 0.0
@@ -366,6 +367,7 @@ def test_verify_run(tmp_path, capsys):
     ("total-power", {"N": 8, "P_T_dbm_grid": []}, {}),
     ("antennas-elements", {"M_grid": [4], "N_grid": [4], "ga": {"n_totl": 5}}, {}),
     ("antennas-elements", {"M_grid": [4], "N_grid": [4], "ga": {"n_total": 5}}, {}),
+    ("total-power", {"N": 8, "P_T_dbm_grid": [30.0, True]}, {}),
 ])
 def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system):
     # each of these used to run and pass, truncated (16.9 -> 16) or coerced
@@ -377,6 +379,23 @@ def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system)
     assert main(["--config", config, "--experiment", experiment,
                  "--output", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
+    # the output directory is made only once every value is checked
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, block", [
+    ("total-power", {"N": 8, "P_T_dbm_grid": [30.0]}),
+    ("verify", VERIFY_BLOCK),
+    ("optimize", {"n_total": 12, "n_elite": 2, "n_parents": 4, "n_crossover": 8,
+                  "n_mutation": 2, "max_iters": 1}),
+])
+def test_valid_run_makes_nested_output(tmp_path, experiment, block):
+    # each experiment makes its own output directory, parents included
+    config = write_config(tmp_path, system=dict(TINY_SYSTEM, seed=42),
+                          experiments={experiment: block})
+    out = tmp_path / "out" / "a" / "b"
+    assert main(["--config", config, "--experiment", experiment, "--output", str(out)]) == 0
+    assert (out / "run_manifest.txt").exists()
 
 
 def test_bad_sweep_value_names_its_field(tmp_path, capsys):

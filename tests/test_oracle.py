@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,8 @@ from arisim.channel import (
     sample_channel_batch,
     substream,
 )
-from arisim.transceiver import BATCH
+from arisim import transceiver
+from arisim.transceiver import BATCH, literal_trial_statistics
 from helpers import rayleigh_norm4_mean
 
 
@@ -105,6 +109,27 @@ def test_estimates_match_direct_definition(desk):
         x = np.asarray(per_trial)
         np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(se, x.std(axis=0, ddof=1) / np.sqrt(trials), rtol=1e-10)
+
+
+def test_one_trial_estimate_is_that_trial(desk):
+    cfg, geom, phases, budget = desk
+    mean, se = estimate_moments(geom, cfg, phases, budget, 1, 5)
+    trial = moments_at(literal_trial_statistics(geom, cfg, phases, 1, stream=(5,)), budget, cfg)
+    for name in Moments._fields:
+        np.testing.assert_array_equal(getattr(mean, name), getattr(trial, name)[0])
+        assert np.all(getattr(se, name) == 0.0), name
+
+
+def test_oracle_module_does_not_import_the_closed_form():
+    # the oracle certifies the closed form, so its module must not reach it
+    tree = ast.parse(Path(transceiver.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if "analytic" in name]
 
 
 def test_interference_diagonal_is_masked(desk):

@@ -13,9 +13,11 @@ from arisim import (
     SystemConfig,
     Moments,
     aqnm_alpha,
+    estimate_moments,
     make_geometry,
     measured_ris_power,
     monte_carlo_rate,
+    rate_from_statistics,
     resolve_budget,
     sinr,
     trial_statistics,
@@ -321,6 +323,34 @@ def test_trial_statistics_checks_inputs(desk):
     stats = trial_statistics(geom, cfg, phases, trials=4)
     with pytest.raises(ValueError):
         sinr(stats, budget, replace(cfg, K=3, epsilon=(10.0,) * 3))
+
+
+# each library function that takes a trial count, called on desk's
+# (cfg, geom, phases, budget) and a count
+TRIAL_COUNT_USERS = {
+    "trial_statistics": lambda c, g, ph, b, t: trial_statistics(g, c, ph, t),
+    "literal_trial_statistics": lambda c, g, ph, b, t: literal_trial_statistics(g, c, ph, t),
+    "monte_carlo_rate": lambda c, g, ph, b, t: monte_carlo_rate(g, c, ph, b, t),
+    "estimate_moments": lambda c, g, ph, b, t: estimate_moments(g, c, ph, b, t, 5),
+    "measured_ris_power": lambda c, g, ph, b, t: measured_ris_power(g, c, ph, b, t),
+}
+
+
+@pytest.mark.parametrize("trials", [2.5, True, 0])
+@pytest.mark.parametrize("name", TRIAL_COUNT_USERS)
+def test_trial_counts_must_be_positive_integers(desk, name, trials):
+    # a fractional count used to be truncated (2.5 ran 2 trials) and a
+    # boolean read as one trial
+    with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials!r}"):
+        TRIAL_COUNT_USERS[name](*desk, trials)
+
+
+def test_one_trial_rates_have_zero_standard_errors(desk):
+    cfg, geom, phases, budget = desk
+    report = rate_from_statistics(trial_statistics(geom, cfg, phases, np.int64(1)), budget, cfg)
+    assert report.trials_used == 1
+    assert np.all(report.std_err == 0.0)
+    assert report.sum_std_err == 0.0
 
 
 def test_kernel_slices_do_not_change_statistics():
