@@ -19,21 +19,21 @@ the brute-force Monte Carlo oracle, `transceiver.estimate_moments`.
 Only f depends on the phases.  `closed_form_site` gathers everything else
 once per geometry: each moment's terms are collected into coefficients of
 F_k = |f_k|^2 and the LoS coupling c_ki = Re{f_k conj(f_i) hbar_k^H hbar_i}
-(`MomentCoefficients`), and those into one phase-free weight matrix W.
-Every moment is linear in the monomials 1, F_k, F_k F_i and v_a v_b, with
-v = f as its [re, im] pairs, of which c_ki is a fixed combination, so
-`ClosedFormSite.stats` finds the unit moments (`transceiver.Moments`) of
-one phase vector (N,) or a whole population (P, N) from one real matmul of
-those monomials with W; `phasor_stats` does the same from the unit phasors
-exp(j*theta), which the genetic search carries.  The rates are the SINR of
-`transceiver.sinr` on those moments, as array expressions over the trailing
-user axes, (..., K) and (..., K, K), so one call scores a population and
-the points of a sweep share one set of moments.
+(`MomentCoefficients`).  Every moment is then a linear form in the
+monomials 1, F_k, F_k F_i and c_ki, written once (`_unit_moments`), and
+its matrix, that form applied to the unit monomials, is one phase-free
+weight matrix W.  So `ClosedFormSite.stats` finds the unit moments
+(`transceiver.Moments`) of one phase vector (N,) or a whole population
+(P, N) from one real matmul of those monomials with W; `phasor_stats` does
+the same from the unit phasors exp(j*theta), which the genetic search
+carries.  The rates are the SINR of `transceiver.sinr` on those moments, as
+array expressions over the trailing user axes, (..., K) and (..., K, K), so
+one call scores a population and the points of a sweep share one set of
+moments.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,76 +125,52 @@ def _moment_coefficients(
                               quantization_cross)
 
 
-def _monomials(f: np.ndarray) -> np.ndarray:
-    """The monomials every moment is linear in, (1 + K + K^2 + 4K^2, ...):
-    1, F_k, F_k F_i and v_a v_b for v = f as its [re, im] pairs.  The
-    monomial axis leads, so each product runs over the whole population."""
-    K = f.shape[-1]
-    v = np.ascontiguousarray(np.moveaxis(f.view(np.float64), -1, 0))
-    lead = v.shape[1:]
-    F = v[0::2] ** 2 + v[1::2] ** 2
-    return np.concatenate([
-        np.ones((1,) + lead),
-        F,
-        (F[:, None] * F[None]).reshape((K * K,) + lead),
-        (v[:, None] * v[None]).reshape((4 * K * K,) + lead),
-    ])
+def _pair_form(x: tuple, one, F, FF, coupling) -> np.ndarray:
+    """x00 + x10 F_k + x01 F_i + x11 F_k F_i + xc c_ki over (..., K, K)."""
+    x00, x10, x01, x11, xc = x
+    return (x00 * one[..., None] + x10 * F[..., :, None] + x01 * F[..., None, :]
+            + x11 * FF + xc * coupling)
 
 
-@functools.lru_cache(maxsize=None)
-def _weight_positions(K: int) -> np.ndarray:
-    """Flat positions in the moment weights W, (1 + K + 5K^2, 4K + K^2), of
-    the coefficient entries that `_moment_weights` lists, in the field
-    order of `MomentCoefficients`, with each coupling entry spread by R.
-
-    W's rows follow `_monomials` and its columns `Moments`: signal (K),
-    interference (K*K), dynamic noise, channel gain and quantization (K
-    each).  A user's own terms sit on its F_k and F_k^2 rows; a pair's
-    coupling spreads over the four v_{2k+r} v_{2i+s} rows.  The
-    quantization cross terms of all partners i land in user k's column,
-    so their positions repeat.
-    """
-    n_cols = 4 * K + K * K
-    user = np.arange(K)
-    k, i = np.indices((K, K))
-    r, s = np.indices((2, 2))[:, :, :, None, None]
-    F = 1 + user                                          # row of F_k
-    FF = 1 + K + K * k + i                                # row of F_k F_i
-    vv = 1 + K + K * K + 2 * K * (2 * k + r) + 2 * i + s  # row of v_{2k+r} v_{2i+s}
-    signal, interference = user, K + K * k + i
-    dynamic_noise, gain, quantization = (K + K * K + j * K + user for j in range(3))
-
-    def own(col, terms):
-        return [(0, col), (F, col), (FF[user, user], col)][:terms]
-
-    def pair(col):
-        return [(0, col), (F[k], col), (F[i], col), (FF, col), (vv, col)]
-
-    slots = (own(signal, 3) + own(gain, 2) + own(dynamic_noise, 2) + own(quantization, 3)
-             + pair(interference) + pair(quantization[k]))
-    positions = np.concatenate([np.ravel(row * n_cols + col) for row, col in slots])
-    positions.flags.writeable = False
-    return positions
+def _unit_moments(c: MomentCoefficients, one, F, FF, coupling) -> Moments:
+    """The unit moments as linear forms, with the coefficients `c`, in the
+    monomials 1 (`one`, (..., 1)), F_k (..., K), F_k F_i (`FF`, (..., K, K))
+    and c_ki (`coupling`, (..., K, K))."""
+    own_FF = np.diagonal(FF, axis1=-2, axis2=-1)
+    s0, s1, s2 = c.signal
+    q0, q1, q2 = c.quantization
+    return Moments(
+        s0 * one + s1 * F + s2 * own_FF,
+        _pair_form(c.interference, one, F, FF, coupling),
+        c.dynamic_noise[0] * one + c.dynamic_noise[1] * F,
+        c.gain[0] * one + c.gain[1] * F,
+        q0 * one + q1 * F + q2 * own_FF
+        + _pair_form(c.quantization_cross, one, F, FF, coupling).sum(axis=-1),
+    )
 
 
-def _moment_weights(c: MomentCoefficients, hbar_inner: np.ndarray) -> np.ndarray:
-    """The matrix W with `_monomials(f)` @ W the unit moments, concatenated
-    in `Moments` order.
+def _monomials(f: np.ndarray, hbar_inner: np.ndarray) -> np.ndarray:
+    """The monomials every moment is linear in, (..., 1 + K + 2K^2):
+    1, F_k, F_k F_i and c_ki, the last two flattened row by row."""
+    lead = f.shape[:-1]
+    F = f.real**2 + f.imag**2
+    FF = F[..., :, None] * F[..., None, :]
+    coupling = (f[..., :, None] * f.conj()[..., None, :] * hbar_inner).real
+    return np.concatenate([np.ones(lead + (1,)), F, FF.reshape(lead + (-1,)),
+                           coupling.reshape(lead + (-1,))], axis=-1)
 
-    The coupling is c_ki = sum_rs v_{2k+r} v_{2i+s} R[r, s, k, i], with
-    R = [[Re h, Im h], [-Im h, Re h]] of h = hbar_k^H hbar_i, so its
-    coefficient enters W as xc * R.  W has (1 + K + 5K^2)(4K + K^2)
-    entries, so it is meant for a few users.
-    """
-    K = len(hbar_inner)
-    R = np.array([[hbar_inner.real, hbar_inner.imag], [-hbar_inner.imag, hbar_inner.real]])
-    # in `MomentCoefficients` field order, as `_weight_positions` places them
-    values = [*c.signal, *c.gain, *c.dynamic_noise, *c.quantization,
-              *c.interference[:4], c.interference[4] * R,
-              *c.quantization_cross[:4], c.quantization_cross[4] * R]
-    shape = (1 + K + 5 * K * K, 4 * K + K * K)
-    return np.bincount(_weight_positions(K), np.concatenate([np.ravel(v) for v in values]),
-                       minlength=shape[0] * shape[1]).reshape(shape)
+
+def _moment_weights(c: MomentCoefficients) -> np.ndarray:
+    """The matrix W with `_monomials(f, hbar_inner)` @ W the unit moments,
+    concatenated in `Moments` order.  As the matrix of any linear map, it is
+    the map, `_unit_moments`, applied to the unit monomials: the rows of the
+    identity, split into the four groups.  W has (1 + K + 2K^2)(4K + K^2)
+    entries and its build costs O(K^4), so it is meant for a few users."""
+    K = len(c.gain[0])
+    n = 1 + K + 2 * K * K
+    one, F, FF, coupling = np.split(np.eye(n), [1, 1 + K, 1 + K + K * K], axis=1)
+    moments = _unit_moments(c, one, F, FF.reshape(n, K, K), coupling.reshape(n, K, K))
+    return np.concatenate([m.reshape(n, -1) for m in moments], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +181,7 @@ class ClosedFormSite:
     u: np.ndarray           # (K,) composite gains beta*alpha_k/((delta+1)(eps_k+1))
     hbar_inner: np.ndarray  # (K, K) steering inner products hbar_k^H hbar_i
     coefficients: MomentCoefficients
-    W: np.ndarray           # (1 + K + 5K^2, 4K + K^2) moment weights, `_moment_weights`
+    W: np.ndarray           # (1 + K + 2K^2, 4K + K^2) moment weights, `_moment_weights`
 
     def stats(self, theta) -> Moments:
         """Expected unit moments for phases `theta` of shape (N,) or (P, N)."""
@@ -215,7 +191,7 @@ class ClosedFormSite:
         """Expected unit moments for unit phasors exp(j*theta), (N,) or (P, N)."""
         f = phasors @ self.B
         K = f.shape[-1]
-        m = np.moveaxis(_monomials(f), 0, -1) @ self.W
+        m = _monomials(f, self.hbar_inner) @ self.W
         KK = K + K * K
         return Moments(m[..., :K], m[..., K:KK].reshape(f.shape + (K,)), m[..., KK:KK + K],
                        m[..., KK + K:KK + 2 * K], m[..., KK + 2 * K:])
@@ -230,7 +206,7 @@ def closed_form_site(geom: Geometry, cfg: SystemConfig) -> ClosedFormSite:
     hbar_inner = hbar.conj().T @ hbar
     coefficients = _moment_coefficients(u, hbar_inner, cfg.M, cfg.N, cfg.delta, eps, geom.beta)
     return ClosedFormSite(a_ris.conj()[:, None] * hbar, u, hbar_inner, coefficients,
-                          _moment_weights(coefficients, hbar_inner))
+                          _moment_weights(coefficients))
 
 
 def compute_stats(geom: Geometry, cfg: SystemConfig, phases: PhaseConfig) -> Moments:

@@ -196,7 +196,7 @@ class LinkBudget:
     p: np.ndarray          # (K,) per-user transmit powers, watts
     eta: float             # common element amplification factor (1 in passive mode)
     P_A: float             # surface reflect power, watts (0 in passive mode)
-    startup_met: bool      # False when circuit power exceeds the total budget
+    startup_met: bool      # False when the total budget is at or below the circuit draw
     sigma_v2_w: float      # dynamic-noise power seen downstream (0 in passive mode)
 
     @property
@@ -226,10 +226,10 @@ def resolve_budget(cfg: SystemConfig, alpha, mode: Mode = Mode.ACTIVE) -> LinkBu
     (eta = 1) and injects no dynamic noise; the DC saving is reabsorbed
     into transmit power.
 
-    A budget below the circuit draw is not an error: it returns a budget
-    with `startup_met=False` and zero powers, and every downstream rate is
-    zero.  A resolved amplification below unity is an error, because the
-    active elements are assumed to amplify.
+    A budget at or below the circuit draw is not an error: it returns a
+    budget with `startup_met=False` and zero powers, and every downstream
+    rate is zero.  A resolved amplification below unity is an error,
+    because the active elements are assumed to amplify.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (cfg.K,):
@@ -239,20 +239,15 @@ def resolve_budget(cfg: SystemConfig, alpha, mode: Mode = Mode.ACTIVE) -> LinkBu
     circuit = circuit_power(cfg, mode)
 
     if mode is Mode.PASSIVE:
-        if P_T < circuit:
+        if P_T <= circuit:
             return LinkBudget(np.zeros(cfg.K), 1.0, 0.0, False, 0.0)
-        P_t = P_T - circuit
-        if P_t <= 0.0:
-            raise ConfigurationError("budget exactly covers circuit power; no transmit power left")
-        return LinkBudget(np.full(cfg.K, P_t / cfg.K), 1.0, 0.0, True, 0.0)
+        return LinkBudget(np.full(cfg.K, (P_T - circuit) / cfg.K), 1.0, 0.0, True, 0.0)
 
-    if P_T < circuit:
+    if P_T <= circuit:
         return LinkBudget(np.zeros(cfg.K), 0.0, 0.0, False, cfg.sigma_v2_w)
     remainder = P_T - circuit
     P_t = cfg.split * remainder
     P_A = (1.0 - cfg.split) * remainder
-    if P_t <= 0.0 or P_A <= 0.0:
-        raise ConfigurationError("budget exactly covers circuit power; nothing left to allocate")
     p = np.full(cfg.K, P_t / cfg.K)
     eta_sq = P_A / (cfg.N * (float(p @ alpha) + cfg.sigma_v2_w))
     eta = math.sqrt(eta_sq)

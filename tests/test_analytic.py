@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arisim import (
@@ -234,12 +234,16 @@ def test_population_rows_match_single_evaluations(
     P=st.sampled_from([1, 7]),
     seed=st.integers(0, 2**16),
 )
+# W's pair blocks grow as K^2, so check its layout beyond the few users drawn
+@example(K=8, N=13, M=12, delta=0.5, eps=[0.0, 1.0, 10.0, 1.0] * 2, P=7, seed=8)
+@example(K=16, N=13, M=12, delta=0.5, eps=[0.0, 1.0, 10.0, 1.0] * 4, P=7, seed=16)
 @settings(max_examples=60, deadline=None)
 def test_moment_weights_match_reference_polynomials(K, N, M, delta, eps, P, seed):
     # one matmul over the monomials against each moment's own polynomial
     # in F_k and the coupling, for a population and for its first row alone
     cfg = SystemConfig(M=M, N=N, K=K, delta=delta, epsilon=tuple(eps[:K]), trials=10, seed=seed)
     site = analytic.closed_form_site(make_geometry(cfg), cfg)
+    assert site.W.shape == (1 + K + 2 * K * K, 4 * K + K * K)
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (P, N))
     for phases in (theta, theta[0]):
         unit = site.stats(phases)

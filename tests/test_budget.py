@@ -83,6 +83,21 @@ def test_startup_not_met_yields_zero_budget():
     assert np.all(budget.p == 0.0)
 
 
+@pytest.mark.parametrize("mode, N, P_DC_dbm", [
+    # 10 elements at -10 dBm switch draw exactly 0 dBm
+    (Mode.PASSIVE, 10, -5.0),
+    # 5 elements at -10 dBm switch and -10 dBm bias draw exactly 0 dBm
+    (Mode.ACTIVE, 5, -10.0),
+])
+def test_budget_at_circuit_draw_leaves_surface_off(mode, N, P_DC_dbm):
+    cfg = SystemConfig(M=16, N=N, K=2, epsilon=(10.0, 10.0), P_T_dbm=0.0,
+                       P_SW_dbm=-10.0, P_DC_dbm=P_DC_dbm)
+    assert cfg.P_T_w == circuit_power(cfg, mode)
+    budget = resolve_budget(cfg, np.full(2, 1e-7), mode)
+    assert not budget.startup_met
+    assert budget.P_t == 0.0 and budget.P_A == 0.0
+
+
 @given(
     p_t_dbm=st.floats(min_value=10.0, max_value=40.0),
     p_sw_dbm=st.floats(min_value=-40.0, max_value=-5.0),

@@ -100,6 +100,26 @@ def test_total_power_marks_startup_cutoff(tmp_path):
     assert float(by[(30.0, "active")][i_sum]) > 0.0
 
 
+def test_total_power_at_circuit_draw_is_a_cutoff_row(tmp_path):
+    # 10 elements at the -10 dBm switch draw need exactly 0 dBm to run passive
+    config = write_config(
+        tmp_path,
+        experiments={"total-power": {"N": 10, "P_T_dbm_grid": [-4.0, 0.0, 4.0]}},
+    )
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", "total-power",
+                 "--output", str(out)]) == 0
+    rows = read_rows(out / "total_power.csv")
+    header = rows[0]
+    by = {(float(r[0]), r[2]): r for r in rows[1:]}
+    for mode in ("active", "passive"):
+        row = by[(0.0, mode)]
+        assert row[header.index("startup_met")] == "false"
+        assert float(row[header.index("analytic_sum_rate")]) == 0.0
+        assert float(row[header.index("mc_sum_rate")]) == 0.0
+    assert by[(4.0, "passive")][header.index("startup_met")] == "true"
+
+
 @pytest.fixture
 def draws(monkeypatch):
     """(draw, M, N, spawn key) of every fading batch drawn while the test runs,
