@@ -26,10 +26,12 @@ weight matrix W.  So `ClosedFormSite.stats` finds the unit moments
 (`transceiver.Moments`) of one phase vector (N,) or a whole population
 (P, N) from one real matmul of those monomials with W; `phasor_stats` does
 the same from the unit phasors exp(j*theta), which the genetic search
-carries.  The rates are the SINR of `transceiver.sinr` on those moments, as
-array expressions over the trailing user axes, (..., K) and (..., K, K), so
-one call scores a population and the points of a sweep share one set of
-moments.
+carries.  Those moments come out of the matmul flat
+(`flat_phasor_stats`), in `Moments` order, which is the row order of a
+budget's SINR matrix (`transceiver.sinr_matrix`), so a budget scores one
+phase vector or a whole population with one vector-matrix product per
+row (`transceiver.sinr_terms`) and `transceiver.log_rates`, the route
+Monte Carlo takes on its per-trial moments.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ import numpy as np
 
 from .budget import LinkBudget, SystemConfig
 from .channel import Geometry, los_components
-from .transceiver import Moments, PhaseConfig, sinr
+from .transceiver import (Moments, PhaseConfig, flat_moments, log_rates, sinr_matrix,
+                          sinr_terms, split_moments)
 
 
 class MomentCoefficients(NamedTuple):
@@ -189,12 +192,12 @@ class ClosedFormSite:
 
     def phasor_stats(self, phasors: np.ndarray) -> Moments:
         """Expected unit moments for unit phasors exp(j*theta), (N,) or (P, N)."""
-        f = phasors @ self.B
-        K = f.shape[-1]
-        m = _monomials(f, self.hbar_inner) @ self.W
-        KK = K + K * K
-        return Moments(m[..., :K], m[..., K:KK].reshape(f.shape + (K,)), m[..., KK:KK + K],
-                       m[..., KK + K:KK + 2 * K], m[..., KK + 2 * K:])
+        return split_moments(self.flat_phasor_stats(phasors), self.B.shape[1])
+
+    def flat_phasor_stats(self, phasors: np.ndarray) -> np.ndarray:
+        """`phasor_stats` as one flat array (..., 4K + K^2), as
+        `transceiver.flat_moments` lays it out."""
+        return _monomials(phasors @ self.B, self.hbar_inner) @ self.W
 
 
 def closed_form_site(geom: Geometry, cfg: SystemConfig) -> ClosedFormSite:
@@ -221,5 +224,8 @@ def closed_form_rates(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> n
     One formula serves both modes: a passive budget carries no dynamic
     noise (sigma_v^2 = 0, eta = 1), and ideal ADCs (b = "ideal") drop the
     quantization term.  Zero when the surface is down, as p = 0 there.
+    The budget's SINR matrix gives every user's SINR terms, so a caller
+    scoring many moment sets under one budget builds `sinr_matrix` once
+    and calls `sinr_terms` and `log_rates` as here.
     """
-    return np.log2(1.0 + sinr(unit, budget, cfg))
+    return log_rates(sinr_terms(flat_moments(unit), sinr_matrix(budget, cfg)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import os
 import sys
 from dataclasses import replace
@@ -36,11 +35,15 @@ from .ga import GAParams, optimize_phases
 from .transceiver import (
     Moments,
     PhaseConfig,
+    _sample_mean,
     estimate_moments,
+    flat_moments,
+    log_rates,
     measured_ris_power,
     moments_at,
-    rate_from_statistics,
-    trial_statistics,
+    shared_trial_statistics,
+    sinr_matrix,
+    sinr_terms,
 )
 
 def load_config(path: str) -> dict:
@@ -118,6 +121,13 @@ def experiment_phases(cfg: SystemConfig) -> PhaseConfig:
     return PhaseConfig.random(cfg.N, substream(cfg.seed, STREAM_PHASES, cfg.N))
 
 
+# A site's live points are scored in groups whose SINR terms take at most
+# about this many bytes (at least one point per group), so that at any
+# trial count the scoring's temporaries stay near one fading batch's size;
+# a point's cells do not depend on its group.
+SCORE_BYTES = 1 << 19
+
+
 class Rates(NamedTuple):
     """The rates of one sweep point at its budget; every field but the
     last, `budget`, is a CSV column of the same name."""
@@ -128,28 +138,47 @@ class Rates(NamedTuple):
     budget: LinkBudget
 
 
-def _site_rates(geom, closed, cfg, phases):
-    """Rate evaluator for the sweep points that share `geom` and `phases`.
+def _score(geom, closed, cfg, phase_sets, points) -> list:
+    """`Rates` of `points`, in order, on the site of `cfg`: its geometry
+    `geom`, its closed-form site `closed` and its phase vectors
+    `phase_sets`, the second one, when given, for `optimized` points.
 
-    The closed-form statistics are computed once, on `closed`, the
-    geometry's closed-form site.  The fading statistics are drawn when the
-    first live point needs them and then serve every point (common random
-    numbers), so each fading batch is drawn once per site and the rates
-    still depend only on (seed, cfg.trials).  A point whose surface is down
-    has zero rates, as its closed form would give, without evaluating either
-    route.  The returned function maps (point config, mode) to its `Rates`.
+    A point whose surface is down has zero rates, as its closed form would
+    give, without evaluating either route.  The fading statistics are drawn
+    once, for every phase vector that a live point needs, and serve every
+    point (common random numbers), so the rates still depend only on
+    (seed, cfg.trials).  Each live point's budget is one SINR matrix,
+    which gives the SINR terms of the point's closed form, row 0 of its
+    block, and of its T trials, rows 1 to T.  One log2, one sum over users
+    and one mean over the trial axis, the last and contiguous one, then
+    serve a group of points, all of them unless their blocks exceed
+    SCORE_BYTES, and each point's cells keep the bits they would have
+    alone: its Monte Carlo cells are those of `monte_carlo_rate`.
     """
-    stats = closed.stats(phases.theta)
-    fading = functools.cache(lambda: trial_statistics(geom, cfg, phases))
-
-    def rates(point, mode):
-        budget = resolve_budget(point, geom.alpha, mode)
-        if not budget.startup_met:
-            return Rates(0.0, 0.0, 0.0, budget)
-        analytic_sum = float(closed_form_rates(stats, budget, point).sum())
-        report = rate_from_statistics(fading(), budget, point)
-        return Rates(analytic_sum, report.sum_rate, report.sum_std_err, budget)
-
+    budgets = [resolve_budget(point.cfg, geom.alpha, point.mode) for point in points]
+    rates = [Rates(0.0, 0.0, 0.0, budget) for budget in budgets]
+    live = [i for i, budget in enumerate(budgets) if budget.startup_met]
+    if not live:
+        return rates
+    used = sorted({points[i].optimized for i in live})
+    fading = shared_trial_statistics(geom, cfg, [phase_sets[j] for j in used])
+    moments = {j: (closed.flat_phasor_stats(phase_sets[j].phi), flat_moments(stats))
+               for j, stats in zip(used, fading)}
+    del fading  # the flat copies serve from here
+    shape = (cfg.trials + 1, 2 * cfg.K)
+    step = max(1, SCORE_BYTES // (8 * shape[0] * shape[1]))
+    for start in range(0, len(live), step):
+        group = live[start:start + step]
+        terms = np.empty((len(group),) + shape)
+        for block, i in zip(terms, group):
+            S = sinr_matrix(budgets[i], points[i].cfg)
+            expected, per_trial = moments[points[i].optimized]
+            sinr_terms(expected, S, out=block[0])
+            sinr_terms(per_trial, S, out=block[1:])
+        sums = log_rates(terms).sum(axis=-1)
+        mean, std_err = _sample_mean(sums[:, 1:], axis=-1)
+        for i, closed_sum, mc_sum, mc_err in zip(group, sums[:, 0], mean, std_err):
+            rates[i] = Rates(float(closed_sum), float(mc_sum), float(mc_err), budgets[i])
     return rates
 
 
@@ -170,27 +199,27 @@ class Point(NamedTuple):
 
 
 class Site(NamedTuple):
-    """One geometry of a sweep and its points: `cfg` sets the geometry and
-    the baseline phases.  With `ga`, the site also searches the phases at
-    `cfg` for an active surface and scores its `optimized` points there."""
+    """One array size of a sweep and its points: `cfg` sets the sizes, and
+    so the closed-form site and the baseline phases, on the run's one
+    geometry.  With `ga`, the site also searches the phases at `cfg` for
+    an active surface and scores its `optimized` points there."""
 
     cfg: SystemConfig
     points: tuple
     ga: GAParams | None = None
 
 
-def _site_job(site: Site) -> list:
-    """`Rates` of every point of `site`, in point order.  The geometry and
-    its closed-form site are built once, and the GA runs only when the
-    site has one."""
-    geom = make_geometry(site.cfg)
+def _site_job(site: Site, geom) -> list:
+    """`Rates` of every point of `site`, in point order, at the run's
+    geometry `geom`, which depends on no sweep value (M, N, b, P_T_dbm,
+    trials).  The closed-form site is built once, and the GA runs only when
+    the site has one."""
     closed = closed_form_site(geom, site.cfg)
-    rates = {False: _site_rates(geom, closed, site.cfg, experiment_phases(site.cfg))}
+    phase_sets = [experiment_phases(site.cfg)]
     if site.ga is not None:
         budget = resolve_budget(site.cfg, geom.alpha, Mode.ACTIVE)
-        best, _ = optimize_phases(geom, site.cfg, budget, site.ga, site=closed)
-        rates[True] = _site_rates(geom, closed, site.cfg, best)
-    return [rates[point.optimized](point.cfg, point.mode) for point in site.points]
+        phase_sets.append(optimize_phases(geom, site.cfg, budget, site.ga, site=closed)[0])
+    return _score(geom, closed, site.cfg, phase_sets, site.points)
 
 
 def site_workers(sites: int) -> int:
@@ -202,8 +231,8 @@ def site_workers(sites: int) -> int:
     return max(1, min(cpus, sites))
 
 
-def run_sites(sites: list) -> list:
-    """Results of every site job, in site order.
+def run_sites(sites: list, geom) -> list:
+    """Results of every site job at the geometry `geom`, in site order.
 
     Sites run on a thread pool; numpy releases the GIL in the fading draws
     and the matmuls, which are most of a site's time.  Every site draws
@@ -212,27 +241,29 @@ def run_sites(sites: list) -> list:
     """
     workers = site_workers(len(sites))
     if workers == 1:
-        return [_site_job(site) for site in sites]
+        return [_site_job(site, geom) for site in sites]
     # imported here: at module level it would add to every start-up
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_site_job, sites))
+        return list(pool.map(_site_job, sites, [geom] * len(sites)))
 
 
-def write_sweep(path: str, leading: tuple, sites: list) -> list:
-    """Run `sites` and write one CSV row per point: the `leading` columns,
-    then the `Rates` columns, then `optimized`.  Each cell is read by name
-    from the point's `Rates`, the `Point`, its config or its budget."""
-    def cell(name, point, rates):
-        source = next(s for s in (rates, point, point.cfg, rates.budget) if hasattr(s, name))
-        return getattr(source, name)
-
+def write_sweep(path: str, leading: tuple, sites: list, geom) -> list:
+    """Run `sites` at the geometry `geom` and write one CSV row per point:
+    the `leading` columns, then the `Rates` columns, then `optimized`.
+    Each cell is read by name from the point's `Rates`, the `Point`, its
+    config or its budget; every row holds the same four records, so each
+    column's record is found once, on the first row."""
     header = (*leading, *Rates._fields[:-1], "optimized")
+    rows = [(rates, point, point.cfg, rates.budget)
+            for site, results in zip(sites, run_sites(sites, geom))
+            for point, rates in zip(site.points, results)]
+    source = [next(i for i, record in enumerate(rows[0]) if hasattr(record, name))
+              for name in header]
     os.makedirs(os.path.dirname(path), exist_ok=True)  # every point is checked by now
-    write_csv(path, header, [[cell(name, point, rates) for name in header]
-                             for site, results in zip(sites, run_sites(sites))
-                             for point, rates in zip(site.points, results)])
+    write_csv(path, header, [[getattr(row[i], name) for i, name in zip(source, header)]
+                             for row in rows])
     return [path]
 
 
@@ -245,7 +276,7 @@ def run_antennas_elements(cfg, geom, block, out_dir, optimize, mode):
     sites = [Site(point, tuple(Point(point, *kind) for kind in kinds), ga if optimize else None)
              for point in _by_size(cfg, [(M, N) for M in m_grid for N in n_grid])]
     return write_sweep(os.path.join(out_dir, "antennas_elements.csv"),
-                       ("M", "N", "mode", "b"), sites)
+                       ("M", "N", "mode", "b"), sites, geom)
 
 
 def run_total_power(cfg, geom, block, out_dir, optimize, mode):
@@ -256,7 +287,8 @@ def run_total_power(cfg, geom, block, out_dir, optimize, mode):
                                        key=lambda c: c.P_T_dbm)
                    for point_mode in (Mode.ACTIVE, Mode.PASSIVE))
     return write_sweep(os.path.join(out_dir, "total_power.csv"),
-                       ("P_T_dbm", "N", "mode", "b", "startup_met", "eta"), [Site(cfg, points)])
+                       ("P_T_dbm", "N", "mode", "b", "startup_met", "eta"), [Site(cfg, points)],
+                       geom)
 
 
 def run_adc_bits(cfg, geom, block, out_dir, optimize, mode):
@@ -265,7 +297,8 @@ def run_adc_bits(cfg, geom, block, out_dir, optimize, mode):
              for mn in _list(block.get("pairs", [[64, 16], [100, 36]]), "pairs")]
     sites = [Site(point, tuple(Point(replace(point, b=b), Mode.ACTIVE) for b in bits))
              for point in _by_size(cfg, pairs)]
-    return write_sweep(os.path.join(out_dir, "adc_bits.csv"), ("b", "M", "N", "mode"), sites)
+    return write_sweep(os.path.join(out_dir, "adc_bits.csv"), ("b", "M", "N", "mode"), sites,
+                       geom)
 
 
 def run_verify(cfg, geom, block, out_dir, optimize, mode):
@@ -321,7 +354,7 @@ def run_optimize(cfg, geom, block, out_dir, optimize, mode):
     best, history = optimize_phases(geom, cfg, budget, params, site=closed)
     baseline = closed.stats(experiment_phases(cfg).theta)
     a_base = float(closed_form_rates(baseline, budget, cfg).sum())
-    optimized = _site_rates(geom, closed, cfg, best)(cfg, mode)
+    (optimized,) = _score(geom, closed, cfg, [best], [Point(cfg, mode)])
 
     hist_path = os.path.join(out_dir, "ga_history.csv")
     write_csv(hist_path, ["generation", "best_fitness", "mean_fitness"], history.rows())

@@ -17,7 +17,11 @@ mutation pick and the mutation noise (Mu, N).
 The unit phasors exp(j*theta) travel beside the phases: elites keep theirs
 and children gather theirs through their crossover, so each generation
 exponentiates only its mutants before the whole population, elites
-included, is scored through one closed-form call.
+included, is scored: one matmul gives its unit moments, flat
+(`ClosedFormSite.flat_phasor_stats`), one vector-matrix product per row with
+the budget's SINR matrix, built once per run (`transceiver.sinr_matrix`),
+their SINR terms (`transceiver.sinr_terms`), and `transceiver.log_rates`
+the rates, as in `closed_form_rates`.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import ClosedFormSite, closed_form_rates, closed_form_site
+from .analytic import ClosedFormSite, closed_form_site
 from .budget import ConfigurationError, LinkBudget, SystemConfig, check_fields
 from .channel import Geometry
-from .transceiver import PhaseConfig
+from .transceiver import PhaseConfig, log_rates, sinr_matrix, sinr_terms
 
 TWO_PI = 2.0 * np.pi
 
@@ -174,9 +178,11 @@ def optimize_phases(
     """Run the genetic search and return the best phases ever seen.
 
     The fitness is the closed-form sum rate under the budget and `cfg.b`,
-    scored for each whole generation in one call, on the unit phasors
-    carried beside the phases, through `site` (the closed-form site of
-    `geom` and `cfg`, built here when not given).  The surface must be
+    scored for each whole generation at once, on the unit phasors carried
+    beside the phases, through `site` (the closed-form site of `geom` and
+    `cfg`, built here when not given) and the budget's SINR matrix, built
+    once per run; a generation's scores equal the sums of
+    `closed_form_rates` on its moments bit for bit.  The surface must be
     started up, otherwise every candidate scores zero and there is nothing
     to optimize.
     """
@@ -184,9 +190,10 @@ def optimize_phases(
         raise ConfigurationError("cannot optimize a surface that does not start up")
 
     site = site if site is not None else closed_form_site(geom, cfg)
+    S = sinr_matrix(budget, cfg)
 
     def score(phasors):
-        return closed_form_rates(site.phasor_stats(phasors), budget, cfg).sum(axis=-1)
+        return log_rates(sinr_terms(site.flat_phasor_stats(phasors), S)).sum(axis=-1)
 
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     pop = rng.uniform(0.0, TWO_PI, (params.n_total, cfg.N))

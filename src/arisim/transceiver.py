@@ -6,10 +6,14 @@ alpha = 1 - rho and adds Gaussian noise whose covariance is proportional to
 the diagonal of the input power.  Achievable rates are per-user ergodic
 values E{log2(1 + SINR)} estimated over fading realizations.
 
-The SINR is written once, as `sinr` over the five moments of `Moments`,
-and `moments_at` alone scales moments by a budget: Monte Carlo evaluates
-them per trial, the closed forms (`analytic`) and the oracle as
-expectations.
+`moments_at` alone scales moments by a budget, and the SINR's numerator
+and denominator are written once, as a map linear in the unit moments
+(`_sinr_map`).  So a budget is one matrix S, `sinr_matrix`, that map
+applied to the unit basis.  Monte Carlo scores a budget on every trial's
+moments, the closed forms (`analytic`) on their expectations and the
+genetic search on a whole population alike: the product
+flat_moments(unit) @ S, taken row by row (`sinr_terms`), then
+`log_rates`.
 
 Monte Carlo trials are processed in fixed-size batches, each with its own
 generator derived from (seed, batch index), so results depend only on the
@@ -52,9 +56,10 @@ from .channel import (
 # changes which generator produces which trial.
 BATCH = 512
 
-# The statistics kernel works on slices of a batch of about this many bytes
-# of H2 planes, and at least this many trials, so that its temporaries stay
-# small beside the batch; the reduction is per trial, so no value changes.
+# The statistics kernel reduces a batch in the fewest slices of at most
+# about this many bytes of H2 planes each (but of at least this many trials
+# where that allows), of even sizes, so that its temporaries stay small
+# beside the batch; the reduction is per trial, so no value changes.
 KERNEL_BYTES = 1 << 19
 KERNEL_MIN_TRIALS = 16
 
@@ -104,12 +109,14 @@ class RateReport:
     sum_std_err: float         # standard error of the sum rate (per-trial sums)
 
 
-def _sample_mean(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over the leading trial axis and its standard error, zero for a
-    single trial."""
-    T = x.shape[0]
-    std = x.std(axis=0, ddof=1) if T > 1 else np.zeros(x.shape[1:])
-    return x.mean(axis=0), std / math.sqrt(T)
+def _sample_mean(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the trial axis, by default the leading one, and its
+    standard error, zero for a single trial.  Each mean over the last axis
+    of a C-ordered array is bit for bit that of its row alone."""
+    T = x.shape[axis]
+    mean = x.mean(axis=axis)
+    std = x.std(axis=axis, ddof=1) if T > 1 else np.zeros_like(mean)
+    return mean, std / math.sqrt(T)
 
 
 def batch_ranges(trials: int):
@@ -159,8 +166,24 @@ def moments_at(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> Moments:
     )
 
 
-def sinr(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
-    """Post-combining SINR per user, (..., K), from a unit set of moments.
+def flat_moments(unit: Moments) -> np.ndarray:
+    """A set of moments as one array, (..., 4K + K^2): the fields in
+    `Moments` order, the interference row by row."""
+    lead = unit.signal.shape[:-1]
+    return np.concatenate([x.reshape(lead + (-1,)) for x in unit], axis=-1)
+
+
+def split_moments(flat: np.ndarray, K: int) -> Moments:
+    """The `Moments` of K users held in a flat array (..., 4K + K^2), as
+    views: the inverse of `flat_moments`."""
+    KK = K + K * K
+    return Moments(flat[..., :K], flat[..., K:KK].reshape(flat.shape[:-1] + (K, K)),
+                   flat[..., KK:KK + K], flat[..., KK + K:KK + 2 * K], flat[..., KK + 2 * K:])
+
+
+def _sinr_map(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
+    """The numerators, then the denominators, of every user's SINR,
+    (..., 2K), from a unit set of moments; linear in those moments.
 
     With the moments of `moments_at` and the quantization gain
     a = `aqnm_alpha(cfg.b)`, 1 for ideal ADCs, the SINR of user k is,
@@ -170,19 +193,64 @@ def sinr(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
                             + eta^2 sv2 ||g_k^H H2 Phi||^2
                             + sn2 ||g_k||^2
                             + (1 - a)/a g_k^H diag(p_k G G^H + sn2 I) g_k ).
+    """
+    m = moments_at(unit, budget, cfg)
+    a = aqnm_alpha(cfg.b)
+    den = (m.interference @ budget.p + (budget.eta**2 * budget.sigma_v2_w) * m.dynamic_noise
+           + cfg.sigma_n2_w * m.channel_gain + (1.0 - a) / a * m.quantization)
+    return np.concatenate([budget.p * m.signal, den], axis=-1)
+
+
+def sinr_matrix(budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
+    """The SINR matrix S of a budget, (4K + K^2, 2K): `flat_moments(unit)
+    @ S` holds the SINR terms that `_sinr_map` gives, numerators then
+    denominators.  As the matrix of a linear map, S is that map applied to
+    the unit basis, the rows of the identity; its rows follow the columns
+    of `ClosedFormSite.W`."""
+    n = 4 * cfg.K + cfg.K * cfg.K
+    return _sinr_map(split_moments(np.eye(n), cfg.K), budget, cfg)
+
+
+def sinr_terms(flat: np.ndarray, S: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The SINR terms `flat @ S`, (..., 2K), of flat moments (..., 4K + K^2)
+    under a SINR matrix, into `out` when given: one vector-matrix product
+    per row, so each row's terms are those of the row alone bit for bit,
+    however many rows are scored together.  A matrix product sums a lone
+    row in another order, and it loads BLAS code that a reduced-draw sweep
+    runs nowhere else, about 0.19 MB of resident pages with numpy's
+    bundled OpenBLAS on x86-64."""
+    rows = None if out is None else out[..., None, :]
+    return np.matmul(flat[..., None, :], S, out=rows)[..., 0, :]
+
+
+def _ratio(terms: np.ndarray) -> np.ndarray:
+    """Numerator over denominator of SINR terms (..., 2K); zero where the
+    denominator is zero."""
+    K = terms.shape[-1] // 2
+    num, den = terms[..., :K], terms[..., K:]
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def log_rates(terms: np.ndarray) -> np.ndarray:
+    """Per-user rates log2(1 + SINR), bits/s/Hz, (..., K), from SINR terms
+    (..., 2K) such as `sinr_terms(flat_moments(unit), sinr_matrix(budget, cfg))`.
+    Each entry depends on its own terms alone, whatever the array's shape."""
+    rates = _ratio(terms)
+    rates += 1.0
+    return np.log2(rates, out=rates)
+
+
+def sinr(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
+    """Post-combining SINR per user, (..., K), from a unit set of moments:
+    the ratio of the two halves of its SINR terms under the budget's SINR
+    matrix (`sinr_matrix`, `sinr_terms`).
 
     On one trial's moments this is the exact SINR of that trial; on
     expected moments it is the closed-form approximation, which moves the
     expectation inside the ratio (Zhang et al., IEEE JSTSP 2014, Lemma 1).
     Zero where the denominator is zero.
     """
-    m = moments_at(unit, budget, cfg)
-    a = aqnm_alpha(cfg.b)
-    p = budget.p
-    den = (m.interference @ p + (budget.eta**2 * budget.sigma_v2_w) * m.dynamic_noise
-           + cfg.sigma_n2_w * m.channel_gain + (1.0 - a) / a * m.quantization)
-    num = p * m.signal
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return _ratio(sinr_terms(flat_moments(unit), sinr_matrix(budget, cfg)))
 
 
 def _gram(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,48 +422,58 @@ def reduced_draw_applies(M: int, N: int, K: int) -> bool:
     return N > K + 1 and M >= K
 
 
-def _statistics(geom, cfg, phases, trials, stream, reduced: bool) -> Moments:
-    """Per-trial unit moments from reduced or from full draws, batch by
-    batch, each batch reduced in slices of about KERNEL_BYTES; the site's
-    LoS parts are built once and serve every batch."""
+def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
+    """Per-trial unit moments of each phase vector of `phase_sets` from
+    one set of reduced or of full draws, batch by batch, each batch reduced
+    in even slices of at most about KERNEL_BYTES; the site's LoS parts are
+    built once and serve every batch."""
     T = cfg.trials if trials is None else trials
     if not _is_integer(T) or T < 1:
         raise ValueError(f"trials must be a positive integer, got {T!r}")
-    if len(phases.theta) != cfg.N:
-        raise ValueError(f"{len(phases.theta)} phases for {cfg.N} surface elements")
+    for phases in phase_sets:
+        if len(phases.theta) != cfg.N:
+            raise ValueError(f"{len(phases.theta)} phases for {cfg.N} surface elements")
     key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
     los = los_components(geom, cfg)
     K = cfg.K
-    fields = Moments(np.empty((T, K)), np.empty((T, K, K)), np.empty((T, K)),
-                     np.empty((T, K)), np.empty((T, K)))
-    phi = phases.phi
+    out = [Moments(np.empty((T, K)), np.empty((T, K, K)), np.empty((T, K)),
+                   np.empty((T, K)), np.empty((T, K))) for _ in phase_sets]
+    last = len(phase_sets) - 1
     if reduced:
-        site = _gram_site(geom, cfg, los, phi)
+        sites = [_gram_site(geom, cfg, los, phases.phi) for phases in phase_sets]
         step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * (K + 1)))
 
         def draw(rng, count):
             return sample_gram_batch(geom, cfg, rng, count)
 
-        def reduce(batch, part):
-            return _gram_statistics(*(x[part] for x in batch), site)
+        def reduce(batch, part, j):
+            X, T1, SU, T2 = (x[part] for x in batch)
+            # the kernel consumes SU, so each phase vector but the last takes a copy
+            return _gram_statistics(X, T1, SU.copy() if j < last else SU, T2, sites[j])
     else:
         step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * cfg.N))
+        phis = [phases.phi for phases in phase_sets]
 
         def draw(rng, count):
             return sample_channel_batch(geom, cfg, rng, count, los)
 
-        def reduce(batch, part):
+        def reduce(batch, part, j):
             H1, H2 = batch
-            return _batch_statistics(H1[part], H2[:, part], phi)
+            return _batch_statistics(H1[part], H2[:, part], phis[j])
 
     for b_idx, lo, hi in batch_ranges(T):
-        batch = draw(substream(*key, b_idx), hi - lo)
-        for start in range(lo, hi, step):
-            end = min(start + step, hi)
-            for out, value in zip(fields, reduce(batch, slice(start - lo, end - lo))):
-                out[start:end] = value
+        count = hi - lo
+        batch = draw(substream(*key, b_idx), count)
+        # the fewest slices of at most `step` trials, of even sizes: the
+        # largest slice sets the kernel's peak memory
+        parts = -(-count // step)
+        edges = [count * i // parts for i in range(parts + 1)]
+        for start, end in zip(edges, edges[1:]):
+            for j, fields in enumerate(out):
+                for field, value in zip(fields, reduce(batch, slice(start, end), j)):
+                    field[lo + start:lo + end] = value
         del batch  # free this batch before the next one is drawn
-    return fields
+    return out
 
 
 def trial_statistics(
@@ -417,8 +495,21 @@ def trial_statistics(
     reduced in slices once drawn, so the slicing changes no value, and
     dropped before the next one.
     """
+    return shared_trial_statistics(geom, cfg, (phases,), trials, stream)[0]
+
+
+def shared_trial_statistics(
+    geom: Geometry,
+    cfg: SystemConfig,
+    phase_sets,
+    trials: int | None = None,
+    stream: tuple[int, ...] | None = None,
+) -> list:
+    """`trial_statistics` of each phase vector of `phase_sets`, in order,
+    all reduced from one draw of each batch (common random numbers); each
+    equals `trial_statistics` at its own phases bit for bit."""
     reduced = reduced_draw_applies(cfg.M, cfg.N, cfg.K)
-    return _statistics(geom, cfg, phases, trials, stream, reduced)
+    return _statistics(geom, cfg, phase_sets, trials, stream, reduced)
 
 
 def literal_trial_statistics(
@@ -431,7 +522,7 @@ def literal_trial_statistics(
     """`trial_statistics` from full draws of both hops
     (`sample_channel_batch`) at every size: the oracle's route, which
     checks the reduced draw from outside."""
-    return _statistics(geom, cfg, phases, trials, stream, False)
+    return _statistics(geom, cfg, (phases,), trials, stream, False)[0]
 
 
 def estimate_moments(
@@ -454,13 +545,14 @@ def estimate_moments(
 
 def rate_from_statistics(stats: Moments, budget: LinkBudget, cfg: SystemConfig) -> RateReport:
     """Per-user ergodic rates of one budget over the per-trial unit
-    moments of `trial_statistics`."""
+    moments of `trial_statistics`.  The sum rate and its standard error
+    are the mean and standard error of the per-trial sum rates."""
     if not budget.startup_met:
         return RateReport(np.zeros(cfg.K), 0.0, np.zeros(cfg.K), 0, 0.0)
-    rates = np.log2(1.0 + sinr(stats, budget, cfg))
+    rates = log_rates(sinr_terms(flat_moments(stats), sinr_matrix(budget, cfg)))
     per_user, std_err = _sample_mean(rates)
-    _, sum_std_err = _sample_mean(rates.sum(axis=1))
-    return RateReport(per_user, float(per_user.sum()), std_err, rates.shape[0], float(sum_std_err))
+    sum_rate, sum_std_err = _sample_mean(rates.sum(axis=-1))
+    return RateReport(per_user, float(sum_rate), std_err, rates.shape[0], float(sum_std_err))
 
 
 def monte_carlo_rate(

@@ -34,6 +34,20 @@ def sinr_from_definition(H1, H2, theta, p, eta, sigma_v2, sigma_n2, alpha):
     return out
 
 
+def sinr_terms_reference(unit, budget, cfg):
+    """Numerators and denominators, (..., K) each, of every user's SINR,
+    from a unit set of moments scaled by `moments_at` and combined term by
+    term, with no matrix."""
+    from arisim import aqnm_alpha, moments_at
+
+    m = moments_at(unit, budget, cfg)
+    a = aqnm_alpha(cfg.b)
+    p = budget.p
+    den = (m.interference @ p + (budget.eta**2 * budget.sigma_v2_w) * m.dynamic_noise
+           + cfg.sigma_n2_w * m.channel_gain + (1.0 - a) / a * m.quantization)
+    return p * m.signal, den
+
+
 def literal_draw(geom, cfg, *stream):
     """Complex H1 (N, K) and H2 (M, N) of the one trial that
     `literal_trial_statistics(geom, cfg, phases, 1, stream=stream)` reduces:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -162,3 +163,15 @@ def test_planar_draws_match_pinned_values(kwargs, h1_sha, h2_sha):
     assert hashlib.sha256(np.ascontiguousarray(H1).tobytes()).hexdigest() == h1_sha
     assert hashlib.sha256(np.ascontiguousarray(H2).tobytes()).hexdigest() == h2_sha
 
+
+def test_geometry_depends_on_no_sweep_value():
+    # a run builds one geometry and every sweep site shares it: no grid
+    # value (M, N, ADC bits, total power) and no trial count moves it
+    cfg = SystemConfig(M=16, N=9, K=3, epsilon=(10.0, 1.0, 0.0), seed=4)
+    base = make_geometry(cfg)
+    for change in ({"M": 100}, {"N": 64}, {"b": 7}, {"b": "ideal"}, {"P_T_dbm": -5.0},
+                   {"trials": 3}):
+        geom = make_geometry(dataclasses.replace(cfg, **change))
+        for field in dataclasses.fields(base):
+            np.testing.assert_array_equal(getattr(geom, field.name), getattr(base, field.name),
+                                          err_msg=f"{field.name} moved with {change}")

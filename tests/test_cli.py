@@ -1,5 +1,7 @@
 import csv
+import gc
 import os
+import tracemalloc
 
 import pytest
 import yaml
@@ -137,18 +139,28 @@ def draws(monkeypatch):
     return seen
 
 
+SMALL_GA = {"n_total": 12, "n_elite": 2, "n_parents": 4, "n_crossover": 8,
+            "n_mutation": 2, "max_iters": 3, "f_tol": 0.0}
+
+
 @pytest.mark.parametrize("experiment, block, sites", [
     # one geometry; 3 live points of 6 (both modes at 30 dBm, passive at 5 dBm)
     ("total-power", {"N": 16, "P_T_dbm_grid": [0.0, 5.0, 30.0]}, 1),
     ("antennas-elements", {"M_grid": [4, 16], "N_grid": [4]}, 2),
     ("adc-bits", {"bits": [1, 4, "ideal"], "pairs": [[4, 4], [8, 4]]}, 2),
+    # run with --optimize: the baseline and the GA's phases share each batch
+    ("antennas-elements", {"M_grid": [4, 16], "N_grid": [4], "ga": SMALL_GA}, 2),
 ])
 def test_sweeps_draw_each_fading_batch_once(tmp_path, draws, experiment, block, sites):
     # two batches per geometry: every point of a geometry shares them; every
     # site here has N > K + 1 and M >= K, so each batch is a Gram-form draw
     config = write_config(tmp_path, experiments={experiment: block})
+    flags = ["--optimize"] if "ga" in block else []
     assert main(["--config", config, "--experiment", experiment, "--output",
-                 str(tmp_path / "out"), "--trials", str(BATCH + 1)]) == 0
+                 str(tmp_path / "out"), "--trials", str(BATCH + 1), *flags]) == 0
+    if flags:
+        rows = read_rows(tmp_path / "out" / "antennas_elements.csv")
+        assert [r[-1] for r in rows[1:]].count("true") == sites
     assert len(draws) == 2 * sites
     assert len(set(draws)) == len(draws)
     assert {d[0] for d in draws} == {"sample_gram_batch"}
@@ -176,8 +188,58 @@ def test_sweep_rates_match_monte_carlo_rate(tmp_path):
         assert row[header.index("mc_stderr")] == repr(report.sum_std_err)
 
 
-SMALL_GA = {"n_total": 12, "n_elite": 2, "n_parents": 4, "n_crossover": 8,
-            "n_mutation": 2, "max_iters": 3, "f_tol": 0.0}
+@pytest.mark.parametrize("experiment, alone, grid, csv_name, key", [
+    # total-power's one site scores its 16 budgets at once; adc-bits each
+    # pair's 11 bit widths
+    ("total-power", {"N": 16, "P_T_dbm_grid": [30.0]}, {"N": 16}, "total_power.csv", "30.0"),
+    ("adc-bits", {"bits": [4], "pairs": [[8, 4]]}, {"pairs": [[8, 4]]}, "adc_bits.csv", "4"),
+])
+def test_a_row_keeps_its_bytes_beside_other_points(tmp_path, experiment, alone, grid, csv_name,
+                                                   key):
+    lines = {}
+    for name, block in (("alone", alone), ("grid", grid)):
+        config = write_config(tmp_path, name=f"{name}.yaml", experiments={experiment: block})
+        out = tmp_path / name
+        assert main(["--config", config, "--experiment", experiment, "--output", str(out)]) == 0
+        lines[name] = [ln for ln in (out / csv_name).read_text().splitlines()[1:]
+                       if ln.split(",")[0] == key]
+    assert len(lines["grid"]) > 0
+    assert lines["alone"] == lines["grid"]
+
+
+def test_score_groups_do_not_change_cells(tmp_path, monkeypatch):
+    # one point per group, as at large trial counts, writes the bytes of
+    # one group for every point
+    config = write_config(tmp_path, experiments={"total-power": {"N": 16}})
+    outputs = []
+    for score_bytes in (arisim.cli.SCORE_BYTES, 1):
+        monkeypatch.setattr(arisim.cli, "SCORE_BYTES", score_bytes)
+        out = tmp_path / f"bytes-{score_bytes}"
+        assert main(["--config", config, "--experiment", "total-power", "--output", str(out)]) == 0
+        outputs.append((out / "total_power.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_repeated_runs_retain_no_memory(tmp_path):
+    # every call's arrays are freed with it: what stays traced after
+    # repeated calls is a few interpreter buffers, far below one call's
+    # arrays
+    config = write_config(tmp_path, experiments={
+        "antennas-elements": {"M_grid": [4], "N_grid": [4, 9], "ga": SMALL_GA}})
+    argv = ["--config", config, "--experiment", "antennas-elements", "--optimize",
+            "--output", str(tmp_path / "out")]
+    assert main(argv) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            assert main(argv) == 0
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 @pytest.mark.parametrize("experiment, block, flags, csv_name", [
@@ -243,20 +305,20 @@ def test_site_workers_bounds():
 
 def test_site_errors_fail_the_run(tmp_path, monkeypatch, capsys):
     # an error raised inside a pooled site job fails the run like any other
-    make_geometry = arisim.cli.make_geometry
+    closed_form_site = arisim.cli.closed_form_site
 
-    def failing(cfg):
+    def failing(geom, cfg):
         if cfg.M == 16:
-            raise ConfigurationError("no geometry at M = 16")
-        return make_geometry(cfg)
+            raise ConfigurationError("no site at M = 16")
+        return closed_form_site(geom, cfg)
 
-    monkeypatch.setattr(arisim.cli, "make_geometry", failing)
+    monkeypatch.setattr(arisim.cli, "closed_form_site", failing)
     monkeypatch.setattr(arisim.cli, "site_workers", lambda sites: min(2, sites))
     config = write_config(tmp_path, experiments={
         "antennas-elements": {"M_grid": [4, 16], "N_grid": [4, 9]}})
     assert main(["--config", config, "--experiment", "antennas-elements",
                  "--output", str(tmp_path / "out")]) == 1
-    assert "no geometry at M = 16" in capsys.readouterr().err
+    assert "no site at M = 16" in capsys.readouterr().err
     assert not (tmp_path / "out" / "antennas_elements.csv").exists()
 
 

@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arisim import (
     LinkBudget,
     Mode,
+    closed_form_site,
     PhaseConfig,
     SystemConfig,
     Moments,
@@ -34,11 +37,14 @@ from arisim import transceiver
 from arisim.transceiver import (
     AQNM_RHO,
     BATCH,
+    flat_moments,
     literal_trial_statistics,
     reduced_draw_applies,
+    sinr_matrix,
+    sinr_terms,
 )
 
-from helpers import literal_draw, sinr_from_definition
+from helpers import literal_draw, sinr_from_definition, sinr_terms_reference
 
 
 def test_aqnm_alpha_table():
@@ -321,6 +327,39 @@ def test_one_statistics_set_serves_every_budget():
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+@given(
+    K=st.integers(1, 5),
+    b=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, "ideal"]),
+    budget=st.sampled_from(["active", "passive", "cutoff"]),
+    delta=st.sampled_from([0.0, 1.0]),
+    eps=st.lists(st.sampled_from([0.0, 10.0]), min_size=5, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_sinr_matrix_matches_the_moment_expression(K, b, budget, delta, eps, seed):
+    # flat moments @ S against moments_at and the SINR terms written out,
+    # on expected moments of a population and on per-trial moments; five
+    # elements at -10 dBm switch and bias draw exactly 0 dBm, so "cutoff"
+    # is an active budget at the start-up cutoff, with every term zero
+    cfg = SystemConfig(M=8, N=5, K=K, b=b, delta=delta, epsilon=tuple(eps[:K]),
+                       P_T_dbm=0.0 if budget == "cutoff" else 30.0, P_SW_dbm=-10.0,
+                       P_DC_dbm=-10.0, trials=8, seed=seed)
+    geom = make_geometry(cfg)
+    link = resolve_budget(cfg, geom.alpha, Mode.PASSIVE if budget == "passive" else Mode.ACTIVE)
+    assert link.startup_met == (budget != "cutoff")
+    S = sinr_matrix(link, cfg)
+    assert S.shape == (4 * K + K * K, 2 * K)
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (3, cfg.N))
+    for unit in (closed_form_site(geom, cfg).stats(theta),
+                 trial_statistics(geom, cfg, PhaseConfig(theta[0]))):
+        terms = sinr_terms(flat_moments(unit), S)
+        num, den = sinr_terms_reference(unit, link, cfg)
+        np.testing.assert_allclose(terms[..., :K], num, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(terms[..., K:], den, rtol=1e-14, atol=0.0)
+        want = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+        np.testing.assert_allclose(sinr(unit, link, cfg), want, rtol=1e-14, atol=0.0)
+
+
 def test_trial_statistics_follow_the_batch_layout(desk):
     # trial BATCH + t is trial t of batch 1 of the fading stream, for full
     # draws of both hops and for the Gram-form draw alike
@@ -382,8 +421,8 @@ def test_one_trial_rates_have_zero_standard_errors(desk):
 
 
 def test_kernel_slices_do_not_change_statistics():
-    # at (64, 64) the literal kernel takes 16 trials at a time; reducing the
-    # whole batch in one call gives the same bits
+    # at (64, 64) the literal kernel takes at most 16 trials at a time;
+    # reducing the whole batch in one call gives the same bits
     cfg = SystemConfig(M=64, N=64, K=3, epsilon=(10.0, 1.0, 0.0), seed=3)
     assert transceiver.KERNEL_BYTES // (16 * cfg.M * cfg.N) <= transceiver.KERNEL_MIN_TRIALS
     geom = make_geometry(cfg)
@@ -530,7 +569,7 @@ def test_bartlett_factor_has_the_wishart_law(n, K):
 
 
 def test_reduced_kernel_slices_do_not_change_statistics():
-    # at (144, 64, 4) the reduced kernel takes 45 trials at a time
+    # at (144, 64, 4) the reduced kernel takes at most 45 trials at a time
     cfg = SystemConfig(M=144, N=64, K=4, epsilon=(10.0, 1.0, 0.0, 2.0), delta=0.5, seed=3)
     assert transceiver.KERNEL_BYTES // (16 * cfg.M * (cfg.K + 1)) < 100
     geom = make_geometry(cfg)
