@@ -24,14 +24,14 @@ monomials 1, F_k, F_k F_i and c_ki, written once (`_unit_moments`), and
 its matrix, that form applied to the unit monomials, is one phase-free
 weight matrix W.  So `ClosedFormSite.stats` finds the unit moments
 (`transceiver.Moments`) of one phase vector (N,) or a whole population
-(P, N) from one real matmul of those monomials with W; `phasor_stats` does
-the same from the unit phasors exp(j*theta), which the genetic search
-carries.  Those moments come out of the matmul flat
-(`flat_phasor_stats`), in `Moments` order, which is the row order of a
-budget's SINR matrix (`transceiver.sinr_matrix`), so a budget scores one
-phase vector or a whole population with one vector-matrix product per
-row (`transceiver.sinr_terms`) and `transceiver.log_rates`, the route
-Monte Carlo takes on its per-trial moments.
+(P, N) from one real matmul of those monomials with W; `flat_phasor_stats`
+does the same from the unit phasors exp(j*theta), which the genetic search
+carries, and keeps the moments flat, as they come out of the matmul, in
+`Moments` order, which is the row order of a budget's SINR matrix
+(`transceiver.sinr_matrix`).  So a budget scores one phase vector or a
+whole population with one vector-matrix product per row
+(`transceiver.sinr_terms`) and `transceiver.log_rates`, the route Monte
+Carlo takes on its per-trial moments.
 """
 
 from __future__ import annotations
@@ -165,15 +165,14 @@ def _monomials(f: np.ndarray, hbar_inner: np.ndarray) -> np.ndarray:
 
 def _moment_weights(c: MomentCoefficients) -> np.ndarray:
     """The matrix W with `_monomials(f, hbar_inner)` @ W the unit moments,
-    concatenated in `Moments` order.  As the matrix of any linear map, it is
-    the map, `_unit_moments`, applied to the unit monomials: the rows of the
+    flat (`flat_moments`).  As the matrix of any linear map, it is the map,
+    `_unit_moments`, applied to the unit monomials: the rows of the
     identity, split into the four groups.  W has (1 + K + 2K^2)(4K + K^2)
     entries and its build costs O(K^4), so it is meant for a few users."""
     K = len(c.gain[0])
     n = 1 + K + 2 * K * K
     one, F, FF, coupling = np.split(np.eye(n), [1, 1 + K, 1 + K + K * K], axis=1)
-    moments = _unit_moments(c, one, F, FF.reshape(n, K, K), coupling.reshape(n, K, K))
-    return np.concatenate([m.reshape(n, -1) for m in moments], axis=1)
+    return flat_moments(_unit_moments(c, one, F, FF.reshape(n, K, K), coupling.reshape(n, K, K)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,14 +187,12 @@ class ClosedFormSite:
 
     def stats(self, theta) -> Moments:
         """Expected unit moments for phases `theta` of shape (N,) or (P, N)."""
-        return self.phasor_stats(np.exp(1j * np.asarray(theta, dtype=float)))
-
-    def phasor_stats(self, phasors: np.ndarray) -> Moments:
-        """Expected unit moments for unit phasors exp(j*theta), (N,) or (P, N)."""
+        phasors = np.exp(1j * np.asarray(theta, dtype=float))
         return split_moments(self.flat_phasor_stats(phasors), self.B.shape[1])
 
     def flat_phasor_stats(self, phasors: np.ndarray) -> np.ndarray:
-        """`phasor_stats` as one flat array (..., 4K + K^2), as
+        """Expected unit moments for unit phasors exp(j*theta), (N,) or
+        (P, N), as one flat array (..., 4K + K^2), as
         `transceiver.flat_moments` lays it out."""
         return _monomials(phasors @ self.B, self.hbar_inner) @ self.W
 

@@ -37,7 +37,6 @@ from .transceiver import (
     PhaseConfig,
     _sample_mean,
     estimate_moments,
-    flat_moments,
     log_rates,
     measured_ris_power,
     moments_at,
@@ -121,13 +120,6 @@ def experiment_phases(cfg: SystemConfig) -> PhaseConfig:
     return PhaseConfig.random(cfg.N, substream(cfg.seed, STREAM_PHASES, cfg.N))
 
 
-# A site's live points are scored in groups whose SINR terms take at most
-# about this many bytes (at least one point per group), so that at any
-# trial count the scoring's temporaries stay near one fading batch's size;
-# a point's cells do not depend on its group.
-SCORE_BYTES = 1 << 19
-
-
 class Rates(NamedTuple):
     """The rates of one sweep point at its budget; every field but the
     last, `budget`, is a CSV column of the same name."""
@@ -148,12 +140,12 @@ def _score(geom, closed, cfg, phase_sets, points) -> list:
     once, for every phase vector that a live point needs, and serve every
     point (common random numbers), so the rates still depend only on
     (seed, cfg.trials).  Each live point's budget is one SINR matrix,
-    which gives the SINR terms of the point's closed form, row 0 of its
-    block, and of its T trials, rows 1 to T.  One log2, one sum over users
-    and one mean over the trial axis, the last and contiguous one, then
-    serve a group of points, all of them unless their blocks exceed
-    SCORE_BYTES, and each point's cells keep the bits they would have
-    alone: its Monte Carlo cells are those of `monte_carlo_rate`.
+    which gives the SINR terms of the point's closed form, one row of
+    (points, 2K) terms, and the sum rate of each of its T trials, one row
+    of (points, T) sums.  One log2 over the closed-form terms and one mean
+    over the sums' last, contiguous axis then serve every point, and each
+    point's cells keep the bits they would have alone: its Monte Carlo
+    cells are those of `monte_carlo_rate`.
     """
     budgets = [resolve_budget(point.cfg, geom.alpha, point.mode) for point in points]
     rates = [Rates(0.0, 0.0, 0.0, budget) for budget in budgets]
@@ -162,23 +154,19 @@ def _score(geom, closed, cfg, phase_sets, points) -> list:
         return rates
     used = sorted({points[i].optimized for i in live})
     fading = shared_trial_statistics(geom, cfg, [phase_sets[j] for j in used])
-    moments = {j: (closed.flat_phasor_stats(phase_sets[j].phi), flat_moments(stats))
-               for j, stats in zip(used, fading)}
-    del fading  # the flat copies serve from here
-    shape = (cfg.trials + 1, 2 * cfg.K)
-    step = max(1, SCORE_BYTES // (8 * shape[0] * shape[1]))
-    for start in range(0, len(live), step):
-        group = live[start:start + step]
-        terms = np.empty((len(group),) + shape)
-        for block, i in zip(terms, group):
-            S = sinr_matrix(budgets[i], points[i].cfg)
-            expected, per_trial = moments[points[i].optimized]
-            sinr_terms(expected, S, out=block[0])
-            sinr_terms(per_trial, S, out=block[1:])
-        sums = log_rates(terms).sum(axis=-1)
-        mean, std_err = _sample_mean(sums[:, 1:], axis=-1)
-        for i, closed_sum, mc_sum, mc_err in zip(group, sums[:, 0], mean, std_err):
-            rates[i] = Rates(float(closed_sum), float(mc_sum), float(mc_err), budgets[i])
+    moments = {j: (closed.flat_phasor_stats(phase_sets[j].phi), per_trial)
+               for j, per_trial in zip(used, fading)}
+    closed_terms = np.empty((len(live), 2 * cfg.K))
+    sums = np.empty((len(live), cfg.trials))
+    for n, i in enumerate(live):
+        S = sinr_matrix(budgets[i], points[i].cfg)
+        expected, per_trial = moments[points[i].optimized]
+        closed_terms[n] = sinr_terms(expected, S)
+        log_rates(sinr_terms(per_trial, S)).sum(axis=-1, out=sums[n])
+    closed_sums = log_rates(closed_terms).sum(axis=-1)
+    mean, std_err = _sample_mean(sums, axis=-1)
+    for i, closed_sum, mc_sum, mc_err in zip(live, closed_sums, mean, std_err):
+        rates[i] = Rates(float(closed_sum), float(mc_sum), float(mc_err), budgets[i])
     return rates
 
 
@@ -310,6 +298,8 @@ def run_verify(cfg, geom, block, out_dir, optimize, mode):
     geom = make_geometry(point)  # the desk-scale point's own geometry
     phases = experiment_phases(point)
     budget = resolve_budget(point, geom.alpha, Mode.ACTIVE)
+    if not budget.startup_met:
+        raise ConfigurationError("cannot verify a surface that does not start up")
     os.makedirs(out_dir, exist_ok=True)
     reference = moments_at(compute_stats(geom, point, phases), budget, point)
     mean, se = estimate_moments(geom, point, phases, budget, point.trials, point.seed + 1)
@@ -349,9 +339,9 @@ def run_verify(cfg, geom, block, out_dir, optimize, mode):
 def run_optimize(cfg, geom, block, out_dir, optimize, mode):
     budget = resolve_budget(cfg, geom.alpha, mode)
     params = ga_params(cfg, block)
-    os.makedirs(out_dir, exist_ok=True)
     closed = closed_form_site(geom, cfg)
     best, history = optimize_phases(geom, cfg, budget, params, site=closed)
+    os.makedirs(out_dir, exist_ok=True)  # the GA has checked its budget by now
     baseline = closed.stats(experiment_phases(cfg).theta)
     a_base = float(closed_form_rates(baseline, budget, cfg).sum())
     (optimized,) = _score(geom, closed, cfg, [best], [Point(cfg, mode)])

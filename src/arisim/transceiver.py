@@ -211,16 +211,15 @@ def sinr_matrix(budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
     return _sinr_map(split_moments(np.eye(n), cfg.K), budget, cfg)
 
 
-def sinr_terms(flat: np.ndarray, S: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sinr_terms(flat: np.ndarray, S: np.ndarray) -> np.ndarray:
     """The SINR terms `flat @ S`, (..., 2K), of flat moments (..., 4K + K^2)
-    under a SINR matrix, into `out` when given: one vector-matrix product
-    per row, so each row's terms are those of the row alone bit for bit,
-    however many rows are scored together.  A matrix product sums a lone
-    row in another order, and it loads BLAS code that a reduced-draw sweep
-    runs nowhere else, about 0.19 MB of resident pages with numpy's
-    bundled OpenBLAS on x86-64."""
-    rows = None if out is None else out[..., None, :]
-    return np.matmul(flat[..., None, :], S, out=rows)[..., 0, :]
+    under a SINR matrix: one vector-matrix product per row, so each row's
+    terms are those of the row alone bit for bit, however many rows are
+    scored together.  A matrix product sums a lone row in another order,
+    and it loads BLAS code that a reduced-draw sweep runs nowhere else,
+    about 0.19 MB of resident pages with numpy's bundled OpenBLAS on
+    x86-64."""
+    return (flat[..., None, :] @ S)[..., 0, :]
 
 
 def _ratio(terms: np.ndarray) -> np.ndarray:
@@ -423,10 +422,11 @@ def reduced_draw_applies(M: int, N: int, K: int) -> bool:
 
 
 def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
-    """Per-trial unit moments of each phase vector of `phase_sets` from
-    one set of reduced or of full draws, batch by batch, each batch reduced
-    in even slices of at most about KERNEL_BYTES; the site's LoS parts are
-    built once and serve every batch."""
+    """Per-trial unit moments of each phase vector of `phase_sets`, each a
+    flat (T, 4K + K^2) array (`flat_moments`), from one set of reduced or
+    of full draws, batch by batch, each batch reduced in even slices of at
+    most about KERNEL_BYTES into the array's `split_moments` views; the
+    site's LoS parts are built once and serve every batch."""
     T = cfg.trials if trials is None else trials
     if not _is_integer(T) or T < 1:
         raise ValueError(f"trials must be a positive integer, got {T!r}")
@@ -436,8 +436,8 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
     key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
     los = los_components(geom, cfg)
     K = cfg.K
-    out = [Moments(np.empty((T, K)), np.empty((T, K, K)), np.empty((T, K)),
-                   np.empty((T, K)), np.empty((T, K))) for _ in phase_sets]
+    out = [np.empty((T, 4 * K + K * K)) for _ in phase_sets]
+    views = [split_moments(flat, K) for flat in out]
     last = len(phase_sets) - 1
     if reduced:
         sites = [_gram_site(geom, cfg, los, phases.phi) for phases in phase_sets]
@@ -469,7 +469,7 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
         parts = -(-count // step)
         edges = [count * i // parts for i in range(parts + 1)]
         for start, end in zip(edges, edges[1:]):
-            for j, fields in enumerate(out):
+            for j, fields in enumerate(views):
                 for field, value in zip(fields, reduce(batch, slice(start, end), j)):
                     field[lo + start:lo + end] = value
         del batch  # free this batch before the next one is drawn
@@ -484,7 +484,8 @@ def trial_statistics(
     stream: tuple[int, ...] | None = None,
 ) -> Moments:
     """Draw `trials` fading realizations and reduce each to its unit
-    moments, (T, K) and (T, K, K).
+    moments, (T, K) and (T, K, K), views of one flat array
+    (`split_moments`).
 
     Batch b comes from `substream(*stream, b)`, by default the fading
     stream `(cfg.seed, STREAM_FADING)`, so the result depends only on the
@@ -495,7 +496,7 @@ def trial_statistics(
     reduced in slices once drawn, so the slicing changes no value, and
     dropped before the next one.
     """
-    return shared_trial_statistics(geom, cfg, (phases,), trials, stream)[0]
+    return split_moments(shared_trial_statistics(geom, cfg, (phases,), trials, stream)[0], cfg.K)
 
 
 def shared_trial_statistics(
@@ -506,8 +507,9 @@ def shared_trial_statistics(
     stream: tuple[int, ...] | None = None,
 ) -> list:
     """`trial_statistics` of each phase vector of `phase_sets`, in order,
-    all reduced from one draw of each batch (common random numbers); each
-    equals `trial_statistics` at its own phases bit for bit."""
+    all reduced from one draw of each batch (common random numbers), each
+    as one flat (T, 4K + K^2) array: `flat_moments` of `trial_statistics`
+    at its own phases bit for bit."""
     reduced = reduced_draw_applies(cfg.M, cfg.N, cfg.K)
     return _statistics(geom, cfg, phase_sets, trials, stream, reduced)
 
@@ -522,7 +524,7 @@ def literal_trial_statistics(
     """`trial_statistics` from full draws of both hops
     (`sample_channel_batch`) at every size: the oracle's route, which
     checks the reduced draw from outside."""
-    return _statistics(geom, cfg, (phases,), trials, stream, False)[0]
+    return split_moments(_statistics(geom, cfg, (phases,), trials, stream, False)[0], cfg.K)
 
 
 def estimate_moments(

@@ -207,17 +207,28 @@ def test_a_row_keeps_its_bytes_beside_other_points(tmp_path, experiment, alone, 
     assert lines["alone"] == lines["grid"]
 
 
-def test_score_groups_do_not_change_cells(tmp_path, monkeypatch):
-    # one point per group, as at large trial counts, writes the bytes of
-    # one group for every point
-    config = write_config(tmp_path, experiments={"total-power": {"N": 16}})
-    outputs = []
-    for score_bytes in (arisim.cli.SCORE_BYTES, 1):
-        monkeypatch.setattr(arisim.cli, "SCORE_BYTES", score_bytes)
-        out = tmp_path / f"bytes-{score_bytes}"
-        assert main(["--config", config, "--experiment", "total-power", "--output", str(out)]) == 0
-        outputs.append((out / "total_power.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+def test_scoring_memory_is_the_moments_and_one_row_per_point(tmp_path):
+    # 32 live points at 8000 trials: the scoring holds the per-trial
+    # moments, one row of per-trial sum rates per point, the deviations
+    # that the standard error takes of those rows, and one point's SINR
+    # terms and rates at a time, never every point's terms at once
+    T, K, points = 8000, TINY_SYSTEM["K"], 32
+    grid = [float(p) for p in range(10, 10 + points, 2)]
+    config = write_config(tmp_path, experiments={"total-power": {"N": 16, "P_T_dbm_grid": grid}})
+    argv = ["--config", config, "--experiment", "total-power", "--output", str(tmp_path / "out"),
+            "--trials", str(T)]
+    assert main(argv[:-1] + ["1"]) == 0  # any first-call allocations are made here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = read_rows(tmp_path / "out" / "total_power.csv")
+    assert [r[4] for r in rows[1:]] == ["true"] * points
+    moments, terms = 4 * K + K * K, 2 * K
+    assert peak <= 8 * T * (moments + 2 * points + 2 * terms)
 
 
 def test_repeated_runs_retain_no_memory(tmp_path):
@@ -450,6 +461,9 @@ def test_verify_run(tmp_path, capsys):
     ("antennas-elements", {"M_grid": [4], "N_grid": [4], "ga": {"n_totl": 5}}, {}),
     ("antennas-elements", {"M_grid": [4], "N_grid": [4], "ga": {"n_total": 5}}, {}),
     ("total-power", {"N": 8, "P_T_dbm_grid": [30.0, True]}, {}),
+    # a surface that does not start up has nothing to verify or optimize
+    ("verify", VERIFY_BLOCK, {"seed": 42, "P_T_dbm": 0.0}),
+    ("optimize", {}, {"P_T_dbm": 0.0}),
 ])
 def test_bad_experiment_values_fail(tmp_path, capsys, experiment, block, system):
     # each of these used to run and pass, truncated (16.9 -> 16) or coerced

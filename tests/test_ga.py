@@ -22,6 +22,7 @@ from arisim import (
 )
 from arisim import ga
 from arisim.channel import substream
+from arisim.transceiver import split_moments
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +259,8 @@ def test_carried_phasors_are_the_exponentiated_phases(ga_instance):
     means = []
     for _ in range(params.max_iters + 1):
         np.testing.assert_array_equal(phasors, np.exp(1j * pop))
-        fit = closed_form_rates(site.phasor_stats(phasors), budget, cfg).sum(axis=-1)
+        unit = split_moments(site.flat_phasor_stats(phasors), cfg.K)
+        fit = closed_form_rates(unit, budget, cfg).sum(axis=-1)
         means.append(float(fit.mean()))
         pop, phasors = ga._next_generation(pop, phasors, fit, params, rng)
     _, hist = optimize_phases(geom, cfg, budget, params)

@@ -40,6 +40,7 @@ from arisim.transceiver import (
     flat_moments,
     literal_trial_statistics,
     reduced_draw_applies,
+    shared_trial_statistics,
     sinr_matrix,
     sinr_terms,
 )
@@ -379,6 +380,23 @@ def test_trial_statistics_follow_the_batch_layout(desk):
     want = _reduced(geom, cfg, phases, batch)
     for name, value in zip(Moments._fields, want):
         np.testing.assert_array_equal(getattr(stats, name)[BATCH:], value, err_msg=name)
+
+
+@pytest.mark.parametrize("M, N, K", [(8, 5, 2), (8, 3, 2)])
+def test_shared_statistics_equal_each_phase_vectors_own(M, N, K):
+    # a reduced-draw size and a literal one, over two batches; the reduced
+    # kernel consumes the draw's H2 U in place, so the first phase vector's
+    # moments must not see the second's
+    assert reduced_draw_applies(M, N, K) == (N == 5)
+    cfg = SystemConfig(M=M, N=N, K=K, epsilon=(10.0, 1.0), seed=5)
+    geom = make_geometry(cfg)
+    phase_sets = [PhaseConfig.random(N, substream(6, j)) for j in range(2)]
+    trials = BATCH + 9
+    shared = shared_trial_statistics(geom, cfg, phase_sets, trials)
+    assert len(shared) == 2
+    for flat, phases in zip(shared, phase_sets):
+        alone = trial_statistics(geom, cfg, phases, trials)
+        np.testing.assert_array_equal(flat, flat_moments(alone))
 
 
 def test_trial_statistics_checks_inputs(desk):
