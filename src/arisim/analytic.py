@@ -4,8 +4,8 @@ The ergodic per-user rate is approximated by moving the expectation inside
 the log ratio, which reduces everything to five deterministic moments of
 the combined channel g_k = eta * H2 * Phi * h_k:
 
-    E{||g_k||^4},  E{|g_k^H g_i|^2},  E{||g_k^H H2 Phi||^2},
-    E{||g_k||^2},  E{g_k^H diag(p_k G G^H + sn2 I) g_k}.
+    E{||g_k||^4},  sum_{i!=k} E{|g_k^H g_i|^2},  E{||g_k^H H2 Phi||^2},
+    E{||g_k||^2},  E{g_k^H diag(p G G^H + sn2 I) g_k}.
 
 Each moment has a closed form in the array sizes, the Rician factors, the
 large-scale gains and two phase-dependent functionals: the aligned LoS gain
@@ -20,18 +20,16 @@ Only f depends on the phases.  `closed_form_site` gathers everything else
 once per geometry: each moment's terms are collected into coefficients of
 F_k = |f_k|^2 and the LoS coupling c_ki = Re{f_k conj(f_i) hbar_k^H hbar_i}
 (`MomentCoefficients`).  Every moment is then a linear form in the
-monomials 1, F_k, F_k F_i and c_ki, written once (`_unit_moments`), and
-its matrix, that form applied to the unit monomials, is one phase-free
-weight matrix W.  So `ClosedFormSite.stats` finds the unit moments
+monomials 1, F_k, F_k F_i and c_ki, written once (`_unit_moments`; the
+interference sums its pair form over the interferers i), and its matrix,
+that form applied to the unit monomials, is one phase-free weight matrix
+W with 5K columns.  So `ClosedFormSite.stats` finds the unit moments
 (`transceiver.Moments`) of one phase vector (N,) or a whole population
 (P, N) from one real matmul of those monomials with W; `flat_phasor_stats`
 does the same from the unit phasors exp(j*theta), which the genetic search
-carries, and keeps the moments flat, as they come out of the matmul, in
-`Moments` order, which is the row order of a budget's SINR matrix
-(`transceiver.sinr_matrix`).  So a budget scores one phase vector or a
-whole population with one vector-matrix product per row
-(`transceiver.sinr_terms`) and `transceiver.log_rates`, the route Monte
-Carlo takes on its per-trial moments.
+carries, and keeps the moments flat, as they come out of the matmul.  A
+budget scores them with `transceiver.log_rates`, the expression Monte
+Carlo applies to its per-trial moments.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ import numpy as np
 
 from .budget import LinkBudget, SystemConfig
 from .channel import Geometry, los_components
-from .transceiver import (Moments, PhaseConfig, flat_moments, log_rates, sinr_matrix,
-                          sinr_terms, split_moments)
+from .transceiver import (Moments, PhaseConfig, flat_moments, log_rates, sinr_scalars,
+                          split_moments)
 
 
 class MomentCoefficients(NamedTuple):
@@ -138,13 +136,14 @@ def _pair_form(x: tuple, one, F, FF, coupling) -> np.ndarray:
 def _unit_moments(c: MomentCoefficients, one, F, FF, coupling) -> Moments:
     """The unit moments as linear forms, with the coefficients `c`, in the
     monomials 1 (`one`, (..., 1)), F_k (..., K), F_k F_i (`FF`, (..., K, K))
-    and c_ki (`coupling`, (..., K, K))."""
+    and c_ki (`coupling`, (..., K, K)); the pair forms, zero on their
+    diagonals, are summed over the interferers i."""
     own_FF = np.diagonal(FF, axis1=-2, axis2=-1)
     s0, s1, s2 = c.signal
     q0, q1, q2 = c.quantization
     return Moments(
         s0 * one + s1 * F + s2 * own_FF,
-        _pair_form(c.interference, one, F, FF, coupling),
+        _pair_form(c.interference, one, F, FF, coupling).sum(axis=-1),
         c.dynamic_noise[0] * one + c.dynamic_noise[1] * F,
         c.gain[0] * one + c.gain[1] * F,
         q0 * one + q1 * F + q2 * own_FF
@@ -167,8 +166,8 @@ def _moment_weights(c: MomentCoefficients) -> np.ndarray:
     """The matrix W with `_monomials(f, hbar_inner)` @ W the unit moments,
     flat (`flat_moments`).  As the matrix of any linear map, it is the map,
     `_unit_moments`, applied to the unit monomials: the rows of the
-    identity, split into the four groups.  W has (1 + K + 2K^2)(4K + K^2)
-    entries and its build costs O(K^4), so it is meant for a few users."""
+    identity, split into the four groups.  W has (1 + K + 2K^2) 5K entries
+    and its build costs O(K^4), so it is meant for a few users."""
     K = len(c.gain[0])
     n = 1 + K + 2 * K * K
     one, F, FF, coupling = np.split(np.eye(n), [1, 1 + K, 1 + K + K * K], axis=1)
@@ -183,16 +182,16 @@ class ClosedFormSite:
     u: np.ndarray           # (K,) composite gains beta*alpha_k/((delta+1)(eps_k+1))
     hbar_inner: np.ndarray  # (K, K) steering inner products hbar_k^H hbar_i
     coefficients: MomentCoefficients
-    W: np.ndarray           # (1 + K + 2K^2, 4K + K^2) moment weights, `_moment_weights`
+    W: np.ndarray           # (1 + K + 2K^2, 5K) moment weights, `_moment_weights`
 
     def stats(self, theta) -> Moments:
         """Expected unit moments for phases `theta` of shape (N,) or (P, N)."""
         phasors = np.exp(1j * np.asarray(theta, dtype=float))
-        return split_moments(self.flat_phasor_stats(phasors), self.B.shape[1])
+        return split_moments(self.flat_phasor_stats(phasors))
 
     def flat_phasor_stats(self, phasors: np.ndarray) -> np.ndarray:
         """Expected unit moments for unit phasors exp(j*theta), (N,) or
-        (P, N), as one flat array (..., 4K + K^2), as
+        (P, N), as one flat array (..., 5K), as
         `transceiver.flat_moments` lays it out."""
         return _monomials(phasors @ self.B, self.hbar_inner) @ self.W
 
@@ -221,8 +220,7 @@ def closed_form_rates(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> n
     One formula serves both modes: a passive budget carries no dynamic
     noise (sigma_v^2 = 0, eta = 1), and ideal ADCs (b = "ideal") drop the
     quantization term.  Zero when the surface is down, as p = 0 there.
-    The budget's SINR matrix gives every user's SINR terms, so a caller
-    scoring many moment sets under one budget builds `sinr_matrix` once
-    and calls `sinr_terms` and `log_rates` as here.
+    A caller scoring many moment sets under one budget takes its
+    `sinr_scalars` once and calls `log_rates` as here.
     """
-    return log_rates(sinr_terms(flat_moments(unit), sinr_matrix(budget, cfg)))
+    return log_rates(unit, sinr_scalars(budget, cfg))

@@ -193,16 +193,11 @@ class SystemConfig:
 class LinkBudget:
     """Resolved linear-scale power allocation for one system instance."""
 
-    p: np.ndarray          # (K,) per-user transmit powers, watts
+    p: float               # transmit power of each user, watts (all users alike)
     eta: float             # common element amplification factor (1 in passive mode)
     P_A: float             # surface reflect power, watts (0 in passive mode)
     startup_met: bool      # False when the total budget is at or below the circuit draw
     sigma_v2_w: float      # dynamic-noise power seen downstream (0 in passive mode)
-
-    @property
-    def P_t(self) -> float:
-        """Total user transmit power."""
-        return float(np.sum(self.p))
 
 
 def circuit_power(cfg: SystemConfig, mode: Mode) -> float:
@@ -218,7 +213,7 @@ def resolve_budget(cfg: SystemConfig, alpha, mode: Mode = Mode.ACTIVE) -> LinkBu
 
     `alpha` holds the K user->RIS large-scale gains, needed because the
     amplification factor is set so the surface radiates exactly its share
-    of the budget: eta^2 * N * (sum_k p_k alpha_k + sigma_v^2) = P_A.
+    of the budget: eta^2 * N * (p sum_k alpha_k + sigma_v^2) = P_A.
 
     Active mode reserves N*(P_SW + P_DC) for circuits, then gives `split`
     of the remainder to the users (equally) and the rest to the surface.
@@ -240,16 +235,15 @@ def resolve_budget(cfg: SystemConfig, alpha, mode: Mode = Mode.ACTIVE) -> LinkBu
 
     if mode is Mode.PASSIVE:
         if P_T <= circuit:
-            return LinkBudget(np.zeros(cfg.K), 1.0, 0.0, False, 0.0)
-        return LinkBudget(np.full(cfg.K, (P_T - circuit) / cfg.K), 1.0, 0.0, True, 0.0)
+            return LinkBudget(0.0, 1.0, 0.0, False, 0.0)
+        return LinkBudget((P_T - circuit) / cfg.K, 1.0, 0.0, True, 0.0)
 
     if P_T <= circuit:
-        return LinkBudget(np.zeros(cfg.K), 0.0, 0.0, False, cfg.sigma_v2_w)
+        return LinkBudget(0.0, 0.0, 0.0, False, cfg.sigma_v2_w)
     remainder = P_T - circuit
-    P_t = cfg.split * remainder
+    p = cfg.split * remainder / cfg.K
     P_A = (1.0 - cfg.split) * remainder
-    p = np.full(cfg.K, P_t / cfg.K)
-    eta_sq = P_A / (cfg.N * (float(p @ alpha) + cfg.sigma_v2_w))
+    eta_sq = P_A / (cfg.N * (p * float(alpha.sum()) + cfg.sigma_v2_w))
     eta = math.sqrt(eta_sq)
     if eta < 1.0:
         raise ConfigurationError(

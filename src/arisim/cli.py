@@ -41,8 +41,8 @@ from .transceiver import (
     measured_ris_power,
     moments_at,
     shared_trial_statistics,
-    sinr_matrix,
-    sinr_terms,
+    sinr_scalars,
+    split_moments,
 )
 
 def load_config(path: str) -> dict:
@@ -139,13 +139,12 @@ def _score(geom, closed, cfg, phase_sets, points) -> list:
     give, without evaluating either route.  The fading statistics are drawn
     once, for every phase vector that a live point needs, and serve every
     point (common random numbers), so the rates still depend only on
-    (seed, cfg.trials).  Each live point's budget is one SINR matrix,
-    which gives the SINR terms of the point's closed form, one row of
-    (points, 2K) terms, and the sum rate of each of its T trials, one row
-    of (points, T) sums.  One log2 over the closed-form terms and one mean
-    over the sums' last, contiguous axis then serve every point, and each
-    point's cells keep the bits they would have alone: its Monte Carlo
-    cells are those of `monte_carlo_rate`.
+    (seed, cfg.trials).  Each live point's budget enters as its three SINR
+    scalars, which score the point's closed form and the sum rate of each
+    of its T trials, one row of (points, T) sums.  One mean over the sums'
+    last, contiguous axis then serves every point, and each point's cells
+    keep the bits they would have alone: its Monte Carlo cells are those
+    of `monte_carlo_rate`.
     """
     budgets = [resolve_budget(point.cfg, geom.alpha, point.mode) for point in points]
     rates = [Rates(0.0, 0.0, 0.0, budget) for budget in budgets]
@@ -154,16 +153,15 @@ def _score(geom, closed, cfg, phase_sets, points) -> list:
         return rates
     used = sorted({points[i].optimized for i in live})
     fading = shared_trial_statistics(geom, cfg, [phase_sets[j] for j in used])
-    moments = {j: (closed.flat_phasor_stats(phase_sets[j].phi), per_trial)
+    moments = {j: (closed.stats(phase_sets[j].theta), split_moments(per_trial))
                for j, per_trial in zip(used, fading)}
-    closed_terms = np.empty((len(live), 2 * cfg.K))
+    closed_sums = np.empty(len(live))
     sums = np.empty((len(live), cfg.trials))
     for n, i in enumerate(live):
-        S = sinr_matrix(budgets[i], points[i].cfg)
+        scalars = sinr_scalars(budgets[i], points[i].cfg)
         expected, per_trial = moments[points[i].optimized]
-        closed_terms[n] = sinr_terms(expected, S)
-        log_rates(sinr_terms(per_trial, S)).sum(axis=-1, out=sums[n])
-    closed_sums = log_rates(closed_terms).sum(axis=-1)
+        closed_sums[n] = log_rates(expected, scalars).sum()
+        log_rates(per_trial, scalars).sum(axis=-1, out=sums[n])
     mean, std_err = _sample_mean(sums, axis=-1)
     for i, closed_sum, mc_sum, mc_err in zip(live, closed_sums, mean, std_err):
         rates[i] = Rates(float(closed_sum), float(mc_sum), float(mc_err), budgets[i])
@@ -313,16 +311,12 @@ def run_verify(cfg, geom, block, out_dir, optimize, mode):
                      "PASS" if ok else "FAIL"))
 
     for k in range(point.K):
-        for name, *moment in zip(Moments._fields, mean, se, reference):
-            # user k's interference row, without its zero diagonal
-            entries = [np.delete(x[k], k) if name == "interference" else x[k:k + 1]
-                       for x in moment]
-            for estimate, std_err, expected in zip(*entries):
-                check(name, k, estimate, std_err, expected, 0.03)
+        for name, estimate, std_err, expected in zip(Moments._fields, mean, se, reference):
+            check(name, k, estimate[k], std_err[k], expected[k], 0.03)
 
     # the 1% identity bound assumes the full 1e5-draw average
     measured = measured_ris_power(geom, point, phases, budget, 100000)
-    expected = budget.eta**2 * point.N * (float(budget.p @ geom.alpha) + budget.sigma_v2_w)
+    expected = budget.eta**2 * point.N * (budget.p * float(geom.alpha.sum()) + budget.sigma_v2_w)
     check("surface_power", -1, measured, 0.0, expected, 0.01)
 
     path = os.path.join(out_dir, "verify.csv")
@@ -387,7 +381,7 @@ def write_manifest(out_dir, cfg, geom, args, artifacts):
             lines.append(f"resolved.{mode.value}.startup_met: {_fmt(budget.startup_met)}")
             lines.append(f"resolved.{mode.value}.eta: {_fmt(budget.eta)}")
             lines.append(f"resolved.{mode.value}.P_A_w: {_fmt(budget.P_A)}")
-            lines.append("resolved.{}.p_w: {}".format(mode.value, " ".join(_fmt(p) for p in budget.p)))
+            lines.append("resolved.{}.p_w: {}".format(mode.value, " ".join([_fmt(budget.p)] * cfg.K)))
         except ConfigurationError as exc:
             lines.append(f"resolved.{mode.value}.error: {exc}")
     lines.append(f"flags.trials: {args.trials}")

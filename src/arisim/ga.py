@@ -17,11 +17,10 @@ mutation pick and the mutation noise (Mu, N).
 The unit phasors exp(j*theta) travel beside the phases: elites keep theirs
 and children gather theirs through their crossover, so each generation
 exponentiates only its mutants before the whole population, elites
-included, is scored: one matmul gives its unit moments, flat
-(`ClosedFormSite.flat_phasor_stats`), one vector-matrix product per row with
-the budget's SINR matrix, built once per run (`transceiver.sinr_matrix`),
-their SINR terms (`transceiver.sinr_terms`), and `transceiver.log_rates`
-the rates, as in `closed_form_rates`.
+included, is scored: one matmul gives its unit moments, flat (P, 5K)
+(`ClosedFormSite.flat_phasor_stats`), and `transceiver.log_rates` their
+rates under the budget's three SINR scalars, taken once per run
+(`transceiver.sinr_scalars`), as in `closed_form_rates`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 from .analytic import ClosedFormSite, closed_form_site
 from .budget import ConfigurationError, LinkBudget, SystemConfig, check_fields
 from .channel import Geometry
-from .transceiver import PhaseConfig, log_rates, sinr_matrix, sinr_terms
+from .transceiver import PhaseConfig, log_rates, sinr_scalars, split_moments
 
 TWO_PI = 2.0 * np.pi
 
@@ -180,7 +179,7 @@ def optimize_phases(
     The fitness is the closed-form sum rate under the budget and `cfg.b`,
     scored for each whole generation at once, on the unit phasors carried
     beside the phases, through `site` (the closed-form site of `geom` and
-    `cfg`, built here when not given) and the budget's SINR matrix, built
+    `cfg`, built here when not given) and the budget's SINR scalars, taken
     once per run; a generation's scores equal the sums of
     `closed_form_rates` on its moments bit for bit.  The surface must be
     started up, otherwise every candidate scores zero and there is nothing
@@ -190,10 +189,10 @@ def optimize_phases(
         raise ConfigurationError("cannot optimize a surface that does not start up")
 
     site = site if site is not None else closed_form_site(geom, cfg)
-    S = sinr_matrix(budget, cfg)
+    scalars = sinr_scalars(budget, cfg)
 
     def score(phasors):
-        return log_rates(sinr_terms(site.flat_phasor_stats(phasors), S)).sum(axis=-1)
+        return log_rates(split_moments(site.flat_phasor_stats(phasors)), scalars).sum(axis=-1)
 
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     pop = rng.uniform(0.0, TWO_PI, (params.n_total, cfg.N))

@@ -6,14 +6,13 @@ alpha = 1 - rho and adds Gaussian noise whose covariance is proportional to
 the diagonal of the input power.  Achievable rates are per-user ergodic
 values E{log2(1 + SINR)} estimated over fading realizations.
 
-`moments_at` alone scales moments by a budget, and the SINR's numerator
-and denominator are written once, as a map linear in the unit moments
-(`_sinr_map`).  So a budget is one matrix S, `sinr_matrix`, that map
-applied to the unit basis.  Monte Carlo scores a budget on every trial's
+Every user transmits at the same power p, so the SINR of user k, divided
+through by eta^4 p, is s_k / (I_k + r q_k + c1 d_k + c2 g_k) in the unit
+moments (`Moments`): the budget and the ADC enter only through three
+scalars (`sinr_scalars`).  Monte Carlo scores a budget on every trial's
 moments, the closed forms (`analytic`) on their expectations and the
-genetic search on a whole population alike: the product
-flat_moments(unit) @ S, taken row by row (`sinr_terms`), then
-`log_rates`.
+genetic search on a whole population alike, with that one elementwise
+expression (`log_rates`).
 
 Monte Carlo trials are processed in fixed-size batches, each with its own
 generator derived from (seed, batch index), so results depend only on the
@@ -65,7 +64,7 @@ KERNEL_MIN_TRIALS = 16
 
 # Distortion factor rho of an optimal scalar quantizer for small bit widths;
 # beyond 5 bits the pi*sqrt(3)/2 * 2^(-2b) asymptote is accurate.
-AQNM_RHO = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009479, 5: 0.002499}
+AQNM_RHO = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
 
 
 def aqnm_alpha(b) -> float:
@@ -127,19 +126,20 @@ def batch_ranges(trials: int):
 
 
 class Moments(NamedTuple):
-    """The five moments of the combined channels g_k = eta * g0_k, with
-    G = [g_1 ... g_K], that the post-combining SINR is built from:
+    """The five per-user moments of the combined channels g_k = eta * g0_k,
+    with G = [g_1 ... g_K], that the post-combining SINR is built from,
+    each (..., K):
 
-        signal         ||g_k||^4                            (..., K)
-        interference   |g_k^H g_i|^2, zero for i = k        (..., K, K)
-        dynamic_noise  ||g_k^H H2 Phi||^2                   (..., K)
-        channel_gain   ||g_k||^2                            (..., K)
-        quantization   g_k^H diag(p_k G G^H + sn2 I) g_k    (..., K)
+        signal         ||g_k||^4
+        interference   I_k = sum_{i!=k} |g_k^H g_i|^2
+        dynamic_noise  ||g_k^H H2 Phi||^2
+        channel_gain   ||g_k||^2
+        quantization   g_k^H diag(p G G^H + sn2 I) g_k
 
     Monte Carlo holds one set per trial, the closed form and the oracle one
     set of expectations.  A unit set is taken at eta = 1, with the
-    quantization term per unit p_k and without its noise part;
-    `moments_at` scales it to a budget.
+    quantization term per unit p and without its noise part; `moments_at`
+    scales it to a budget.
     """
 
     signal: np.ndarray
@@ -151,7 +151,7 @@ class Moments(NamedTuple):
 
 def moments_at(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> Moments:
     """The moments of a unit set under the budget's amplification and
-    transmit powers and the configured noise floor."""
+    transmit power and the configured noise floor."""
     if unit.signal.shape[-1] != cfg.K:
         raise ValueError(f"moments for {unit.signal.shape[-1]} users, config has {cfg.K}")
     e2 = budget.eta**2
@@ -167,89 +167,77 @@ def moments_at(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> Moments:
 
 
 def flat_moments(unit: Moments) -> np.ndarray:
-    """A set of moments as one array, (..., 4K + K^2): the fields in
-    `Moments` order, the interference row by row."""
-    lead = unit.signal.shape[:-1]
-    return np.concatenate([x.reshape(lead + (-1,)) for x in unit], axis=-1)
+    """A set of moments as one array, (..., 5K): the fields in `Moments`
+    order."""
+    return np.concatenate(unit, axis=-1)
 
 
-def split_moments(flat: np.ndarray, K: int) -> Moments:
-    """The `Moments` of K users held in a flat array (..., 4K + K^2), as
-    views: the inverse of `flat_moments`."""
-    KK = K + K * K
-    return Moments(flat[..., :K], flat[..., K:KK].reshape(flat.shape[:-1] + (K, K)),
-                   flat[..., KK:KK + K], flat[..., KK + K:KK + 2 * K], flat[..., KK + 2 * K:])
+def split_moments(flat: np.ndarray) -> Moments:
+    """The `Moments` held in a flat array (..., 5K), as views: the inverse
+    of `flat_moments`."""
+    K = flat.shape[-1] // 5
+    return Moments(*(flat[..., i * K:(i + 1) * K] for i in range(5)))
 
 
-def _sinr_map(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
-    """The numerators, then the denominators, of every user's SINR,
-    (..., 2K), from a unit set of moments; linear in those moments.
+def sinr_scalars(budget: LinkBudget, cfg: SystemConfig):
+    """The scalars (r, c1, c2) through which a budget and the ADC enter
+    every user's SINR, or None where the surface carries nothing (p = 0 or
+    eta = 0, as at the start-up cutoff).
 
     With the moments of `moments_at` and the quantization gain
-    a = `aqnm_alpha(cfg.b)`, 1 for ideal ADCs, the SINR of user k is,
-    after dividing numerator and denominator by a^2,
+    a = `aqnm_alpha(cfg.b)`, 1 for ideal ADCs, the SINR of user k is
 
-        p_k ||g_k||^4  /  ( sum_{i!=k} p_i |g_k^H g_i|^2
-                            + eta^2 sv2 ||g_k^H H2 Phi||^2
-                            + sn2 ||g_k||^2
-                            + (1 - a)/a g_k^H diag(p_k G G^H + sn2 I) g_k ).
+        p ||g_k||^4  /  ( p I_k + eta^2 sv2 ||g_k^H H2 Phi||^2 + sn2 ||g_k||^2
+                          + (1 - a)/a g_k^H diag(p G G^H + sn2 I) g_k ),
+
+    and divided through by eta^4 p it is, in the unit moments,
+    s_k / (I_k + r q_k + c1 d_k + c2 g_k), with r = (1 - a)/a,
+    c1 = sv2/p and c2 = sn2/(a eta^2 p) (Zhang et al., IEEE JSTSP 2014,
+    Lemma 1, under the AQNM of Fan et al., IEEE Commun. Lett. 2015).
     """
-    m = moments_at(unit, budget, cfg)
+    if budget.p == 0.0 or budget.eta == 0.0:
+        return None
     a = aqnm_alpha(cfg.b)
-    den = (m.interference @ budget.p + (budget.eta**2 * budget.sigma_v2_w) * m.dynamic_noise
-           + cfg.sigma_n2_w * m.channel_gain + (1.0 - a) / a * m.quantization)
-    return np.concatenate([budget.p * m.signal, den], axis=-1)
+    return ((1.0 - a) / a, budget.sigma_v2_w / budget.p,
+            cfg.sigma_n2_w / (a * budget.eta**2 * budget.p))
 
 
-def sinr_matrix(budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
-    """The SINR matrix S of a budget, (4K + K^2, 2K): `flat_moments(unit)
-    @ S` holds the SINR terms that `_sinr_map` gives, numerators then
-    denominators.  As the matrix of a linear map, S is that map applied to
-    the unit basis, the rows of the identity; its rows follow the columns
-    of `ClosedFormSite.W`."""
-    n = 4 * cfg.K + cfg.K * cfg.K
-    return _sinr_map(split_moments(np.eye(n), cfg.K), budget, cfg)
+def _sinr(unit: Moments, scalars) -> np.ndarray:
+    """s_k / (I_k + r q_k + c1 d_k + c2 g_k), (..., K), a new array, for
+    the `sinr_scalars` (r, c1, c2), which may be arrays that broadcast
+    against the moments; zero where they are None or the denominator is
+    zero."""
+    if scalars is None:
+        return np.zeros(np.shape(unit.signal))
+    r, c1, c2 = scalars
+    den = r * unit.quantization
+    den += unit.interference
+    den += c1 * unit.dynamic_noise
+    den += c2 * unit.channel_gain
+    return np.divide(unit.signal, den, out=den, where=den > 0.0)
 
 
-def sinr_terms(flat: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The SINR terms `flat @ S`, (..., 2K), of flat moments (..., 4K + K^2)
-    under a SINR matrix: one vector-matrix product per row, so each row's
-    terms are those of the row alone bit for bit, however many rows are
-    scored together.  A matrix product sums a lone row in another order,
-    and it loads BLAS code that a reduced-draw sweep runs nowhere else,
-    about 0.19 MB of resident pages with numpy's bundled OpenBLAS on
-    x86-64."""
-    return (flat[..., None, :] @ S)[..., 0, :]
-
-
-def _ratio(terms: np.ndarray) -> np.ndarray:
-    """Numerator over denominator of SINR terms (..., 2K); zero where the
-    denominator is zero."""
-    K = terms.shape[-1] // 2
-    num, den = terms[..., :K], terms[..., K:]
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-
-
-def log_rates(terms: np.ndarray) -> np.ndarray:
-    """Per-user rates log2(1 + SINR), bits/s/Hz, (..., K), from SINR terms
-    (..., 2K) such as `sinr_terms(flat_moments(unit), sinr_matrix(budget, cfg))`.
-    Each entry depends on its own terms alone, whatever the array's shape."""
-    rates = _ratio(terms)
+def log_rates(unit: Moments, scalars) -> np.ndarray:
+    """Per-user rates log2(1 + SINR), bits/s/Hz, (..., K), of unit moments
+    under the `sinr_scalars` of a budget: the one expression that scores
+    Monte Carlo trials, closed forms and GA populations.  Each entry
+    depends on its own moments alone, whatever the array's shape."""
+    rates = _sinr(unit, scalars)
     rates += 1.0
     return np.log2(rates, out=rates)
 
 
 def sinr(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
-    """Post-combining SINR per user, (..., K), from a unit set of moments:
-    the ratio of the two halves of its SINR terms under the budget's SINR
-    matrix (`sinr_matrix`, `sinr_terms`).
+    """Post-combining SINR per user, (..., K), from a unit set of moments.
 
     On one trial's moments this is the exact SINR of that trial; on
     expected moments it is the closed-form approximation, which moves the
     expectation inside the ratio (Zhang et al., IEEE JSTSP 2014, Lemma 1).
-    Zero where the denominator is zero.
+    Zero where the surface carries nothing.
     """
-    return _ratio(sinr_terms(flat_moments(unit), sinr_matrix(budget, cfg)))
+    if unit.signal.shape[-1] != cfg.K:
+        raise ValueError(f"moments for {unit.signal.shape[-1]} users, config has {cfg.K}")
+    return _sinr(unit, sinr_scalars(budget, cfg))
 
 
 def _gram(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,14 +261,17 @@ def _hermitian(parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 def _moments_of(norm2: np.ndarray, gram_re: np.ndarray, gram_im: np.ndarray,
                 dyn: np.ndarray, power: np.ndarray) -> Moments:
     """Unit moments from the gains ||g0_k||^2, the Gram matrix G0^H G0, the
-    dynamic-noise terms and the entry powers |G0_mk|^2 (T, M, K)."""
+    dynamic-noise terms and the entry powers |G0_mk|^2 (T, M, K).  Each
+    user's interference sums the pairs |g0_k^H g0_i|^2 with its own term
+    zeroed, not the whole row less ||g0_k||^4, which would cancel about
+    log10(M) digits."""
     K = norm2.shape[1]
     cross2 = gram_re * gram_re + gram_im * gram_im
     diag = np.arange(K)
     cross2[:, diag, diag] = 0.0
     # g0_k^H diag(G0 G0^H) g0_k = sum_m |G0_mk|^2 sum_i |G0_mi|^2
     quantization = (power.swapaxes(1, 2) @ power.sum(axis=2, keepdims=True))[..., 0]
-    return Moments(norm2 * norm2, cross2, dyn, norm2, quantization)
+    return Moments(norm2 * norm2, cross2.sum(axis=2), dyn, norm2, quantization)
 
 
 def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray) -> Moments:
@@ -423,7 +414,7 @@ def reduced_draw_applies(M: int, N: int, K: int) -> bool:
 
 def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
     """Per-trial unit moments of each phase vector of `phase_sets`, each a
-    flat (T, 4K + K^2) array (`flat_moments`), from one set of reduced or
+    flat (T, 5K) array (`flat_moments`), from one set of reduced or
     of full draws, batch by batch, each batch reduced in even slices of at
     most about KERNEL_BYTES into the array's `split_moments` views; the
     site's LoS parts are built once and serve every batch."""
@@ -436,8 +427,8 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
     key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
     los = los_components(geom, cfg)
     K = cfg.K
-    out = [np.empty((T, 4 * K + K * K)) for _ in phase_sets]
-    views = [split_moments(flat, K) for flat in out]
+    out = [np.empty((T, 5 * K)) for _ in phase_sets]
+    views = [split_moments(flat) for flat in out]
     last = len(phase_sets) - 1
     if reduced:
         sites = [_gram_site(geom, cfg, los, phases.phi) for phases in phase_sets]
@@ -484,8 +475,7 @@ def trial_statistics(
     stream: tuple[int, ...] | None = None,
 ) -> Moments:
     """Draw `trials` fading realizations and reduce each to its unit
-    moments, (T, K) and (T, K, K), views of one flat array
-    (`split_moments`).
+    moments, (T, K) each, views of one flat array (`split_moments`).
 
     Batch b comes from `substream(*stream, b)`, by default the fading
     stream `(cfg.seed, STREAM_FADING)`, so the result depends only on the
@@ -496,7 +486,7 @@ def trial_statistics(
     reduced in slices once drawn, so the slicing changes no value, and
     dropped before the next one.
     """
-    return split_moments(shared_trial_statistics(geom, cfg, (phases,), trials, stream)[0], cfg.K)
+    return split_moments(shared_trial_statistics(geom, cfg, (phases,), trials, stream)[0])
 
 
 def shared_trial_statistics(
@@ -508,7 +498,7 @@ def shared_trial_statistics(
 ) -> list:
     """`trial_statistics` of each phase vector of `phase_sets`, in order,
     all reduced from one draw of each batch (common random numbers), each
-    as one flat (T, 4K + K^2) array: `flat_moments` of `trial_statistics`
+    as one flat (T, 5K) array: `flat_moments` of `trial_statistics`
     at its own phases bit for bit."""
     reduced = reduced_draw_applies(cfg.M, cfg.N, cfg.K)
     return _statistics(geom, cfg, phase_sets, trials, stream, reduced)
@@ -524,7 +514,7 @@ def literal_trial_statistics(
     """`trial_statistics` from full draws of both hops
     (`sample_channel_batch`) at every size: the oracle's route, which
     checks the reduced draw from outside."""
-    return split_moments(_statistics(geom, cfg, (phases,), trials, stream, False)[0], cfg.K)
+    return split_moments(_statistics(geom, cfg, (phases,), trials, stream, False)[0])
 
 
 def estimate_moments(
@@ -547,11 +537,12 @@ def estimate_moments(
 
 def rate_from_statistics(stats: Moments, budget: LinkBudget, cfg: SystemConfig) -> RateReport:
     """Per-user ergodic rates of one budget over the per-trial unit
-    moments of `trial_statistics`.  The sum rate and its standard error
-    are the mean and standard error of the per-trial sum rates."""
+    moments of `trial_statistics`, scored where they lie, with no copy.
+    The sum rate and its standard error are the mean and standard error
+    of the per-trial sum rates."""
     if not budget.startup_met:
         return RateReport(np.zeros(cfg.K), 0.0, np.zeros(cfg.K), 0, 0.0)
-    rates = log_rates(sinr_terms(flat_moments(stats), sinr_matrix(budget, cfg)))
+    rates = log_rates(stats, sinr_scalars(budget, cfg))
     per_user, std_err = _sample_mean(rates)
     sum_rate, sum_std_err = _sample_mean(rates.sum(axis=-1))
     return RateReport(per_user, float(sum_rate), std_err, rates.shape[0], float(sum_std_err))
@@ -581,13 +572,13 @@ def measured_ris_power(
     """Monte Carlo estimate of the power radiated by the surface, watts.
 
     Draws fresh user channels, unit-power Gaussian symbols and dynamic
-    noise, and averages ||eta * Phi * (H1 diag(sqrt(p)) x + v)||^2.  For a
+    noise, and averages ||eta * Phi * (sqrt(p) H1 x + v)||^2.  For a
     correctly resolved active budget this reproduces
-    eta^2 * N * (sum_k p_k alpha_k + sigma_v^2) = P_A.
+    eta^2 * N * (p sum_k alpha_k + sigma_v^2) = P_A.
     """
     if not _is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    sqrt_p = np.sqrt(budget.p)
+    sqrt_p = math.sqrt(budget.p)
     sv = math.sqrt(budget.sigma_v2_w)
     phi = phases.phi
     los = los_components(geom, cfg)

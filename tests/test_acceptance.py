@@ -29,7 +29,7 @@ from arisim.channel import STREAM_PHASES, array_response, los_components, substr
 from arisim.ga import GAParams
 from arisim.transceiver import literal_trial_statistics
 
-from helpers import aligned_gains, literal_draw
+from helpers import aligned_gains, closed_form_pairs, literal_draw, oracle_pairs
 
 
 def _report(name, ok, detail):
@@ -53,7 +53,7 @@ def test_ac1_surface_power_identity(baseline):
     start = time.monotonic()
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     measured = measured_ris_power(geom, cfg, phases, budget, trials=100_000)
-    expected = budget.eta**2 * cfg.N * (float(budget.p @ geom.alpha) + budget.sigma_v2_w)
+    expected = budget.eta**2 * cfg.N * (budget.p * float(geom.alpha.sum()) + budget.sigma_v2_w)
     elapsed = time.monotonic() - start
     rel = abs(measured - expected) / expected
     assert expected == pytest.approx(budget.P_A, rel=1e-12)  # budget inverts the identity
@@ -70,6 +70,10 @@ def test_ac2_moment_oracle_equivalence():
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
     est, se = estimate_moments(geom, cfg, phases, budget, trials=100_000, seed=cfg.seed + 1)
+    # every interference pair, on the oracle's draws and from the closed form
+    site = analytic.closed_form_site(geom, cfg)
+    ref_pairs = budget.eta**4 * closed_form_pairs(site, phases.theta)
+    est_pairs, se_pairs = oracle_pairs(geom, cfg, phases, budget, 100_000, cfg.seed + 1)
 
     worst = {}
 
@@ -81,20 +85,20 @@ def test_ac2_moment_oracle_equivalence():
 
     ok = True
     for k in range(cfg.K):
-        for name in ("signal", "channel_gain", "quantization", "dynamic_noise"):
+        for name in ("signal", "interference", "channel_gain", "quantization", "dynamic_noise"):
             ok &= within(name, getattr(est, name)[k], getattr(se, name)[k],
                          getattr(ref, name)[k], 0.03)
         for i in range(cfg.K):
             if i != k:
-                ok &= within("interference", est.interference[k, i], se.interference[k, i],
-                             ref.interference[k, i], 0.03)
+                ok &= within("interference pair", est_pairs[k, i], se_pairs[k, i],
+                             ref_pairs[k, i], 0.03)
 
     # the misprinted prefactor variant, u_k^2 u_i^2 in place of u_k u_i,
     # must fail the very same check
-    u = analytic.closed_form_site(geom, cfg).u
-    bad_ref = ref.interference[0, 1] * (u[0] * u[1])
-    bad_tol = max(0.03 * abs(bad_ref), 4.0 * se.interference[0, 1])
-    printed_fails = abs(est.interference[0, 1] - bad_ref) > bad_tol
+    u = site.u
+    bad_ref = ref_pairs[0, 1] * (u[0] * u[1])
+    bad_tol = max(0.03 * abs(bad_ref), 4.0 * se_pairs[0, 1])
+    printed_fails = abs(est_pairs[0, 1] - bad_ref) > bad_tol
 
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -244,14 +248,12 @@ def test_ac7_invariant_suite(baseline):
     phase_ok = bool(np.all(np.abs(sinr_shift - sinr_base) <= 1e-10 * np.abs(sinr_base)))
     ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
     moved = moments_at(analytic.compute_stats(geom, cfg, shifted), budget, cfg)
+    site = analytic.closed_form_site(geom, cfg)
+    ref_pairs = budget.eta**4 * closed_form_pairs(site, phases.theta)
+    moved_pairs = budget.eta**4 * closed_form_pairs(site, shifted.theta)
     for k in range(cfg.K):
-        pairs = [
-            (ref.signal[k], moved.signal[k]),
-            (ref.dynamic_noise[k], moved.dynamic_noise[k]),
-            (ref.channel_gain[k], moved.channel_gain[k]),
-            (ref.quantization[k], moved.quantization[k]),
-        ] + [
-            (ref.interference[k, i], moved.interference[k, i])
+        pairs = [(a[k], b[k]) for a, b in zip(ref, moved)] + [
+            (ref_pairs[k, i], moved_pairs[k, i])
             for i in range(cfg.K) if i != k
         ]
         phase_ok &= all(abs(a - b) <= 1e-10 * abs(a) for a, b in pairs)
@@ -266,7 +268,7 @@ def test_ac7_invariant_suite(baseline):
 
     # interference symmetry
     sym_ok = all(
-        math.isclose(ref.interference[k, i], ref.interference[i, k], rel_tol=1e-12)
+        math.isclose(ref_pairs[k, i], ref_pairs[i, k], rel_tol=1e-12)
         for k in range(cfg.K) for i in range(cfg.K) if i != k
     )
 

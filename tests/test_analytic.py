@@ -20,7 +20,7 @@ from arisim import (
 )
 from arisim import analytic
 from arisim.channel import array_response, los_components, substream
-from helpers import aligned_gains, polynomial_moments
+from helpers import aligned_gains, closed_form_pairs, polynomial_moments
 
 
 def rayleigh_moments(m, n, k_users=1):
@@ -84,15 +84,23 @@ def test_degenerate_cross_moments():
     # E|g_k^H g_i|^2 = MN(M+N) and E||g_k^H H2 Phi||^2 = MN(M+N)
     unit = rayleigh_moments(8, 4, k_users=2)
     want = 8 * 4 * (8 + 4)
-    assert unit.interference[0, 1] == pytest.approx(want, rel=1e-12)
+    assert unit.interference[0] == pytest.approx(want, rel=1e-12)
     assert unit.dynamic_noise[0] == pytest.approx(want, rel=1e-12)
+    # with three users each interference sums two such pairs
+    cfg = SystemConfig(M=8, N=4, K=3, epsilon=(0.0,) * 3, delta=0.0)
+    site = analytic.closed_form_site(replace(make_geometry(cfg), alpha=np.ones(3), beta=1.0), cfg)
+    pairs = closed_form_pairs(site, np.zeros(cfg.N))
+    np.testing.assert_allclose(pairs[~np.eye(3, dtype=bool)], want, rtol=1e-12)
+    np.testing.assert_allclose(site.stats(np.zeros(cfg.N)).interference, 2 * want, rtol=1e-12)
 
 
 def test_interference_moment_symmetry(desk):
     cfg, geom, phases, budget = desk
+    pairs = budget.eta**4 * closed_form_pairs(analytic.closed_form_site(geom, cfg), phases.theta)
+    np.testing.assert_allclose(pairs, pairs.T, rtol=1e-12)
+    assert np.all(np.diag(pairs) == 0.0)
     interference = moments_at(compute_stats(geom, cfg, phases), budget, cfg).interference
-    np.testing.assert_allclose(interference, interference.T, rtol=1e-12)
-    assert np.all(np.diag(interference) == 0.0)
+    np.testing.assert_allclose(interference, pairs.sum(axis=1), rtol=1e-12)
 
 
 def test_moment_global_phase_invariance(desk):
@@ -125,7 +133,7 @@ def test_rate_monotone_in_bits(desk):
 def test_zero_power_zero_rate(desk):
     cfg, geom, phases, budget = desk
     silent = LinkBudget(
-        p=np.zeros(cfg.K), eta=budget.eta, P_A=budget.P_A,
+        p=0.0, eta=budget.eta, P_A=budget.P_A,
         startup_met=True, sigma_v2_w=budget.sigma_v2_w,
     )
     stats = compute_stats(geom, cfg, phases)
@@ -234,7 +242,7 @@ def test_population_rows_match_single_evaluations(
     P=st.sampled_from([1, 7]),
     seed=st.integers(0, 2**16),
 )
-# W's pair blocks grow as K^2, so check its layout beyond the few users drawn
+# W's pair rows grow as K^2, so check its layout beyond the few users drawn
 @example(K=8, N=13, M=12, delta=0.5, eps=[0.0, 1.0, 10.0, 1.0] * 2, P=7, seed=8)
 @example(K=16, N=13, M=12, delta=0.5, eps=[0.0, 1.0, 10.0, 1.0] * 4, P=7, seed=16)
 @settings(max_examples=60, deadline=None)
@@ -243,12 +251,12 @@ def test_moment_weights_match_reference_polynomials(K, N, M, delta, eps, P, seed
     # in F_k and the coupling, for a population and for its first row alone
     cfg = SystemConfig(M=M, N=N, K=K, delta=delta, epsilon=tuple(eps[:K]), trials=10, seed=seed)
     site = analytic.closed_form_site(make_geometry(cfg), cfg)
-    assert site.W.shape == (1 + K + 2 * K * K, 4 * K + K * K)
+    assert site.W.shape == (1 + K + 2 * K * K, 5 * K)
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (P, N))
     for phases in (theta, theta[0]):
         unit = site.stats(phases)
         for name, value, want in zip(unit._fields, unit, polynomial_moments(site, phases)):
             assert value.shape == want.shape, name
             np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0, err_msg=name)
-        assert np.all(np.diagonal(unit.interference, axis1=-2, axis2=-1) == 0.0)
+        assert np.all(np.diagonal(closed_form_pairs(site, phases), axis1=-2, axis2=-1) == 0.0)
 

@@ -68,7 +68,7 @@ def test_amplification_inversion():
         P_T_dbm=watts_to_dbm(1.0 + circuit), split=0.5, sigma_v2_dbm=-70.0,
     )
     budget = resolve_budget(cfg, np.array([1e-5]), Mode.ACTIVE)
-    assert budget.p[0] == pytest.approx(0.5, rel=1e-12)
+    assert budget.p == pytest.approx(0.5, rel=1e-12)
     assert budget.P_A == pytest.approx(0.5, rel=1e-12)
     expected_eta_sq = 0.5 / (16 * (5e-6 + 1e-10))
     assert budget.eta**2 == pytest.approx(expected_eta_sq, rel=1e-12)
@@ -78,9 +78,8 @@ def test_startup_not_met_yields_zero_budget():
     cfg = SystemConfig(M=16, N=16, K=2, epsilon=(10.0, 10.0), P_T_dbm=5.0)
     budget = resolve_budget(cfg, np.full(2, 1e-7), Mode.ACTIVE)
     assert not budget.startup_met
-    assert budget.P_t == 0.0
+    assert budget.p == 0.0
     assert budget.P_A == 0.0
-    assert np.all(budget.p == 0.0)
 
 
 @pytest.mark.parametrize("mode, N, P_DC_dbm", [
@@ -95,7 +94,7 @@ def test_budget_at_circuit_draw_leaves_surface_off(mode, N, P_DC_dbm):
     assert cfg.P_T_w == circuit_power(cfg, mode)
     budget = resolve_budget(cfg, np.full(2, 1e-7), mode)
     assert not budget.startup_met
-    assert budget.P_t == 0.0 and budget.P_A == 0.0
+    assert budget.p == 0.0 and budget.P_A == 0.0
 
 
 @given(
@@ -113,11 +112,11 @@ def test_budget_conservation(p_t_dbm, p_sw_dbm, p_dc_dbm, split):
     alpha = np.full(3, 1e-7)
     active = resolve_budget(cfg, alpha, Mode.ACTIVE)
     if active.startup_met:
-        total = active.P_t + active.P_A + circuit_power(cfg, Mode.ACTIVE)
+        total = cfg.K * active.p + active.P_A + circuit_power(cfg, Mode.ACTIVE)
         assert total == pytest.approx(cfg.P_T_w, rel=1e-12)
     passive = resolve_budget(cfg, alpha, Mode.PASSIVE)
     if passive.startup_met:
-        total = passive.P_t + circuit_power(cfg, Mode.PASSIVE)
+        total = cfg.K * passive.p + circuit_power(cfg, Mode.PASSIVE)
         assert total == pytest.approx(cfg.P_T_w, rel=1e-12)
         assert passive.eta == 1.0
         assert passive.sigma_v2_w == 0.0
@@ -131,8 +130,8 @@ def test_budget_monotone_in_total_power():
         budget = resolve_budget(cfg, alpha, Mode.ACTIVE)
         assert budget.startup_met
         assert budget.eta >= prev_eta
-        assert budget.p[0] >= prev_p
-        prev_eta, prev_p = budget.eta, budget.p[0]
+        assert budget.p >= prev_p
+        prev_eta, prev_p = budget.eta, budget.p
 
 
 def test_passive_threshold_below_active():
@@ -146,8 +145,9 @@ def test_passive_reabsorbs_dc_saving():
     alpha = np.full(2, 1e-7)
     active = resolve_budget(cfg, alpha, Mode.ACTIVE)
     passive = resolve_budget(cfg, alpha, Mode.PASSIVE)
-    assert passive.P_t == pytest.approx(cfg.P_T_w - circuit_power(cfg, Mode.PASSIVE), rel=1e-12)
-    assert passive.P_t > active.P_t
+    assert cfg.K * passive.p == pytest.approx(cfg.P_T_w - circuit_power(cfg, Mode.PASSIVE),
+                                              rel=1e-12)
+    assert passive.p > active.p
 
 
 def test_sub_unity_amplification_rejected():
@@ -171,7 +171,7 @@ def test_adc_resolution_is_not_a_mode():
             "p", "eta", "P_A", "startup_met", "sigma_v2_w"}
         assert (ideal.eta, ideal.P_A, ideal.sigma_v2_w) == (budget.eta, budget.P_A,
                                                              budget.sigma_v2_w)
-        assert np.array_equal(ideal.p, budget.p)
+        assert ideal.p == budget.p
 
 
 def test_alpha_shape_checked():

@@ -211,7 +211,7 @@ def test_scoring_memory_is_the_moments_and_one_row_per_point(tmp_path):
     # 32 live points at 8000 trials: the scoring holds the per-trial
     # moments, one row of per-trial sum rates per point, the deviations
     # that the standard error takes of those rows, and one point's SINR
-    # terms and rates at a time, never every point's terms at once
+    # denominators and rates at a time, never every point's at once
     T, K, points = 8000, TINY_SYSTEM["K"], 32
     grid = [float(p) for p in range(10, 10 + points, 2)]
     config = write_config(tmp_path, experiments={"total-power": {"N": 16, "P_T_dbm_grid": grid}})
@@ -227,7 +227,7 @@ def test_scoring_memory_is_the_moments_and_one_row_per_point(tmp_path):
         tracemalloc.stop()
     rows = read_rows(tmp_path / "out" / "total_power.csv")
     assert [r[4] for r in rows[1:]] == ["true"] * points
-    moments, terms = 4 * K + K * K, 2 * K
+    moments, terms = 5 * K, 2 * K
     assert peak <= 8 * T * (moments + 2 * points + 2 * terms)
 
 

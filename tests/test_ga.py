@@ -259,7 +259,7 @@ def test_carried_phasors_are_the_exponentiated_phases(ga_instance):
     means = []
     for _ in range(params.max_iters + 1):
         np.testing.assert_array_equal(phasors, np.exp(1j * pop))
-        unit = split_moments(site.flat_phasor_stats(phasors), cfg.K)
+        unit = split_moments(site.flat_phasor_stats(phasors))
         fit = closed_form_rates(unit, budget, cfg).sum(axis=-1)
         means.append(float(fit.mean()))
         pop, phasors = ga._next_generation(pop, phasors, fit, params, rng)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arisim import (
@@ -27,7 +27,7 @@ from arisim.channel import (
 )
 from arisim import transceiver
 from arisim.transceiver import BATCH, literal_trial_statistics
-from helpers import rayleigh_norm4_mean
+from helpers import closed_form_pairs, oracle_pairs, rayleigh_norm4_mean
 
 
 def unit_gain_geometry(cfg):
@@ -42,7 +42,7 @@ def unit_gain_geometry(cfg):
 
 def unit_budget(cfg, p=1.0):
     return LinkBudget(
-        p=np.full(cfg.K, p), eta=1.0, P_A=0.0,
+        p=p, eta=1.0, P_A=0.0,
         startup_met=True, sigma_v2_w=cfg.sigma_v2_w,
     )
 
@@ -95,12 +95,13 @@ def test_estimates_match_direct_definition(desk):
             gain = np.array([np.vdot(G[:, k], G[:, k]).real for k in range(cfg.K)])
             samples["gain"].append(gain)
             samples["sig"].append(gain**2)
-            samples["cross"].append([[abs(np.vdot(G[:, k], G[:, i])) ** 2 if i != k else 0.0
-                                      for i in range(cfg.K)] for k in range(cfg.K)])
+            samples["cross"].append([sum(abs(np.vdot(G[:, k], G[:, i])) ** 2
+                                         for i in range(cfg.K) if i != k)
+                                     for k in range(cfg.K)])
             samples["dyn"].append([np.linalg.norm(G[:, k].conj() @ H2[t] @ Phi) ** 2
                                    for k in range(cfg.K)])
             samples["quant"].append([
-                (G[:, k].conj() @ np.diag(np.diag(budget.p[k] * R_in + cfg.sigma_n2_w * I))
+                (G[:, k].conj() @ np.diag(np.diag(budget.p * R_in + cfg.sigma_n2_w * I))
                  @ G[:, k]).real
                 for k in range(cfg.K)
             ])
@@ -133,11 +134,18 @@ def test_oracle_module_does_not_import_the_closed_form():
 
 
 def test_interference_diagonal_is_masked(desk):
+    # each user's interference sums its pairs with the other users alone,
+    # never its own ||g_k||^4; a lone user has none
     cfg, geom, phases, budget = desk
     mean, se = estimate_moments(geom, cfg, phases, budget, 1000, 5)
-    for interference in (mean.interference, se.interference):
-        assert np.all(np.diag(interference) == 0.0)
-        assert np.all(interference[~np.eye(cfg.K, dtype=bool)] > 0.0)
+    pairs, _ = oracle_pairs(geom, cfg, phases, budget, 1000, 5)
+    np.testing.assert_allclose(mean.interference, pairs.sum(axis=1), rtol=1e-12)
+    assert np.all(mean.interference > 0.0) and np.all(se.interference > 0.0)
+    lone = SystemConfig(M=8, N=4, K=1, epsilon=(10.0,), seed=3)
+    geom = make_geometry(lone)
+    mean, se = estimate_moments(geom, lone, PhaseConfig(np.zeros(lone.N)),
+                                resolve_budget(lone, geom.alpha, Mode.ACTIVE), 64, 5)
+    assert mean.interference[0] == 0.0 and se.interference[0] == 0.0
 
 
 def test_standard_errors_shrink(desk):
@@ -162,7 +170,7 @@ def test_moment_oracle_agreement_smoke(desk):
 
 def test_closed_form_and_oracle_moments_have_one_layout():
     # K = 3: the closed form and the oracle give the same fields, each of the
-    # same shape, and neither counts a user as its own interferer
+    # same shape, (K,), and neither counts a user as its own interferer
     cfg = SystemConfig(M=8, N=5, K=3, epsilon=(10.0, 1.0, 0.0), seed=4)
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(8, 0))
@@ -172,10 +180,12 @@ def test_closed_form_and_oracle_moments_have_one_layout():
     for name in closed._fields:
         assert getattr(est, name).shape == getattr(closed, name).shape, name
         assert getattr(se, name).shape == getattr(closed, name).shape, name
-    assert closed.interference.shape == (cfg.K, cfg.K)
-    for interference in (closed.interference, est.interference):
-        assert np.all(np.diag(interference) == 0.0)
-        assert np.all(interference[~np.eye(cfg.K, dtype=bool)] > 0.0)
+    assert closed.interference.shape == (cfg.K,)
+    site = analytic.closed_form_site(geom, cfg)
+    for pairs in (closed_form_pairs(site, phases.theta),
+                  oracle_pairs(geom, cfg, phases, budget, 64, 5)[0]):
+        assert np.all(np.diag(pairs) == 0.0)
+        assert np.all(pairs[~np.eye(cfg.K, dtype=bool)] > 0.0)
 
 
 @given(
@@ -187,10 +197,17 @@ def test_closed_form_and_oracle_moments_have_one_layout():
     aligned=st.booleans(),
     seed=st.integers(0, 2**16),
 )
+# the configs' delta in {0, 1}, at K = 3 with mixed Rician factors and a
+# prime N, at random and at aligned phases
+@example(M=8, N=7, K=3, delta=0.0, eps=[10.0, 0.0, 1.0, 0.5, 10.0], aligned=False, seed=3)
+@example(M=8, N=7, K=3, delta=0.0, eps=[10.0, 0.0, 1.0, 0.5, 10.0], aligned=True, seed=11)
+@example(M=8, N=7, K=3, delta=1.0, eps=[10.0, 0.0, 1.0, 0.5, 10.0], aligned=False, seed=29)
+@example(M=8, N=7, K=3, delta=1.0, eps=[10.0, 0.0, 1.0, 0.5, 10.0], aligned=True, seed=3)
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_every_moment_matches_oracle(M, N, K, delta, eps, aligned, seed):
-    # small random systems away from the delta in {0, 1} that the configs
-    # use: every closed-form moment within max(3%, 4 SE) of the oracle
+    # small random systems, drawn away from the delta in {0, 1} that the
+    # configs use, and those deltas as examples: every closed-form moment,
+    # and every interference pair, within max(3%, 4 SE) of the oracle
     cfg = SystemConfig(M=M, N=N, K=K, delta=delta, epsilon=tuple(eps[:K]), seed=seed)
     geom = make_geometry(cfg)
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
@@ -202,8 +219,10 @@ def test_every_moment_matches_oracle(M, N, K, delta, eps, aligned, seed):
     phases = PhaseConfig(theta)
     ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
     mean, se = estimate_moments(geom, cfg, phases, budget, 20000, seed + 1)
+    pair_ref = budget.eta**4 * closed_form_pairs(analytic.closed_form_site(geom, cfg), theta)
+    pair_mean, pair_se = oracle_pairs(geom, cfg, phases, budget, 20000, seed + 1)
     off_diagonal = ~np.eye(K, dtype=bool)
-    for name, m, s, r in zip(Moments._fields, mean, se, ref):
-        keep = off_diagonal if name == "interference" else slice(None)
+    for name, m, s, r, keep in (*zip(Moments._fields, mean, se, ref, [slice(None)] * 5),
+                                ("pairs", pair_mean, pair_se, pair_ref, off_diagonal)):
         dev, tol = np.abs(m - r)[keep], np.maximum(0.03 * np.abs(r), 4.0 * s)[keep]
         assert np.all(dev <= tol), (name, dev / np.abs(r)[keep])
