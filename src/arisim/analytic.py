@@ -19,30 +19,27 @@ the brute-force Monte Carlo oracle, `transceiver.estimate_moments`.
 Only f depends on the phases.  `closed_form_site` gathers everything else
 once per geometry: each moment's terms are collected into coefficients of
 F_k = |f_k|^2 and the LoS coupling c_ki = Re{f_k conj(f_i) hbar_k^H hbar_i}
-(`MomentCoefficients`).  Every moment is then a linear form in the
-monomials 1, F_k, F_k F_i and c_ki, written once (`_unit_moments`; the
-interference sums its pair form over the interferers i), and its matrix,
-that form applied to the unit monomials, is one phase-free weight matrix
-W with 5K columns.  So `ClosedFormSite.stats` finds the unit moments
-(`transceiver.Moments`) of one phase vector (N,) or a whole population
-(P, N) from one real matmul of those monomials with W; `flat_phasor_stats`
-does the same from the unit phasors exp(j*theta), which the genetic search
-carries, and keeps the moments flat, as they come out of the matmul.  A
-budget scores them with `transceiver.log_rates`, the expression Monte
-Carlo applies to its per-trial moments.
+(`MomentCoefficients`).  `ClosedFormSite.phasor_stats` evaluates each moment
+straight from f and F, for the unit phasors exp(j*theta) of one phase
+vector (N,) or of a whole population (P, N), which the genetic search
+carries; the pair forms of the interference and the cross quantization
+terms are summed over the interferers i with a few K x K products, so a
+phase vector costs O(K^2).  `ClosedFormSite.stats` does the same from the
+phases.  Both return the unit moments as `transceiver.Moments`, which a
+budget scores with `transceiver.log_rates`, the expression Monte Carlo
+applies to its per-trial moments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .budget import LinkBudget, SystemConfig
 from .channel import Geometry, los_components
-from .transceiver import (Moments, PhaseConfig, flat_moments, log_rates, sinr_scalars,
-                          split_moments)
+from .transceiver import Moments, PhaseConfig, log_rates, sinr_scalars
 
 
 class MomentCoefficients(NamedTuple):
@@ -126,54 +123,6 @@ def _moment_coefficients(
                               quantization_cross)
 
 
-def _pair_form(x: tuple, one, F, FF, coupling) -> np.ndarray:
-    """x00 + x10 F_k + x01 F_i + x11 F_k F_i + xc c_ki over (..., K, K)."""
-    x00, x10, x01, x11, xc = x
-    return (x00 * one[..., None] + x10 * F[..., :, None] + x01 * F[..., None, :]
-            + x11 * FF + xc * coupling)
-
-
-def _unit_moments(c: MomentCoefficients, one, F, FF, coupling) -> Moments:
-    """The unit moments as linear forms, with the coefficients `c`, in the
-    monomials 1 (`one`, (..., 1)), F_k (..., K), F_k F_i (`FF`, (..., K, K))
-    and c_ki (`coupling`, (..., K, K)); the pair forms, zero on their
-    diagonals, are summed over the interferers i."""
-    own_FF = np.diagonal(FF, axis1=-2, axis2=-1)
-    s0, s1, s2 = c.signal
-    q0, q1, q2 = c.quantization
-    return Moments(
-        s0 * one + s1 * F + s2 * own_FF,
-        _pair_form(c.interference, one, F, FF, coupling).sum(axis=-1),
-        c.dynamic_noise[0] * one + c.dynamic_noise[1] * F,
-        c.gain[0] * one + c.gain[1] * F,
-        q0 * one + q1 * F + q2 * own_FF
-        + _pair_form(c.quantization_cross, one, F, FF, coupling).sum(axis=-1),
-    )
-
-
-def _monomials(f: np.ndarray, hbar_inner: np.ndarray) -> np.ndarray:
-    """The monomials every moment is linear in, (..., 1 + K + 2K^2):
-    1, F_k, F_k F_i and c_ki, the last two flattened row by row."""
-    lead = f.shape[:-1]
-    F = f.real**2 + f.imag**2
-    FF = F[..., :, None] * F[..., None, :]
-    coupling = (f[..., :, None] * f.conj()[..., None, :] * hbar_inner).real
-    return np.concatenate([np.ones(lead + (1,)), F, FF.reshape(lead + (-1,)),
-                           coupling.reshape(lead + (-1,))], axis=-1)
-
-
-def _moment_weights(c: MomentCoefficients) -> np.ndarray:
-    """The matrix W with `_monomials(f, hbar_inner)` @ W the unit moments,
-    flat (`flat_moments`).  As the matrix of any linear map, it is the map,
-    `_unit_moments`, applied to the unit monomials: the rows of the
-    identity, split into the four groups.  W has (1 + K + 2K^2) 5K entries
-    and its build costs O(K^4), so it is meant for a few users."""
-    K = len(c.gain[0])
-    n = 1 + K + 2 * K * K
-    one, F, FF, coupling = np.split(np.eye(n), [1, 1 + K, 1 + K + K * K], axis=1)
-    return flat_moments(_unit_moments(c, one, F, FF.reshape(n, K, K), coupling.reshape(n, K, K)))
-
-
 @dataclass(frozen=True, eq=False)
 class ClosedFormSite:
     """Phase-free part of the closed form for one (geometry, system)."""
@@ -182,30 +131,59 @@ class ClosedFormSite:
     u: np.ndarray           # (K,) composite gains beta*alpha_k/((delta+1)(eps_k+1))
     hbar_inner: np.ndarray  # (K, K) steering inner products hbar_k^H hbar_i
     coefficients: MomentCoefficients
-    W: np.ndarray           # (1 + K + 2K^2, 5K) moment weights, `_moment_weights`
+    # the phase-free parts of the interference and the cross quantization
+    # pair forms, built once from `coefficients` (so `dataclasses.replace`
+    # rebuilds them) rather than on every scoring call: sum_i x00,
+    # sum_i x10, x01^T, x11^T and (xc * hbar_inner)^T
+    pair_sums: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pair_sums", tuple(
+            (x00.sum(axis=1), x10.sum(axis=1), x01.T, x11.T, (xc * self.hbar_inner).T)
+            for x00, x10, x01, x11, xc in (self.coefficients.interference,
+                                           self.coefficients.quantization_cross)))
 
     def stats(self, theta) -> Moments:
         """Expected unit moments for phases `theta` of shape (N,) or (P, N)."""
-        phasors = np.exp(1j * np.asarray(theta, dtype=float))
-        return split_moments(self.flat_phasor_stats(phasors))
+        return self.phasor_stats(np.exp(1j * np.asarray(theta, dtype=float)))
 
-    def flat_phasor_stats(self, phasors: np.ndarray) -> np.ndarray:
+    def phasor_stats(self, phasors: np.ndarray) -> Moments:
         """Expected unit moments for unit phasors exp(j*theta), (N,) or
-        (P, N), as one flat array (..., 5K), as
-        `transceiver.flat_moments` lays it out."""
-        return _monomials(phasors @ self.B, self.hbar_inner) @ self.W
+        (P, N), each (..., K), straight from the aligned gains
+        f = phasors @ B and F = |f|^2.  A pair form summed over the
+        interferers i is
+
+            sum_i x00 + (sum_i x10 + (F @ x11^T)_k) F_k + (F @ x01^T)_k
+                + Re{f_k (conj(f) @ (xc * hbar_inner)^T)_k},
+
+        so no moment costs more than O(K^2) per phase vector."""
+        f = phasors @ self.B
+        F = f.real**2 + f.imag**2
+        f_conj = f.conj()
+        interference, cross = (
+            x00 + (x10 + F @ x11) * F + F @ x01 + (f * (f_conj @ xc)).real
+            for x00, x10, x01, x11, xc in self.pair_sums)
+        c = self.coefficients
+        s0, s1, s2 = c.signal
+        q0, q1, q2 = c.quantization
+        return Moments(
+            (s2 * F + s1) * F + s0,
+            interference,
+            c.dynamic_noise[1] * F + c.dynamic_noise[0],
+            c.gain[1] * F + c.gain[0],
+            (q2 * F + q1) * F + q0 + cross,
+        )
 
 
 def closed_form_site(geom: Geometry, cfg: SystemConfig) -> ClosedFormSite:
-    """Build the steering vectors, large-scale factors, moment coefficients
-    and moment weights once."""
+    """Build the steering vectors, large-scale factors and moment
+    coefficients once."""
     hbar, a_ris, _ = los_components(geom, cfg)
     eps = np.asarray(cfg.epsilon)
     u = geom.beta * geom.alpha / ((cfg.delta + 1.0) * (eps + 1.0))
     hbar_inner = hbar.conj().T @ hbar
     coefficients = _moment_coefficients(u, hbar_inner, cfg.M, cfg.N, cfg.delta, eps, geom.beta)
-    return ClosedFormSite(a_ris.conj()[:, None] * hbar, u, hbar_inner, coefficients,
-                          _moment_weights(coefficients))
+    return ClosedFormSite(a_ris.conj()[:, None] * hbar, u, hbar_inner, coefficients)
 
 
 def compute_stats(geom: Geometry, cfg: SystemConfig, phases: PhaseConfig) -> Moments:

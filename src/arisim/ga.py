@@ -17,10 +17,11 @@ mutation pick and the mutation noise (Mu, N).
 The unit phasors exp(j*theta) travel beside the phases: elites keep theirs
 and children gather theirs through their crossover, so each generation
 exponentiates only its mutants before the whole population, elites
-included, is scored: one matmul gives its unit moments, flat (P, 5K)
-(`ClosedFormSite.flat_phasor_stats`), and `transceiver.log_rates` their
-rates under the budget's three SINR scalars, taken once per run
-(`transceiver.sinr_scalars`), as in `closed_form_rates`.
+included, is scored: the closed-form site evaluates its unit moments from
+the aligned gains of those phasors (`ClosedFormSite.phasor_stats`), and
+`transceiver.log_rates` gives their rates under the budget's three SINR
+scalars, taken once per run (`transceiver.sinr_scalars`), as in
+`closed_form_rates`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .analytic import ClosedFormSite, closed_form_site
 from .budget import ConfigurationError, LinkBudget, SystemConfig, check_fields
 from .channel import Geometry
-from .transceiver import PhaseConfig, log_rates, sinr_scalars, split_moments
+from .transceiver import PhaseConfig, log_rates, sinr_scalars
 
 TWO_PI = 2.0 * np.pi
 
@@ -192,7 +193,7 @@ def optimize_phases(
     scalars = sinr_scalars(budget, cfg)
 
     def score(phasors):
-        return log_rates(split_moments(site.flat_phasor_stats(phasors)), scalars).sum(axis=-1)
+        return log_rates(site.phasor_stats(phasors), scalars).sum(axis=-1)
 
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
     pop = rng.uniform(0.0, TWO_PI, (params.n_total, cfg.N))

@@ -166,19 +166,6 @@ def moments_at(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> Moments:
     )
 
 
-def flat_moments(unit: Moments) -> np.ndarray:
-    """A set of moments as one array, (..., 5K): the fields in `Moments`
-    order."""
-    return np.concatenate(unit, axis=-1)
-
-
-def split_moments(flat: np.ndarray) -> Moments:
-    """The `Moments` held in a flat array (..., 5K), as views: the inverse
-    of `flat_moments`."""
-    K = flat.shape[-1] // 5
-    return Moments(*(flat[..., i * K:(i + 1) * K] for i in range(5)))
-
-
 def sinr_scalars(budget: LinkBudget, cfg: SystemConfig):
     """The scalars (r, c1, c2) through which a budget and the ADC enter
     every user's SINR, or None where the surface carries nothing (p = 0 or
@@ -413,11 +400,12 @@ def reduced_draw_applies(M: int, N: int, K: int) -> bool:
 
 
 def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
-    """Per-trial unit moments of each phase vector of `phase_sets`, each a
-    flat (T, 5K) array (`flat_moments`), from one set of reduced or
-    of full draws, batch by batch, each batch reduced in even slices of at
-    most about KERNEL_BYTES into the array's `split_moments` views; the
-    site's LoS parts are built once and serve every batch."""
+    """Per-trial unit moments of each phase vector of `phase_sets`, each
+    `Moments` of (T, K) views of one flat (T, 5K) array, the fields side
+    by side in `Moments` order, from one set of reduced or of full draws,
+    batch by batch, each batch reduced in even slices of at most about
+    KERNEL_BYTES into those views; the site's LoS parts are built once and
+    serve every batch."""
     T = cfg.trials if trials is None else trials
     if not _is_integer(T) or T < 1:
         raise ValueError(f"trials must be a positive integer, got {T!r}")
@@ -427,8 +415,7 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
     key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
     los = los_components(geom, cfg)
     K = cfg.K
-    out = [np.empty((T, 5 * K)) for _ in phase_sets]
-    views = [split_moments(flat) for flat in out]
+    views = [Moments(*np.split(np.empty((T, 5 * K)), 5, axis=1)) for _ in phase_sets]
     last = len(phase_sets) - 1
     if reduced:
         sites = [_gram_site(geom, cfg, los, phases.phi) for phases in phase_sets]
@@ -464,7 +451,7 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
                 for field, value in zip(fields, reduce(batch, slice(start, end), j)):
                     field[lo + start:lo + end] = value
         del batch  # free this batch before the next one is drawn
-    return out
+    return views
 
 
 def trial_statistics(
@@ -475,7 +462,7 @@ def trial_statistics(
     stream: tuple[int, ...] | None = None,
 ) -> Moments:
     """Draw `trials` fading realizations and reduce each to its unit
-    moments, (T, K) each, views of one flat array (`split_moments`).
+    moments, (T, K) each, views of one array.
 
     Batch b comes from `substream(*stream, b)`, by default the fading
     stream `(cfg.seed, STREAM_FADING)`, so the result depends only on the
@@ -486,7 +473,7 @@ def trial_statistics(
     reduced in slices once drawn, so the slicing changes no value, and
     dropped before the next one.
     """
-    return split_moments(shared_trial_statistics(geom, cfg, (phases,), trials, stream)[0])
+    return shared_trial_statistics(geom, cfg, (phases,), trials, stream)[0]
 
 
 def shared_trial_statistics(
@@ -497,9 +484,8 @@ def shared_trial_statistics(
     stream: tuple[int, ...] | None = None,
 ) -> list:
     """`trial_statistics` of each phase vector of `phase_sets`, in order,
-    all reduced from one draw of each batch (common random numbers), each
-    as one flat (T, 5K) array: `flat_moments` of `trial_statistics`
-    at its own phases bit for bit."""
+    all reduced from one draw of each batch (common random numbers): each
+    equals `trial_statistics` at its own phases bit for bit."""
     reduced = reduced_draw_applies(cfg.M, cfg.N, cfg.K)
     return _statistics(geom, cfg, phase_sets, trials, stream, reduced)
 
@@ -514,7 +500,7 @@ def literal_trial_statistics(
     """`trial_statistics` from full draws of both hops
     (`sample_channel_batch`) at every size: the oracle's route, which
     checks the reduced draw from outside."""
-    return split_moments(_statistics(geom, cfg, (phases,), trials, stream, False)[0])
+    return _statistics(geom, cfg, (phases,), trials, stream, False)[0]
 
 
 def estimate_moments(

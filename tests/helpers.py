@@ -75,15 +75,11 @@ def oracle_pairs(geom, cfg, phases, budget, trials, seed):
 
 def closed_form_pairs(site, theta):
     """The closed form's interference pairs E{|g0_k^H g0_i|^2} of phases
-    `theta`, (..., K, K), zero for i = k, from the site's coefficients
-    through `analytic._pair_form`; each user's interference moment is the
+    `theta`, (..., K, K), zero for i = k, from the site's coefficients,
+    each pair its own polynomial; each user's interference moment is the
     sum of its row."""
-    from arisim.analytic import _pair_form
-
     F, coupling = _gains_and_coupling(site, theta)
-    one = np.ones(F.shape[:-1] + (1,))
-    return _pair_form(site.coefficients.interference, one, F, F[..., :, None] * F[..., None, :],
-                      coupling)
+    return _pair_form(site.coefficients.interference, F, coupling)
 
 
 def literal_draw(geom, cfg, *stream):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -242,16 +243,15 @@ def test_population_rows_match_single_evaluations(
     P=st.sampled_from([1, 7]),
     seed=st.integers(0, 2**16),
 )
-# W's pair rows grow as K^2, so check its layout beyond the few users drawn
+# the pair sums grow as K^2, so check them beyond the few users drawn
 @example(K=8, N=13, M=12, delta=0.5, eps=[0.0, 1.0, 10.0, 1.0] * 2, P=7, seed=8)
 @example(K=16, N=13, M=12, delta=0.5, eps=[0.0, 1.0, 10.0, 1.0] * 4, P=7, seed=16)
 @settings(max_examples=60, deadline=None)
-def test_moment_weights_match_reference_polynomials(K, N, M, delta, eps, P, seed):
-    # one matmul over the monomials against each moment's own polynomial
-    # in F_k and the coupling, for a population and for its first row alone
+def test_moments_match_reference_polynomials(K, N, M, delta, eps, P, seed):
+    # the site's summed pair forms against each moment's own polynomial in
+    # F_k and the coupling, for a population and for its first row alone
     cfg = SystemConfig(M=M, N=N, K=K, delta=delta, epsilon=tuple(eps[:K]), trials=10, seed=seed)
     site = analytic.closed_form_site(make_geometry(cfg), cfg)
-    assert site.W.shape == (1 + K + 2 * K * K, 5 * K)
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (P, N))
     for phases in (theta, theta[0]):
         unit = site.stats(phases)
@@ -260,3 +260,22 @@ def test_moment_weights_match_reference_polynomials(K, N, M, delta, eps, P, seed
             np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0, err_msg=name)
         assert np.all(np.diagonal(closed_form_pairs(site, phases), axis1=-2, axis2=-1) == 0.0)
 
+
+def test_site_of_many_users_stays_small():
+    # a site holds K x K coefficients per pair, so at 32 users its build
+    # stays far below a megabyte, and a population's moments still match
+    # each moment's own polynomial
+    cfg = SystemConfig(M=64, N=64, K=32, epsilon=(10.0,) * 32, trials=10, seed=3)
+    geom = make_geometry(cfg)
+    tracemalloc.start()
+    try:
+        site = analytic.closed_form_site(geom, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (7, cfg.N))
+    unit = site.stats(theta)
+    for name, value, want in zip(unit._fields, unit, polynomial_moments(site, theta)):
+        assert value.shape == want.shape == (7, cfg.K), name
+        np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0, err_msg=name)

@@ -431,6 +431,20 @@ def test_verify_run(tmp_path, capsys):
     assert {r[6] for r in rows[1:-1]} == {"0.03"}
 
 
+def test_verify_run_with_one_user(tmp_path):
+    # a lone user's interference is exactly 0 in the closed form and in
+    # every oracle trial: its deviation reads 0, with no 0/0
+    system = dict(TINY_SYSTEM, seed=42)
+    block = {"M": 8, "N": 5, "K": 1, "trials": 2000}
+    config = write_config(tmp_path, system=system, experiments={"verify": block})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", "verify", "--output", str(out)]) == 0
+    rows = {r[0]: r for r in read_rows(out / "verify.csv")[1:]}
+    assert rows["interference"][2] == rows["interference"][4] == "0.0"
+    assert rows["interference"][5] == "0.0"
+    assert all(r[-1] == "PASS" for r in rows.values())
+
+
 @pytest.mark.parametrize("experiment, block, system", [
     ("antennas-elements", {"M_grid": [16.9], "N_grid": [4]}, {}),
     ("antennas-elements", {"M_grid": [4], "N_grid": [True]}, {}),

@@ -21,8 +21,8 @@ from arisim import (
     resolve_budget,
 )
 from arisim import ga
+from arisim.analytic import MomentCoefficients
 from arisim.channel import substream
-from arisim.transceiver import split_moments
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +132,13 @@ def test_mutate_stays_feasible(sigma, seed):
 
 
 def test_constant_landscape_keeps_best(ga_instance):
-    # zero moment weights make every closed-form rate 0
+    # all-zero moment coefficients make every closed-form rate 0
     cfg, geom, budget = ga_instance
     site = closed_form_site(geom, cfg)
-    flat = dataclasses.replace(site, W=np.zeros_like(site.W))
-    best, hist = optimize_phases(geom, cfg, budget, tiny_params(), site=flat)
+    zero = MomentCoefficients(*(tuple(np.zeros_like(x) for x in group)
+                                for group in site.coefficients))
+    silent = dataclasses.replace(site, coefficients=zero)
+    best, hist = optimize_phases(geom, cfg, budget, tiny_params(), site=silent)
     assert hist.best_fitness[0] == 0.0
     assert all(f == hist.best_fitness[0] for f in hist.best_fitness)
 
@@ -259,7 +261,7 @@ def test_carried_phasors_are_the_exponentiated_phases(ga_instance):
     means = []
     for _ in range(params.max_iters + 1):
         np.testing.assert_array_equal(phasors, np.exp(1j * pop))
-        unit = split_moments(site.flat_phasor_stats(phasors))
+        unit = site.phasor_stats(phasors)
         fit = closed_form_rates(unit, budget, cfg).sum(axis=-1)
         means.append(float(fit.mean()))
         pop, phasors = ga._next_generation(pop, phasors, fit, params, rng)

@@ -37,7 +37,6 @@ from arisim import transceiver
 from arisim.transceiver import (
     AQNM_RHO,
     BATCH,
-    flat_moments,
     literal_trial_statistics,
     log_rates,
     reduced_draw_applies,
@@ -393,9 +392,10 @@ def test_shared_statistics_equal_each_phase_vectors_own(M, N, K):
     trials = BATCH + 9
     shared = shared_trial_statistics(geom, cfg, phase_sets, trials)
     assert len(shared) == 2
-    for flat, phases in zip(shared, phase_sets):
+    for moments, phases in zip(shared, phase_sets):
         alone = trial_statistics(geom, cfg, phases, trials)
-        np.testing.assert_array_equal(flat, flat_moments(alone))
+        for name, value, want in zip(Moments._fields, moments, alone):
+            np.testing.assert_array_equal(value, want, err_msg=name)
 
 
 def test_trial_statistics_checks_inputs(desk):
