@@ -38,7 +38,6 @@ from .transceiver import (
     aqnm_alpha,
     estimate_moments,
     measured_ris_power,
-    moments_at,
     monte_carlo_rate,
     rate_from_statistics,
     sinr,

@@ -1,11 +1,11 @@
 """Closed-form approximate uplink rates for the cascaded Rician channel.
 
 The ergodic per-user rate is approximated by moving the expectation inside
-the log ratio, which reduces everything to five deterministic moments of
-the combined channel g_k = eta * H2 * Phi * h_k:
+the log ratio, which reduces everything to five deterministic unit
+moments of the cascaded channel g0_k = H2 * Phi * h_k:
 
-    E{||g_k||^4},  sum_{i!=k} E{|g_k^H g_i|^2},  E{||g_k^H H2 Phi||^2},
-    E{||g_k||^2},  E{g_k^H diag(p G G^H + sn2 I) g_k}.
+    E{||g0_k||^4},  sum_{i!=k} E{|g0_k^H g0_i|^2},  E{||g0_k^H H2 Phi||^2},
+    E{||g0_k||^2},  E{g0_k^H diag(G0 G0^H) g0_k}.
 
 Each moment has a closed form in the array sizes, the Rician factors, the
 large-scale gains and two phase-dependent functionals: the aligned LoS gain

@@ -73,6 +73,20 @@ def _is_real_sequence(value) -> bool:
     return isinstance(value, (tuple, list)) and all(map(_is_finite_real, value))
 
 
+def _exponent_text(value) -> bool:
+    """Whether `value`, or an entry of it, is a string such as '1e-4' that
+    reads as a number: YAML 1.1, which PyYAML follows, reads an exponent
+    as a number only with a dot and a signed exponent, as in 1.0e-4."""
+    for entry in value if isinstance(value, (tuple, list)) else (value,):
+        if isinstance(entry, str) and "e" in entry.lower():
+            try:
+                float(entry)
+                return True
+            except ValueError:
+                pass
+    return False
+
+
 def check_fields(record, integers=(), reals=(), sequences=()) -> None:
     """Check the named fields of the frozen dataclass `record` and store
     them in place: integers as `int`, finite reals as `float` and sequences
@@ -87,7 +101,9 @@ def check_fields(record, integers=(), reals=(), sequences=()) -> None:
         for name in names:
             value = getattr(record, name)
             if not ok(value):
-                raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+                hint = (" (YAML 1.1 needs a dot and a signed exponent, as in 1.0e-4)"
+                        if _exponent_text(value) else "")
+                raise ConfigurationError(f"{name} must be {kind}, got {value!r}{hint}")
             object.__setattr__(record, name, store(value))
 
 

@@ -39,7 +39,6 @@ from .transceiver import (
     estimate_moments,
     log_rates,
     measured_ris_power,
-    moments_at,
     shared_trial_statistics,
     sinr_scalars,
 )
@@ -101,10 +100,14 @@ def write_csv(path: str, header, rows) -> None:
 
 def _resize(cfg: SystemConfig, **kw) -> SystemConfig:
     """Replace dimensions, keeping epsilon consistent with an integer K
-    (SystemConfig rejects any other)."""
+    (SystemConfig rejects any other): only a Rician factor that all users
+    share carries over to a new K, so differing ones are an error."""
     if _is_integer(kw.get("K")) and kw["K"] != cfg.K:
-        base = cfg.epsilon[0]
-        kw.setdefault("epsilon", (base,) * kw["K"])
+        if len(set(cfg.epsilon)) > 1:
+            raise ConfigurationError(
+                f"K = {kw['K']} cannot keep the differing Rician factors {cfg.epsilon} of "
+                f"the system's K = {cfg.K} users; use the system's K or one shared epsilon")
+        kw["epsilon"] = (cfg.epsilon[0],) * kw["K"]
     return replace(cfg, **kw)
 
 
@@ -287,9 +290,9 @@ def run_adc_bits(cfg, geom, block, out_dir, optimize, mode):
 
 
 def run_verify(cfg, geom, block, out_dir, optimize, mode):
-    """Numerical certification at a desk-scale instance: every moment of the
-    closed form against the oracle, and the surface-power identity.  Fails
-    the run when any check fails."""
+    """Numerical certification at a desk-scale instance: every unit moment
+    of the closed form against the oracle, and the surface-power identity
+    under the point's active budget.  Fails the run when any check fails."""
     point = _resize(cfg, M=block.get("M", 8), N=block.get("N", 4), K=block.get("K", 2),
                     trials=block.get("trials", cfg.trials))
     geom = make_geometry(point)  # the desk-scale point's own geometry
@@ -298,8 +301,8 @@ def run_verify(cfg, geom, block, out_dir, optimize, mode):
     if not budget.startup_met:
         raise ConfigurationError("cannot verify a surface that does not start up")
     os.makedirs(out_dir, exist_ok=True)
-    reference = moments_at(compute_stats(geom, point, phases), budget, point)
-    mean, se = estimate_moments(geom, point, phases, budget, point.trials, point.seed + 1)
+    reference = compute_stats(geom, point, phases)
+    mean, se = estimate_moments(geom, point, phases, point.trials, point.seed + 1)
 
     rows = []
 

@@ -126,20 +126,18 @@ def batch_ranges(trials: int):
 
 
 class Moments(NamedTuple):
-    """The five per-user moments of the combined channels g_k = eta * g0_k,
-    with G = [g_1 ... g_K], that the post-combining SINR is built from,
-    each (..., K):
+    """The five per-user unit moments of the cascaded channels
+    g0_k = H2 Phi h1_k, with G0 = [g0_1 ... g0_K], from which the SINR under
+    any budget follows through three scalars (`sinr_scalars`), each (..., K):
 
-        signal         ||g_k||^4
-        interference   I_k = sum_{i!=k} |g_k^H g_i|^2
-        dynamic_noise  ||g_k^H H2 Phi||^2
-        channel_gain   ||g_k||^2
-        quantization   g_k^H diag(p G G^H + sn2 I) g_k
+        signal         ||g0_k||^4
+        interference   I_k = sum_{i!=k} |g0_k^H g0_i|^2
+        dynamic_noise  ||g0_k^H H2 Phi||^2
+        channel_gain   ||g0_k||^2
+        quantization   g0_k^H diag(G0 G0^H) g0_k
 
     Monte Carlo holds one set per trial, the closed form and the oracle one
-    set of expectations.  A unit set is taken at eta = 1, with the
-    quantization term per unit p and without its noise part; `moments_at`
-    scales it to a budget.
+    set of expectations.
     """
 
     signal: np.ndarray
@@ -149,30 +147,14 @@ class Moments(NamedTuple):
     quantization: np.ndarray
 
 
-def moments_at(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> Moments:
-    """The moments of a unit set under the budget's amplification and
-    transmit power and the configured noise floor."""
-    if unit.signal.shape[-1] != cfg.K:
-        raise ValueError(f"moments for {unit.signal.shape[-1]} users, config has {cfg.K}")
-    e2 = budget.eta**2
-    e4 = e2 * e2
-    gain = e2 * unit.channel_gain
-    return Moments(
-        e4 * unit.signal,
-        e4 * unit.interference,
-        e2 * unit.dynamic_noise,
-        gain,
-        (e4 * budget.p) * unit.quantization + cfg.sigma_n2_w * gain,
-    )
-
-
 def sinr_scalars(budget: LinkBudget, cfg: SystemConfig):
     """The scalars (r, c1, c2) through which a budget and the ADC enter
     every user's SINR, or None where the surface carries nothing (p = 0 or
     eta = 0, as at the start-up cutoff).
 
-    With the moments of `moments_at` and the quantization gain
-    a = `aqnm_alpha(cfg.b)`, 1 for ideal ADCs, the SINR of user k is
+    With the combined channels g_k = eta g0_k, G = eta G0, and the
+    quantization gain a = `aqnm_alpha(cfg.b)`, 1 for ideal ADCs, the SINR
+    of user k is
 
         p ||g_k||^4  /  ( p I_k + eta^2 sv2 ||g_k^H H2 Phi||^2 + sn2 ||g_k||^2
                           + (1 - a)/a g_k^H diag(p G G^H + sn2 I) g_k ),
@@ -401,11 +383,10 @@ def reduced_draw_applies(M: int, N: int, K: int) -> bool:
 
 def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
     """Per-trial unit moments of each phase vector of `phase_sets`, each
-    `Moments` of (T, K) views of one flat (T, 5K) array, the fields side
-    by side in `Moments` order, from one set of reduced or of full draws,
-    batch by batch, each batch reduced in even slices of at most about
-    KERNEL_BYTES into those views; the site's LoS parts are built once and
-    serve every batch."""
+    `Moments` of five contiguous (T, K) views of one array, from one set of
+    reduced or of full draws, batch by batch, each batch reduced in even
+    slices of at most about KERNEL_BYTES into those views; the site's LoS
+    parts are built once and serve every batch."""
     T = cfg.trials if trials is None else trials
     if not _is_integer(T) or T < 1:
         raise ValueError(f"trials must be a positive integer, got {T!r}")
@@ -415,7 +396,7 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
     key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
     los = los_components(geom, cfg)
     K = cfg.K
-    views = [Moments(*np.split(np.empty((T, 5 * K)), 5, axis=1)) for _ in phase_sets]
+    views = [Moments(*np.empty((5, T, K))) for _ in phase_sets]
     last = len(phase_sets) - 1
     if reduced:
         sites = [_gram_site(geom, cfg, los, phases.phi) for phases in phase_sets]
@@ -462,7 +443,7 @@ def trial_statistics(
     stream: tuple[int, ...] | None = None,
 ) -> Moments:
     """Draw `trials` fading realizations and reduce each to its unit
-    moments, (T, K) each, views of one array.
+    moments, five contiguous (T, K) arrays.
 
     Batch b comes from `substream(*stream, b)`, by default the fading
     stream `(cfg.seed, STREAM_FADING)`, so the result depends only on the
@@ -507,16 +488,15 @@ def estimate_moments(
     geom: Geometry,
     cfg: SystemConfig,
     phases: PhaseConfig,
-    budget: LinkBudget,
     trials: int,
     seed: int,
 ) -> tuple[Moments, Moments]:
-    """The oracle: sample means and standard errors of the five moments
-    under `budget`, each a `Moments`, over `trials` full draws of both hops
+    """The oracle: sample means and standard errors of the five unit
+    moments, each a `Moments`, over `trials` full draws of both hops
     (`literal_trial_statistics`) from the stream (seed,), which no rate
-    simulation draws from; so it checks the reduced draw from outside."""
-    per_trial = moments_at(literal_trial_statistics(geom, cfg, phases, trials, stream=(seed,)),
-                           budget, cfg)
+    simulation draws from; so it checks the reduced draw from outside.
+    Every route scores these moments, so no budget enters."""
+    per_trial = literal_trial_statistics(geom, cfg, phases, trials, stream=(seed,))
     mean, std_err = zip(*map(_sample_mean, per_trial))
     return Moments(*mean), Moments(*std_err)
 

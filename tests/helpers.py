@@ -38,21 +38,24 @@ def sinr_from_definition(H1, H2, theta, p, eta, sigma_v2, sigma_n2, alpha):
 
 def sinr_terms_reference(unit, budget, cfg):
     """Numerators and denominators, (..., K) each, of every user's SINR,
-    from a unit set of moments scaled by `moments_at` and combined term by
-    term, with no scalars divided out."""
-    from arisim import aqnm_alpha, moments_at
+    from a unit set of moments scaled here to the budget's eta and p and to
+    the noise floor and combined term by term, with no scalars divided
+    out."""
+    from arisim import aqnm_alpha
 
-    m = moments_at(unit, budget, cfg)
     a = aqnm_alpha(cfg.b)
-    p = budget.p
-    den = (p * m.interference + (budget.eta**2 * budget.sigma_v2_w) * m.dynamic_noise
-           + cfg.sigma_n2_w * m.channel_gain + (1.0 - a) / a * m.quantization)
-    return p * m.signal, den
+    p, e2 = budget.p, budget.eta**2
+    e4 = e2 * e2
+    gain = e2 * unit.channel_gain
+    quantization = (e4 * p) * unit.quantization + cfg.sigma_n2_w * gain
+    den = (p * (e4 * unit.interference) + (e2 * budget.sigma_v2_w) * (e2 * unit.dynamic_noise)
+           + cfg.sigma_n2_w * gain + (1.0 - a) / a * quantization)
+    return p * (e4 * unit.signal), den
 
 
-def oracle_pairs(geom, cfg, phases, budget, trials, seed):
+def oracle_pairs(geom, cfg, phases, trials, seed):
     """Means and standard errors, (K, K) each, of the interference pairs
-    eta^4 |g0_k^H g0_i|^2, zero for i = k, over the full draws of both hops
+    |g0_k^H g0_i|^2, zero for i = k, over the full draws of both hops
     that `estimate_moments(..., trials, seed)` reduces: batch b from
     substream(seed, b), BATCH trials each.  Each user's interference is
     the sum of its row."""
@@ -66,7 +69,7 @@ def oracle_pairs(geom, cfg, phases, budget, trials, seed):
         H1, planes = sample_channel_batch(geom, cfg, substream(seed, b_idx),
                                           min(BATCH, trials - lo), los)
         G0 = (planes[0] + 1j * planes[1]) @ Phi @ H1
-        x = budget.eta**4 * np.abs(G0.conj().swapaxes(1, 2) @ G0) ** 2
+        x = np.abs(G0.conj().swapaxes(1, 2) @ G0) ** 2
         x[:, np.arange(cfg.K), np.arange(cfg.K)] = 0.0
         pairs.append(x)
     x = np.concatenate(pairs)

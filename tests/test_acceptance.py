@@ -18,7 +18,6 @@ from arisim import (
     estimate_moments,
     make_geometry,
     measured_ris_power,
-    moments_at,
     monte_carlo_rate,
     optimize_phases,
     resolve_budget,
@@ -67,13 +66,12 @@ def test_ac2_moment_oracle_equivalence():
     cfg = SystemConfig(M=8, N=4, K=2, epsilon=(10.0, 10.0), seed=42)
     geom = make_geometry(cfg)
     phases = baseline_phases(cfg)
-    budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-    ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
-    est, se = estimate_moments(geom, cfg, phases, budget, trials=100_000, seed=cfg.seed + 1)
+    ref = analytic.compute_stats(geom, cfg, phases)
+    est, se = estimate_moments(geom, cfg, phases, trials=100_000, seed=cfg.seed + 1)
     # every interference pair, on the oracle's draws and from the closed form
     site = analytic.closed_form_site(geom, cfg)
-    ref_pairs = budget.eta**4 * closed_form_pairs(site, phases.theta)
-    est_pairs, se_pairs = oracle_pairs(geom, cfg, phases, budget, 100_000, cfg.seed + 1)
+    ref_pairs = closed_form_pairs(site, phases.theta)
+    est_pairs, se_pairs = oracle_pairs(geom, cfg, phases, 100_000, cfg.seed + 1)
 
     worst = {}
 
@@ -246,11 +244,11 @@ def test_ac7_invariant_suite(baseline):
     sinr_shift = sinr(literal_trial_statistics(geom, cfg, shifted, 8, stream=(cfg.seed, 9)),
                       budget, cfg)
     phase_ok = bool(np.all(np.abs(sinr_shift - sinr_base) <= 1e-10 * np.abs(sinr_base)))
-    ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
-    moved = moments_at(analytic.compute_stats(geom, cfg, shifted), budget, cfg)
+    ref = analytic.compute_stats(geom, cfg, phases)
+    moved = analytic.compute_stats(geom, cfg, shifted)
     site = analytic.closed_form_site(geom, cfg)
-    ref_pairs = budget.eta**4 * closed_form_pairs(site, phases.theta)
-    moved_pairs = budget.eta**4 * closed_form_pairs(site, shifted.theta)
+    ref_pairs = closed_form_pairs(site, phases.theta)
+    moved_pairs = closed_form_pairs(site, shifted.theta)
     for k in range(cfg.K):
         pairs = [(a[k], b[k]) for a, b in zip(ref, moved)] + [
             (ref_pairs[k, i], moved_pairs[k, i])
@@ -284,8 +282,8 @@ def test_ac7_invariant_suite(baseline):
     mc_a = monte_carlo_rate(geom, cfg, phases, budget, trials=200)
     mc_b = monte_carlo_rate(geom, cfg, phases, budget, trials=200)
     det_ok &= np.array_equal(mc_a.per_user_rate, mc_b.per_user_rate)
-    est_a, _ = estimate_moments(geom, cfg, phases, budget, 500, 3)
-    est_b, _ = estimate_moments(geom, cfg, phases, budget, 500, 3)
+    est_a, _ = estimate_moments(geom, cfg, phases, 500, 3)
+    est_b, _ = estimate_moments(geom, cfg, phases, 500, 3)
     det_ok &= np.array_equal(est_a.signal, est_b.signal)
     small = SystemConfig(M=16, N=8, K=2, epsilon=(10.0, 10.0), trials=10, seed=17)
     sg = make_geometry(small)

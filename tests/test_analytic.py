@@ -14,7 +14,6 @@ from arisim import (
     closed_form_rates,
     compute_stats,
     make_geometry,
-    moments_at,
     resolve_budget,
     sinr,
     trial_statistics,
@@ -96,18 +95,18 @@ def test_degenerate_cross_moments():
 
 
 def test_interference_moment_symmetry(desk):
-    cfg, geom, phases, budget = desk
-    pairs = budget.eta**4 * closed_form_pairs(analytic.closed_form_site(geom, cfg), phases.theta)
+    cfg, geom, phases, _ = desk
+    pairs = closed_form_pairs(analytic.closed_form_site(geom, cfg), phases.theta)
     np.testing.assert_allclose(pairs, pairs.T, rtol=1e-12)
     assert np.all(np.diag(pairs) == 0.0)
-    interference = moments_at(compute_stats(geom, cfg, phases), budget, cfg).interference
+    interference = compute_stats(geom, cfg, phases).interference
     np.testing.assert_allclose(interference, pairs.sum(axis=1), rtol=1e-12)
 
 
 def test_moment_global_phase_invariance(desk):
-    cfg, geom, phases, budget = desk
-    base = moments_at(compute_stats(geom, cfg, phases), budget, cfg)
-    shifted = moments_at(compute_stats(geom, cfg, PhaseConfig(phases.theta + 1.234)), budget, cfg)
+    cfg, geom, phases, _ = desk
+    base = compute_stats(geom, cfg, phases)
+    shifted = compute_stats(geom, cfg, PhaseConfig(phases.theta + 1.234))
     for name, value in zip(base._fields, base):
         np.testing.assert_allclose(getattr(shifted, name), value, rtol=1e-10, err_msg=name)
 
@@ -222,15 +221,14 @@ def test_population_rows_match_single_evaluations(
     pop = analytic.closed_form_site(geom, cfg).stats(theta)
     rates = closed_form_rates(pop, budget, cfg)
     assert rates.shape == (4, K)
-    arrays = moments_at(pop, budget, cfg)
     for p in range(4):
         one = compute_stats(geom, cfg, PhaseConfig(theta[p]))
         np.testing.assert_allclose(rates[p], closed_form_rates(one, budget, cfg),
                                    rtol=1e-12, atol=0.0)
         if not powered:
             assert np.all(rates[p] == 0.0)
-        for name, value in zip(arrays._fields, moments_at(one, budget, cfg)):
-            np.testing.assert_allclose(value, getattr(arrays, name)[p], rtol=1e-12, atol=0.0,
+        for name, value in zip(pop._fields, one):
+            np.testing.assert_allclose(value, getattr(pop, name)[p], rtol=1e-12, atol=0.0,
                                        err_msg=name)
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -262,6 +263,24 @@ def test_config_rejects_mistyped_values(kwargs):
     # each of these used to be coerced by float() or read as truthy
     with pytest.raises(ConfigurationError):
         SystemConfig(**kwargs)
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda v: GAParams(f_tol=v), "1e-4"),
+    (lambda v: SystemConfig(sigma_n2_dbm=v), "-9e1"),
+    (lambda v: SystemConfig(epsilon=(10.0, 10.0, 10.0, v)), "1.0e1"),
+])
+def test_yaml_exponent_string_says_why_it_fails(build, text):
+    # PyYAML reads each of these as a string (YAML 1.1); it still fails,
+    # and the error says how to write the number
+    value = yaml.safe_load(f"x: {text}")["x"]
+    assert value == text
+    with pytest.raises(ConfigurationError, match=r"YAML 1\.1 .*1\.0e-4"):
+        build(value)
+    # a string that is no number gets no such hint
+    with pytest.raises(ConfigurationError) as err:
+        build("tens")
+    assert "YAML" not in str(err.value)
 
 
 def test_config_stores_tuples_of_floats():

@@ -445,6 +445,21 @@ def test_verify_run_with_one_user(tmp_path):
     assert all(r[-1] == "PASS" for r in rows.values())
 
 
+def test_verify_keeps_per_user_rician_factors(tmp_path, capsys):
+    # verify at two of three users with differing factors used to run at
+    # epsilon = (10, 10) while the manifest echoed (10, 0, 1)
+    system = dict(TINY_SYSTEM, K=3, epsilon=[10.0, 0.0, 1.0], seed=42)
+    config = write_config(tmp_path, system=system, experiments={"verify": VERIFY_BLOCK})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", "verify", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "K = 2" in err and "K = 3" in err
+    assert not out.exists()
+    # one shared factor still re-broadcasts to the new user count
+    cfg = build_system({"system": dict(TINY_SYSTEM, K=3)})
+    assert arisim.cli._resize(cfg, K=2).epsilon == (10.0, 10.0)
+
+
 @pytest.mark.parametrize("experiment, block, system", [
     ("antennas-elements", {"M_grid": [16.9], "N_grid": [4]}, {}),
     ("antennas-elements", {"M_grid": [4], "N_grid": [True]}, {}),

@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from arisim import (
     Geometry,
-    LinkBudget,
-    Mode,
     Moments,
     PhaseConfig,
     SystemConfig,
     estimate_moments,
     make_geometry,
-    moments_at,
-    resolve_budget,
 )
 from arisim import analytic
 from arisim.channel import (
@@ -40,82 +36,72 @@ def unit_gain_geometry(cfg):
     )
 
 
-def unit_budget(cfg, p=1.0):
-    return LinkBudget(
-        p=p, eta=1.0, P_A=0.0,
-        startup_met=True, sigma_v2_w=cfg.sigma_v2_w,
-    )
-
-
 def test_rayleigh_mean_gain():
     # fully scattered channel with unit gains: E||g_k||^2 = M*N
     cfg = SystemConfig(M=8, N=4, K=1, epsilon=(0.0,), delta=0.0, seed=3)
     geom = unit_gain_geometry(cfg)
-    mean, se = estimate_moments(geom, cfg, PhaseConfig(np.zeros(cfg.N)), unit_budget(cfg),
-                                20000, 11)
+    mean, se = estimate_moments(geom, cfg, PhaseConfig(np.zeros(cfg.N)), 20000, 11)
     assert abs(mean.channel_gain[0] - cfg.M * cfg.N) <= 3.0 * se.channel_gain[0]
 
 
 def test_rayleigh_fourth_moment():
     cfg = SystemConfig(M=4, N=4, K=1, epsilon=(0.0,), delta=0.0, seed=3)
     geom = unit_gain_geometry(cfg)
-    mean, se = estimate_moments(geom, cfg, PhaseConfig(np.zeros(cfg.N)), unit_budget(cfg),
-                                40000, 12)
+    mean, se = estimate_moments(geom, cfg, PhaseConfig(np.zeros(cfg.N)), 40000, 12)
     want = rayleigh_norm4_mean(cfg.M, cfg.N)
     assert abs(mean.signal[0] - want) <= 4.0 * se.signal[0]
 
 
 def test_estimates_deterministic(desk):
-    cfg, geom, phases, budget = desk
-    a, _ = estimate_moments(geom, cfg, phases, budget, 2000, 5)
-    b, _ = estimate_moments(geom, cfg, phases, budget, 2000, 5)
+    cfg, geom, phases, _ = desk
+    a, _ = estimate_moments(geom, cfg, phases, 2000, 5)
+    b, _ = estimate_moments(geom, cfg, phases, 2000, 5)
     np.testing.assert_array_equal(a.signal, b.signal)
     np.testing.assert_array_equal(a.interference, b.interference)
     np.testing.assert_array_equal(a.quantization, b.quantization)
-    c, _ = estimate_moments(geom, cfg, phases, budget, 2000, 6)
+    c, _ = estimate_moments(geom, cfg, phases, 2000, 6)
     assert not np.array_equal(a.signal, c.signal)
 
 
 def test_estimates_match_direct_definition(desk):
-    # every moment from the literal per-trial expressions, over two batches
-    # drawn from the oracle's stream substream(seed, batch)
-    cfg, geom, phases, budget = desk
+    # every unit moment from the literal per-trial expressions of
+    # G0 = H2 Phi H1, over two batches drawn from the oracle's stream
+    # substream(seed, batch)
+    cfg, geom, phases, _ = desk
     trials, seed = BATCH + 5, 5
     # in the field order of Moments
     samples = {name: [] for name in ("sig", "cross", "dyn", "gain", "quant")}
     Phi = np.diag(phases.phi)
-    I = np.eye(cfg.M)
     los = los_components(geom, cfg)
     for b_idx, count in ((0, BATCH), (1, trials - BATCH)):
         H1, planes = sample_channel_batch(geom, cfg, substream(seed, b_idx), count, los)
         H2 = planes[0] + 1j * planes[1]
         for t in range(count):
-            G = budget.eta * H2[t] @ Phi @ H1[t]
-            R_in = G @ G.conj().T
-            gain = np.array([np.vdot(G[:, k], G[:, k]).real for k in range(cfg.K)])
+            G0 = H2[t] @ Phi @ H1[t]
+            R_in = G0 @ G0.conj().T
+            gain = np.array([np.vdot(G0[:, k], G0[:, k]).real for k in range(cfg.K)])
             samples["gain"].append(gain)
             samples["sig"].append(gain**2)
-            samples["cross"].append([sum(abs(np.vdot(G[:, k], G[:, i])) ** 2
+            samples["cross"].append([sum(abs(np.vdot(G0[:, k], G0[:, i])) ** 2
                                          for i in range(cfg.K) if i != k)
                                      for k in range(cfg.K)])
-            samples["dyn"].append([np.linalg.norm(G[:, k].conj() @ H2[t] @ Phi) ** 2
+            samples["dyn"].append([np.linalg.norm(G0[:, k].conj() @ H2[t] @ Phi) ** 2
                                    for k in range(cfg.K)])
             samples["quant"].append([
-                (G[:, k].conj() @ np.diag(np.diag(budget.p * R_in + cfg.sigma_n2_w * I))
-                 @ G[:, k]).real
+                (G0[:, k].conj() @ np.diag(np.diag(R_in)) @ G0[:, k]).real
                 for k in range(cfg.K)
             ])
     for per_trial, mean, se in zip(samples.values(),
-                                   *estimate_moments(geom, cfg, phases, budget, trials, seed)):
+                                   *estimate_moments(geom, cfg, phases, trials, seed)):
         x = np.asarray(per_trial)
         np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(se, x.std(axis=0, ddof=1) / np.sqrt(trials), rtol=1e-10)
 
 
 def test_one_trial_estimate_is_that_trial(desk):
-    cfg, geom, phases, budget = desk
-    mean, se = estimate_moments(geom, cfg, phases, budget, 1, 5)
-    trial = moments_at(literal_trial_statistics(geom, cfg, phases, 1, stream=(5,)), budget, cfg)
+    cfg, geom, phases, _ = desk
+    mean, se = estimate_moments(geom, cfg, phases, 1, 5)
+    trial = literal_trial_statistics(geom, cfg, phases, 1, stream=(5,))
     for name in Moments._fields:
         np.testing.assert_array_equal(getattr(mean, name), getattr(trial, name)[0])
         assert np.all(getattr(se, name) == 0.0), name
@@ -136,31 +122,30 @@ def test_oracle_module_does_not_import_the_closed_form():
 def test_interference_diagonal_is_masked(desk):
     # each user's interference sums its pairs with the other users alone,
     # never its own ||g_k||^4; a lone user has none
-    cfg, geom, phases, budget = desk
-    mean, se = estimate_moments(geom, cfg, phases, budget, 1000, 5)
-    pairs, _ = oracle_pairs(geom, cfg, phases, budget, 1000, 5)
+    cfg, geom, phases, _ = desk
+    mean, se = estimate_moments(geom, cfg, phases, 1000, 5)
+    pairs, _ = oracle_pairs(geom, cfg, phases, 1000, 5)
     np.testing.assert_allclose(mean.interference, pairs.sum(axis=1), rtol=1e-12)
     assert np.all(mean.interference > 0.0) and np.all(se.interference > 0.0)
     lone = SystemConfig(M=8, N=4, K=1, epsilon=(10.0,), seed=3)
     geom = make_geometry(lone)
-    mean, se = estimate_moments(geom, lone, PhaseConfig(np.zeros(lone.N)),
-                                resolve_budget(lone, geom.alpha, Mode.ACTIVE), 64, 5)
+    mean, se = estimate_moments(geom, lone, PhaseConfig(np.zeros(lone.N)), 64, 5)
     assert mean.interference[0] == 0.0 and se.interference[0] == 0.0
 
 
 def test_standard_errors_shrink(desk):
-    cfg, geom, phases, budget = desk
-    _, small = estimate_moments(geom, cfg, phases, budget, 1000, 5)
-    _, large = estimate_moments(geom, cfg, phases, budget, 16000, 5)
+    cfg, geom, phases, _ = desk
+    _, small = estimate_moments(geom, cfg, phases, 1000, 5)
+    _, large = estimate_moments(geom, cfg, phases, 16000, 5)
     assert np.all(large.signal < small.signal)
 
 
 def test_moment_oracle_agreement_smoke(desk):
     # light version of the acceptance run: every closed form within a few
     # percent of its estimate at 20k trials
-    cfg, geom, phases, budget = desk
-    ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
-    est, _ = estimate_moments(geom, cfg, phases, budget, 20000, 5)
+    cfg, geom, phases, _ = desk
+    ref = analytic.compute_stats(geom, cfg, phases)
+    est, _ = estimate_moments(geom, cfg, phases, 20000, 5)
     for k in range(cfg.K):
         assert est.signal[k] == pytest.approx(ref.signal[k], rel=0.05)
         assert est.channel_gain[k] == pytest.approx(ref.channel_gain[k], rel=0.03)
@@ -174,16 +159,15 @@ def test_closed_form_and_oracle_moments_have_one_layout():
     cfg = SystemConfig(M=8, N=5, K=3, epsilon=(10.0, 1.0, 0.0), seed=4)
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(8, 0))
-    budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-    closed = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
-    est, se = estimate_moments(geom, cfg, phases, budget, 64, 5)
+    closed = analytic.compute_stats(geom, cfg, phases)
+    est, se = estimate_moments(geom, cfg, phases, 64, 5)
     for name in closed._fields:
         assert getattr(est, name).shape == getattr(closed, name).shape, name
         assert getattr(se, name).shape == getattr(closed, name).shape, name
     assert closed.interference.shape == (cfg.K,)
     site = analytic.closed_form_site(geom, cfg)
     for pairs in (closed_form_pairs(site, phases.theta),
-                  oracle_pairs(geom, cfg, phases, budget, 64, 5)[0]):
+                  oracle_pairs(geom, cfg, phases, 64, 5)[0]):
         assert np.all(np.diag(pairs) == 0.0)
         assert np.all(pairs[~np.eye(cfg.K, dtype=bool)] > 0.0)
 
@@ -210,17 +194,16 @@ def test_every_moment_matches_oracle(M, N, K, delta, eps, aligned, seed):
     # and every interference pair, within max(3%, 4 SE) of the oracle
     cfg = SystemConfig(M=M, N=N, K=K, delta=delta, epsilon=tuple(eps[:K]), seed=seed)
     geom = make_geometry(cfg)
-    budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, N)
     if aligned:  # |f_0| reaches N
         hbar = los_components(geom, cfg).hbar
         a_ris = array_response(N, geom.ris_aod[0], geom.ris_aod[1], cfg.d_over_lambda)
         theta = np.angle(a_ris) - np.angle(hbar[:, 0])
     phases = PhaseConfig(theta)
-    ref = moments_at(analytic.compute_stats(geom, cfg, phases), budget, cfg)
-    mean, se = estimate_moments(geom, cfg, phases, budget, 20000, seed + 1)
-    pair_ref = budget.eta**4 * closed_form_pairs(analytic.closed_form_site(geom, cfg), theta)
-    pair_mean, pair_se = oracle_pairs(geom, cfg, phases, budget, 20000, seed + 1)
+    ref = analytic.compute_stats(geom, cfg, phases)
+    mean, se = estimate_moments(geom, cfg, phases, 20000, seed + 1)
+    pair_ref = closed_form_pairs(analytic.closed_form_site(geom, cfg), theta)
+    pair_mean, pair_se = oracle_pairs(geom, cfg, phases, 20000, seed + 1)
     off_diagonal = ~np.eye(K, dtype=bool)
     for name, m, s, r, keep in (*zip(Moments._fields, mean, se, ref, [slice(None)] * 5),
                                 ("pairs", pair_mean, pair_se, pair_ref, off_diagonal)):

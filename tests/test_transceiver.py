@@ -334,11 +334,11 @@ def test_one_statistics_set_serves_every_budget():
 )
 @settings(max_examples=60, deadline=None)
 def test_sinr_scalars_match_the_moment_expression(K, b, budget, delta, eps, seed):
-    # s / (I + r q + c1 d + c2 g) against moments_at and the SINR terms
-    # written out, on expected moments of a population and on per-trial
-    # moments; five elements at -10 dBm switch and bias draw exactly 0 dBm,
-    # so "cutoff" is an active budget at the start-up cutoff, p = eta = 0,
-    # where every SINR and rate is exactly zero
+    # s / (I + r q + c1 d + c2 g) against the SINR terms written out from
+    # the unit moments scaled to the budget, on expected moments of a
+    # population and on per-trial moments; five elements at -10 dBm switch
+    # and bias draw exactly 0 dBm, so "cutoff" is an active budget at the
+    # start-up cutoff, p = eta = 0, where every SINR and rate is exactly zero
     cfg = SystemConfig(M=8, N=5, K=K, b=b, delta=delta, epsilon=tuple(eps[:K]),
                        P_T_dbm=0.0 if budget == "cutoff" else 30.0, P_SW_dbm=-10.0,
                        P_DC_dbm=-10.0, trials=8, seed=seed)
@@ -415,7 +415,7 @@ TRIAL_COUNT_USERS = {
     "trial_statistics": lambda c, g, ph, b, t: trial_statistics(g, c, ph, t),
     "literal_trial_statistics": lambda c, g, ph, b, t: literal_trial_statistics(g, c, ph, t),
     "monte_carlo_rate": lambda c, g, ph, b, t: monte_carlo_rate(g, c, ph, b, t),
-    "estimate_moments": lambda c, g, ph, b, t: estimate_moments(g, c, ph, b, t, 5),
+    "estimate_moments": lambda c, g, ph, b, t: estimate_moments(g, c, ph, t, 5),
     "measured_ris_power": lambda c, g, ph, b, t: measured_ris_power(g, c, ph, b, t),
 }
 
