@@ -10,7 +10,9 @@ what they depend on, in Gram form (`sample_gram_batch`): the first hop's
 scattered part on a (K+1)-dimensional basis, the RIS-BS hop's scattered
 part on a basis of span{Phi H1, a_ris}, and Bartlett factors
 (`bartlett_factor`) whose complex Wishart Gram matrices stand for both
-hops' parts on the complements.  Every random
+hops' parts on the complements.  Each draw's M-sized part is trial-major
+in its stream, so the Monte Carlo kernel draws it slice by slice, with the
+functions that build the whole batch.  Every random
 stream is derived from the master seed through `numpy.random.SeedSequence`
 spawn keys, so results are reproducible and independent of how trials are
 batched across workers.
@@ -155,22 +157,43 @@ def sample_channel_batch(
     E{||h_k||^2} = N * alpha_k; H2 is built the same way around the
     rank-one LoS part a_bs a_ris^H with E{||H2||_F^2} = M * N * beta.  H2's
     planes are the stream's real and imaginary normal draws themselves (the
-    layout of `crandn`), scaled in place with the roundings of the complex
-    expression, so no complex H2-sized array is formed.  `los` is the
-    site's `los_components`.
+    layout of `crandn`), each filled by `sample_h2_plane`, so no complex
+    H2-sized array is formed.  The imaginary plane follows the whole real
+    plane in the stream, trial by trial, so it may also be drawn in
+    consecutive slices of trials.  `los` is the site's `los_components`.
     """
     H1 = sample_user_channels(geom, cfg, rng, count, los)
-
-    # sqrt(beta) * (sqrt(d/(d+1)) Hbar2 + sqrt(1/(d+1)) sqrt(1/2) (z0 + j z1))
-    d = cfg.delta
-    H2 = rng.standard_normal(size=(2, count, cfg.M, cfg.N))
-    H2 *= math.sqrt(0.5)
-    H2 *= math.sqrt(1.0 / (d + 1.0))
-    mean = math.sqrt(d / (d + 1.0)) * np.outer(los.a_bs, los.a_ris.conj())
-    H2[0] += mean.real
-    H2[1] += mean.imag
-    H2 *= math.sqrt(geom.beta)
+    mean = h2_mean(cfg, los)
+    H2 = np.empty((2, count, cfg.M, cfg.N))
+    sample_h2_plane(geom, cfg, rng, mean.real, out=H2[0])
+    sample_h2_plane(geom, cfg, rng, mean.imag, out=H2[1])
     return H1, H2
+
+
+def h2_mean(cfg: SystemConfig, los: LineOfSight) -> np.ndarray:
+    """H2's LoS part before the large-scale gain, complex (M, N):
+    sqrt(delta/(delta+1)) a_bs a_ris^H."""
+    d = cfg.delta
+    return math.sqrt(d / (d + 1.0)) * np.outer(los.a_bs, los.a_ris.conj())
+
+
+def sample_h2_plane(
+    geom: Geometry,
+    cfg: SystemConfig,
+    rng: np.random.Generator,
+    mean: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Fill `out`, float (count, M, N), with one plane of H2 and return it:
+    the stream's next count * M * N standard normals, scaled in place with
+    the roundings of sqrt(beta) * (sqrt(1/(d+1)) sqrt(1/2) z + mean), where
+    `mean` is the same plane of `h2_mean`."""
+    rng.standard_normal(out=out)
+    out *= math.sqrt(0.5)
+    out *= math.sqrt(1.0 / (cfg.delta + 1.0))
+    out += mean
+    out *= math.sqrt(geom.beta)
+    return out
 
 
 def _interleaved(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
@@ -221,20 +244,41 @@ def sample_gram_batch(
             the (N-K-1, K) normals through which H2's scattered part on
             U's complement enters the dynamic noise.
 
-    The complex normals are (real, imaginary) pairs.  The transceiver's
-    reduced kernel maps them onto the moments with exactly the law of full
-    draws.  Needs N > K + 1.
+    The complex normals are (real, imaginary) pairs.  X and T1 come from
+    `sample_gram_first_hop`, SU from `sample_gram_rows` and T2 from
+    `sample_gram_complement`; SU is trial-major, so drawing it in
+    consecutive slices of trials, one `sample_gram_rows` call each, takes
+    the same draws.  The transceiver's reduced kernel maps them onto the
+    moments with exactly the law of full draws.  Needs N > K + 1.
     """
-    M, N, K = cfg.M, cfg.N, cfg.K
-    if N <= K + 1:
-        raise ValueError(f"the reduced draw needs N > K + 1, got N = {N}, K = {K}")
-    n = N - K - 1
+    X, T1 = sample_gram_first_hop(cfg, rng, count)
+    SU = sample_gram_rows(geom, cfg, rng, count)
+    return X, T1, SU, sample_gram_complement(geom, cfg, rng, count)
+
+
+def sample_gram_first_hop(cfg: SystemConfig, rng: np.random.Generator,
+                          count: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and T1 of `sample_gram_batch`, the first draws of its stream."""
+    K = cfg.K
+    if cfg.N <= K + 1:
+        raise ValueError(f"the reduced draw needs N > K + 1, got N = {cfg.N}, K = {K}")
     X = _interleaved(rng, (count, K + 1, K), math.sqrt(0.5))
-    T1 = bartlett_factor(rng, count, n, K)
-    SU = _interleaved(rng, (count, M, K + 1), math.sqrt(0.5 * geom.beta / (cfg.delta + 1.0)))
-    T2 = bartlett_factor(rng, count, n, K)
+    return X, bartlett_factor(rng, count, cfg.N - K - 1, K)
+
+
+def sample_gram_rows(geom: Geometry, cfg: SystemConfig, rng: np.random.Generator,
+                     count: int) -> np.ndarray:
+    """SU of `sample_gram_batch` for the next `count` trials of its stream."""
+    scale = math.sqrt(0.5 * geom.beta / (cfg.delta + 1.0))
+    return _interleaved(rng, (count, cfg.M, cfg.K + 1), scale)
+
+
+def sample_gram_complement(geom: Geometry, cfg: SystemConfig, rng: np.random.Generator,
+                           count: int) -> np.ndarray:
+    """T2 of `sample_gram_batch`, the last draw of its stream."""
+    T2 = bartlett_factor(rng, count, cfg.N - cfg.K - 1, cfg.K)
     T2 *= math.sqrt(geom.beta / (cfg.delta + 1.0))
-    return X, T1, SU, T2
+    return T2
 
 
 def sample_user_channels(

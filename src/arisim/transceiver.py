@@ -27,7 +27,8 @@ every entry of G0.  The reduced kernel's moments have exactly the law of
 full draws.  The literal kernel on full draws of both hops serves the
 other sizes and the moment oracle (`literal_trial_statistics`,
 `estimate_moments`); this module never imports `analytic`, so the oracle
-is independent of the closed forms.
+is independent of the closed forms.  Either way a batch's M-sized part,
+H2 U or H2's imaginary plane, is drawn and reduced slice by slice.
 """
 
 from __future__ import annotations
@@ -44,9 +45,12 @@ from .channel import (
     STREAM_SYMBOLS,
     Geometry,
     crandn,
+    h2_mean,
     los_components,
-    sample_channel_batch,
-    sample_gram_batch,
+    sample_gram_complement,
+    sample_gram_first_hop,
+    sample_gram_rows,
+    sample_h2_plane,
     sample_user_channels,
     substream,
 )
@@ -55,10 +59,12 @@ from .channel import (
 # changes which generator produces which trial.
 BATCH = 512
 
-# The statistics kernel reduces a batch in the fewest slices of at most
-# about this many bytes of H2 planes each (but of at least this many trials
-# where that allows), of even sizes, so that its temporaries stay small
-# beside the batch; the reduction is per trial, so no value changes.
+# The statistics kernel draws and reduces a batch's M-sized part in the
+# fewest slices of at most about this many bytes each (but of at least this
+# many trials where that allows), of even sizes: rows of SU, or of both H2
+# planes, of which only the real plane is held for the whole batch.  So a
+# site holds one slice of its channel draw, not the batch; each trial's
+# draws and moments are its own, so no value changes.
 KERNEL_BYTES = 1 << 19
 KERNEL_MIN_TRIALS = 16
 
@@ -110,12 +116,16 @@ class RateReport:
 
 def _sample_mean(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the trial axis, by default the leading one, and its
-    standard error, zero for a single trial.  Each mean over the last axis
-    of a C-ordered array is bit for bit that of its row alone."""
+    standard error, zero for a single trial, whose one deviation is 0.
+    The error is taken in place, with the steps and so the bits of
+    `np.std(ddof=1)`: `x` is left holding its squared deviations.  Each
+    mean over the last axis of a C-ordered array is bit for bit that of
+    its row alone."""
     T = x.shape[axis]
-    mean = x.mean(axis=axis)
-    std = x.std(axis=axis, ddof=1) if T > 1 else np.zeros_like(mean)
-    return mean, std / math.sqrt(T)
+    mean = x.mean(axis=axis, keepdims=True)
+    x -= mean
+    x *= x
+    return mean.squeeze(axis), np.sqrt(x.sum(axis=axis) / max(T - 1, 1)) / math.sqrt(T)
 
 
 def batch_ranges(trials: int):
@@ -243,31 +253,36 @@ def _moments_of(norm2: np.ndarray, gram_re: np.ndarray, gram_im: np.ndarray,
     return Moments(norm2 * norm2, cross2.sum(axis=2), dyn, norm2, quantization)
 
 
-def _batch_statistics(H1: np.ndarray, H2: np.ndarray, phi: np.ndarray) -> Moments:
+def _batch_statistics(H1: np.ndarray, planes, phi: np.ndarray) -> Moments:
     """Unit moments of every trial of H1 (T, N, K) and of H2 given as its
-    real and imaginary planes (2, T, M, N): the literal kernel.
+    real and imaginary planes, (T, M, N) each, as a pair or stacked: the
+    literal kernel.
 
-    Every product is one real matmul over both planes: a complex matrix
-    viewed as float holds its columns as [re, im] pairs, so with H2 = A + jB
-    the plane products A @ X and B @ (jX), summed, are H2 X as pairs.  No
+    Every product is one real matmul per plane: a complex matrix viewed as
+    float holds its columns as [re, im] pairs, so with H2 = A + jB the
+    plane products A @ X and B @ (jX), summed, are H2 X as pairs.  No
     complex H2-sized array is formed, and scaling H1 by phi instead of H2
     keeps every temporary far smaller than H2 itself.
     """
+    A, B = planes
     T, N, K = H1.shape
     X = np.empty((2, T, N, K), dtype=complex)
     np.multiply(phi[:, None], H1, out=X[0])
     np.multiply(1j * phi[:, None], H1, out=X[1])
-    Y = H2 @ X.view(np.float64)                      # (2, T, M, 2K)
+    X = X.view(np.float64)
+    Y = np.empty((2, T, A.shape[1], 2 * K))
+    np.matmul(A, X[0], out=Y[0])
+    np.matmul(B, X[1], out=Y[1])
     del X
     Y[0] += Y[1]
     G = Y[0]                                         # G0 = H2 Phi H1 as [re, im] pairs
     gram_re, gram_im = _gram(G)                      # g0_k^H g0_i
     norm2 = np.diagonal(gram_re, axis1=1, axis2=2).copy()
     np.multiply(G.view(complex), -1j, out=Y[1].view(complex))
-    Z = H2.swapaxes(2, 3) @ Y                        # A^T G0 and B^T (-j G0), (2, T, N, 2K)
-    Z[0] += Z[1]                                     # H2^H G0 as pairs
-    Z[0] *= Z[0]
-    z = Z[0].sum(axis=1)
+    Z = A.swapaxes(1, 2) @ G                         # A^T G0
+    Z += B.swapaxes(1, 2) @ Y[1]                     # + B^T (-j G0): H2^H G0 as pairs
+    Z *= Z
+    z = Z.sum(axis=1)
     dyn = z[:, 0::2] + z[:, 1::2]
     del Z
     Y[1] *= Y[1]
@@ -314,10 +329,12 @@ def _gram_site(geom: Geometry, cfg: SystemConfig, los, phi: np.ndarray) -> _Gram
                      math.sqrt(geom.beta * cfg.delta / (cfg.delta + 1.0)))
 
 
-def _gram_statistics(X: np.ndarray, T1: np.ndarray, SU: np.ndarray, T2: np.ndarray,
-                     site: _GramSite) -> Moments:
-    """Unit moments of every trial of a `sample_gram_batch` draw: the
-    reduced kernel, exact in law to `_batch_statistics` on full draws.
+def _gram_statistics(X: np.ndarray, T1: np.ndarray, SU: np.ndarray,
+                     site: _GramSite) -> tuple[Moments, np.ndarray]:
+    """Unit moments of every trial of a `sample_gram_batch` draw but T2,
+    and a square root F of each trial's G0^H G0 (F F^H = G0^H G0): the
+    reduced kernel, exact in law to `_batch_statistics` on full draws once
+    `_complement_noise` of T2 and F is added to the dynamic noise.
 
     Phi H1 = A + Phi W diag(s) with W iid CN(0, 1), and Phi W has the law
     of W.  Split on the site's basis V (`_GramSite`) and its complement,
@@ -328,7 +345,8 @@ def _gram_statistics(X: np.ndarray, T1: np.ndarray, SU: np.ndarray, T2: np.ndarr
     through H2 U, which gives G0 = H2 U R[:, :K] and the part
     ||(H2 U)^H g0_k||^2 of ||H2^H g0_k||^2, and through H2's scattered part
     on U's complement, whose share of ||H2^H g0_k||^2 has the law of the
-    squared column norms of T2 F^H, with F F^H = G0^H G0.
+    squared column norms of T2 F^H.  So F (T, K, K) is all that T2 needs,
+    and T2 may be drawn after every slice of SU has been reduced.
 
     The moments do not change when the rows of G0 and H2 are rotated by a
     diagonal unitary, and a_bs has unit-modulus entries, so rotating by
@@ -360,16 +378,22 @@ def _gram_statistics(X: np.ndarray, T1: np.ndarray, SU: np.ndarray, T2: np.ndarr
     P = P.view(np.float64)
     P *= P
     p = P.sum(axis=1)
-    dyn = p[:, 0::2] + p[:, 1::2]
-    TF = (T2 @ _square_root(gram).conj().swapaxes(1, 2)).view(np.float64)
-    TF *= TF
-    t = TF.sum(axis=1)
-    dyn += t[:, 0::2] + t[:, 1::2]
+    dyn = p[:, 0::2] + p[:, 1::2]                    # the share through H2 U
     G = (H2U @ Rk).view(np.float64)                  # G0 as [re, im] pairs
     G *= G
     power = np.add(G[..., 0::2], G[..., 1::2])       # |G0_mk|^2, (T, M, K)
     norm2 = np.diagonal(gram.real, axis1=1, axis2=2).copy()
-    return _moments_of(norm2, gram.real, gram.imag, dyn, power)
+    return _moments_of(norm2, gram.real, gram.imag, dyn, power), _square_root(gram)
+
+
+def _complement_noise(T2: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The dynamic noise's share through H2's scattered part on U's
+    complement, (T, K): the squared column norms of T2 F^H, for the
+    `_gram_statistics` square roots F of the same trials."""
+    TF = (T2 @ F.conj().swapaxes(1, 2)).view(np.float64)
+    TF *= TF
+    t = TF.sum(axis=1)
+    return t[:, 0::2] + t[:, 1::2]
 
 
 def reduced_draw_applies(M: int, N: int, K: int) -> bool:
@@ -384,9 +408,14 @@ def reduced_draw_applies(M: int, N: int, K: int) -> bool:
 def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
     """Per-trial unit moments of each phase vector of `phase_sets`, each
     `Moments` of five contiguous (T, K) views of one array, from one set of
-    reduced or of full draws, batch by batch, each batch reduced in even
-    slices of at most about KERNEL_BYTES into those views; the site's LoS
-    parts are built once and serve every batch."""
+    reduced or of full draws, batch by batch.  Each batch's M-sized part is
+    drawn and reduced in even slices of at most about KERNEL_BYTES, straight
+    into those views: a reduced batch draws X and T1, then each slice's
+    rows of SU, reduced at once to everything but the dynamic noise's
+    complement share, for which each trial keeps a K x K square root until
+    T2 is drawn; a full batch draws H1 and H2's real plane, then each
+    slice's rows of its imaginary plane.  The site's LoS parts are built
+    once and serve every batch."""
     T = cfg.trials if trials is None else trials
     if not _is_integer(T) or T < 1:
         raise ValueError(f"trials must be a positive integer, got {T!r}")
@@ -395,43 +424,54 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
             raise ValueError(f"{len(phases.theta)} phases for {cfg.N} surface elements")
     key = (cfg.seed, STREAM_FADING) if stream is None else tuple(stream)
     los = los_components(geom, cfg)
-    K = cfg.K
+    M, N, K = cfg.M, cfg.N, cfg.K
     views = [Moments(*np.empty((5, T, K))) for _ in phase_sets]
     last = len(phase_sets) - 1
+
+    def store(fields, moments, part):
+        for field, value in zip(fields, moments):
+            field[part] = value
+
     if reduced:
         sites = [_gram_site(geom, cfg, los, phases.phi) for phases in phase_sets]
-        step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * (K + 1)))
+        step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * M * (K + 1)))
 
-        def draw(rng, count):
-            return sample_gram_batch(geom, cfg, rng, count)
-
-        def reduce(batch, part, j):
-            X, T1, SU, T2 = (x[part] for x in batch)
-            # the kernel consumes SU, so each phase vector but the last takes a copy
-            return _gram_statistics(X, T1, SU.copy() if j < last else SU, T2, sites[j])
+        def draw(rng, count, parts, out):
+            X, T1 = sample_gram_first_hop(cfg, rng, count)
+            roots = np.empty((len(sites), count, K, K), dtype=complex)
+            for part in parts:
+                SU = sample_gram_rows(geom, cfg, rng, part.stop - part.start)
+                for j, site in enumerate(sites):
+                    # the kernel consumes SU, so each phase vector but the last takes a copy
+                    moments, roots[j, part] = _gram_statistics(
+                        X[part], T1[part], SU.copy() if j < last else SU, site)
+                    store(out[j], moments, part)
+            T2 = sample_gram_complement(geom, cfg, rng, count)
+            for part in parts:
+                for fields, F in zip(out, roots):
+                    fields.dynamic_noise[part] += _complement_noise(T2[part], F[part])
     else:
-        step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * cfg.M * cfg.N))
+        step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * M * N))
         phis = [phases.phi for phases in phase_sets]
+        mean = h2_mean(cfg, los)
 
-        def draw(rng, count):
-            return sample_channel_batch(geom, cfg, rng, count, los)
-
-        def reduce(batch, part, j):
-            H1, H2 = batch
-            return _batch_statistics(H1[part], H2[:, part], phis[j])
+        def draw(rng, count, parts, out):
+            H1 = sample_user_channels(geom, cfg, rng, count, los)
+            real = sample_h2_plane(geom, cfg, rng, mean.real, out=np.empty((count, M, N)))
+            for part in parts:
+                imag = sample_h2_plane(geom, cfg, rng, mean.imag,
+                                       out=np.empty((part.stop - part.start, M, N)))
+                for fields, phi in zip(out, phis):
+                    store(fields, _batch_statistics(H1[part], (real[part], imag), phi), part)
 
     for b_idx, lo, hi in batch_ranges(T):
-        count = hi - lo
-        batch = draw(substream(*key, b_idx), count)
         # the fewest slices of at most `step` trials, of even sizes: the
         # largest slice sets the kernel's peak memory
-        parts = -(-count // step)
-        edges = [count * i // parts for i in range(parts + 1)]
-        for start, end in zip(edges, edges[1:]):
-            for j, fields in enumerate(views):
-                for field, value in zip(fields, reduce(batch, slice(start, end), j)):
-                    field[lo + start:lo + end] = value
-        del batch  # free this batch before the next one is drawn
+        count = hi - lo
+        n = -(-count // step)
+        edges = [count * i // n for i in range(n + 1)]
+        draw(substream(*key, b_idx), count, [slice(a, b) for a, b in zip(edges, edges[1:])],
+             [Moments(*(field[lo:hi] for field in fields)) for fields in views])
     return views
 
 
@@ -450,9 +490,10 @@ def trial_statistics(
     stream and the trial count.  Where `reduced_draw_applies`, a batch
     draws only what the moments need, in Gram form (`sample_gram_batch`),
     whose moments have exactly the law of full draws; elsewhere it draws both
-    hops in full, as `literal_trial_statistics` always does.  Each batch is
-    reduced in slices once drawn, so the slicing changes no value, and
-    dropped before the next one.
+    hops in full, as `literal_trial_statistics` always does.  Each batch's
+    M-sized part is drawn and reduced slice by slice, which takes the same
+    draws and so changes no value, and each batch is dropped before the
+    next one.
     """
     return shared_trial_statistics(geom, cfg, (phases,), trials, stream)[0]
 
@@ -509,8 +550,8 @@ def rate_from_statistics(stats: Moments, budget: LinkBudget, cfg: SystemConfig) 
     if not budget.startup_met:
         return RateReport(np.zeros(cfg.K), 0.0, np.zeros(cfg.K), 0, 0.0)
     rates = log_rates(stats, sinr_scalars(budget, cfg))
-    per_user, std_err = _sample_mean(rates)
     sum_rate, sum_std_err = _sample_mean(rates.sum(axis=-1))
+    per_user, std_err = _sample_mean(rates)
     return RateReport(per_user, float(sum_rate), std_err, rates.shape[0], float(sum_std_err))
 
 
@@ -534,13 +575,16 @@ def measured_ris_power(
     phases: PhaseConfig,
     budget: LinkBudget,
     trials: int,
-) -> float:
-    """Monte Carlo estimate of the power radiated by the surface, watts.
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the power radiated by the surface, watts,
+    and its standard error.
 
     Draws fresh user channels, unit-power Gaussian symbols and dynamic
     noise, and averages ||eta * Phi * (sqrt(p) H1 x + v)||^2.  For a
     correctly resolved active budget this reproduces
-    eta^2 * N * (p sum_k alpha_k + sigma_v^2) = P_A.
+    eta^2 * N * (p sum_k alpha_k + sigma_v^2) = P_A.  The estimate is the
+    sum of every batch's powers over the trial count; the standard error
+    is that of the per-trial powers.
     """
     if not _is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -549,6 +593,7 @@ def measured_ris_power(
     phi = phases.phi
     los = los_components(geom, cfg)
     total = 0.0
+    per_trial = np.empty(trials)
     for b_idx, lo, hi in batch_ranges(trials):
         rng = substream(cfg.seed, STREAM_SYMBOLS, b_idx)
         count = hi - lo
@@ -556,5 +601,7 @@ def measured_ris_power(
         x = crandn(rng, (count, cfg.K))
         v = sv * crandn(rng, (count, cfg.N))
         y = budget.eta * phi * (np.einsum("tnk,tk->tn", H1, sqrt_p * x) + v)
-        total += float((np.abs(y) ** 2).sum())
-    return total / trials
+        power = np.abs(y) ** 2
+        total += float(power.sum())
+        power.sum(axis=1, out=per_trial[lo:hi])
+    return total / trials, float(_sample_mean(per_trial)[1])

@@ -51,7 +51,7 @@ def test_ac1_surface_power_identity(baseline):
     cfg, geom, phases = baseline
     start = time.monotonic()
     budget = resolve_budget(cfg, geom.alpha, Mode.ACTIVE)
-    measured = measured_ris_power(geom, cfg, phases, budget, trials=100_000)
+    measured, _ = measured_ris_power(geom, cfg, phases, budget, trials=100_000)
     expected = budget.eta**2 * cfg.N * (budget.p * float(geom.alpha.sum()) + budget.sigma_v2_w)
     elapsed = time.monotonic() - start
     rel = abs(measured - expected) / expected

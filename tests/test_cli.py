@@ -3,6 +3,7 @@ import gc
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 import yaml
 
@@ -17,7 +18,7 @@ from arisim import (
     resolve_budget,
 )
 from arisim.cli import build_system, experiment_phases, ga_params, load_config, main
-from arisim.transceiver import BATCH
+from arisim.transceiver import BATCH, reduced_draw_applies
 
 TINY_SYSTEM = {
     "M": 4, "N": 4, "K": 2, "b": 1,
@@ -122,19 +123,30 @@ def test_total_power_at_circuit_draw_is_a_cutoff_row(tmp_path):
     assert by[(4.0, "passive")][header.index("startup_met")] == "true"
 
 
+# the first draw of a fading batch, in Gram form or in full, and the draw
+# of each slice of its M-sized part
+FIRST_DRAWS = ("sample_gram_first_hop", "sample_user_channels")
+ROW_DRAWS = ("sample_gram_rows", "sample_h2_plane")
+
+
 @pytest.fixture
 def draws(monkeypatch):
-    """(draw, M, N, spawn key) of every fading batch drawn while the test runs,
-    full (`sample_channel_batch`) or in Gram form (`sample_gram_batch`)."""
+    """(draw, M, N, spawn key, trials) of every `FIRST_DRAWS` and
+    `ROW_DRAWS` call that the Monte Carlo kernel makes while the test runs."""
     seen = []
 
     def counting(draw):
-        def counted(geom, cfg, rng, count, *los):
-            seen.append((draw.__name__, cfg.M, cfg.N, rng.bit_generator.seed_seq.spawn_key))
-            return draw(geom, cfg, rng, count, *los)
+        def counted(*args, **kwargs):
+            cfg = next(a for a in args if isinstance(a, SystemConfig))
+            rng = next(a for a in args if isinstance(a, np.random.Generator))
+            result = draw(*args, **kwargs)
+            trials = len(result[0] if isinstance(result, tuple) else result)
+            seen.append((draw.__name__, cfg.M, cfg.N, rng.bit_generator.seed_seq.spawn_key,
+                         trials))
+            return result
         return counted
 
-    for name in ("sample_channel_batch", "sample_gram_batch"):
+    for name in FIRST_DRAWS + ROW_DRAWS:
         monkeypatch.setattr(arisim.transceiver, name, counting(getattr(arisim.transceiver, name)))
     return seen
 
@@ -153,7 +165,8 @@ SMALL_GA = {"n_total": 12, "n_elite": 2, "n_parents": 4, "n_crossover": 8,
 ])
 def test_sweeps_draw_each_fading_batch_once(tmp_path, draws, experiment, block, sites):
     # two batches per geometry: every point of a geometry shares them; every
-    # site here has N > K + 1 and M >= K, so each batch is a Gram-form draw
+    # site here has N > K + 1 and M >= K, so each batch is a Gram-form draw,
+    # whose M-sized rows are drawn once, slice by slice
     config = write_config(tmp_path, experiments={experiment: block})
     flags = ["--optimize"] if "ga" in block else []
     assert main(["--config", config, "--experiment", experiment, "--output",
@@ -161,9 +174,16 @@ def test_sweeps_draw_each_fading_batch_once(tmp_path, draws, experiment, block, 
     if flags:
         rows = read_rows(tmp_path / "out" / "antennas_elements.csv")
         assert [r[-1] for r in rows[1:]].count("true") == sites
-    assert len(draws) == 2 * sites
-    assert len(set(draws)) == len(draws)
-    assert {d[0] for d in draws} == {"sample_gram_batch"}
+    batches = [d for d in draws if d[0] in FIRST_DRAWS]
+    assert len(batches) == 2 * sites
+    assert len({d[1:4] for d in batches}) == len(batches)
+    assert all(reduced_draw_applies(M, N, TINY_SYSTEM["K"]) for _, M, N, _, _ in batches)
+    assert {d[0] for d in batches} == {"sample_gram_first_hop"}
+    for _, M, N, key, trials in batches:
+        rows = [d[4] for d in draws if d[0] in ROW_DRAWS and d[1:4] == (M, N, key)]
+        assert {d[0] for d in draws if d[1:4] == (M, N, key)} == {
+            "sample_gram_first_hop", "sample_gram_rows"}
+        assert sum(rows) == trials
 
 
 def test_sweep_rates_match_monte_carlo_rate(tmp_path):
@@ -209,9 +229,9 @@ def test_a_row_keeps_its_bytes_beside_other_points(tmp_path, experiment, alone, 
 
 def test_scoring_memory_is_the_moments_and_one_row_per_point(tmp_path):
     # 32 live points at 8000 trials: the scoring holds the per-trial
-    # moments, one row of per-trial sum rates per point, the deviations
-    # that the standard error takes of those rows, and one point's SINR
-    # denominators and rates at a time, never every point's at once
+    # moments, one row of per-trial sum rates per point, whose standard
+    # errors are taken in place, and one point's SINR denominators and
+    # rates at a time, never every point's at once
     T, K, points = 8000, TINY_SYSTEM["K"], 32
     grid = [float(p) for p in range(10, 10 + points, 2)]
     config = write_config(tmp_path, experiments={"total-power": {"N": 16, "P_T_dbm_grid": grid}})
@@ -228,7 +248,7 @@ def test_scoring_memory_is_the_moments_and_one_row_per_point(tmp_path):
     rows = read_rows(tmp_path / "out" / "total_power.csv")
     assert [r[4] for r in rows[1:]] == ["true"] * points
     moments, terms = 5 * K, 2 * K
-    assert peak <= 8 * T * (moments + 2 * points + 2 * terms)
+    assert peak <= 8 * T * (moments + points + 2 * terms)
 
 
 def test_repeated_runs_retain_no_memory(tmp_path):
@@ -427,8 +447,29 @@ def test_verify_run(tmp_path, capsys):
     want += [("surface_power", "-1")]
     assert [(r[0], r[1]) for r in rows[1:]] == want
     assert all(r[-1] == "PASS" for r in rows[1:])
-    # every moment is held to the one 3% tolerance
+    # every moment is held to the one 3% tolerance, and the surface power
+    # to 1%, with its standard error reported beside it
     assert {r[6] for r in rows[1:-1]} == {"0.03"}
+    power = rows[-1]
+    assert power[6] == "0.01"
+    assert 0.0 < float(power[3]) < 0.005 * float(power[2])
+
+
+def test_verify_surface_power_passes_within_one_percent_alone(tmp_path, monkeypatch):
+    # a 1.5% deviation fails the surface-power row even with a standard
+    # error of 1%: its bound is not widened to 4 standard errors
+    def off(geom, cfg, phases, budget, trials):
+        power = budget.eta**2 * cfg.N * (budget.p * float(geom.alpha.sum()) + budget.sigma_v2_w)
+        return 1.015 * power, 0.01 * power
+
+    monkeypatch.setattr(arisim.cli, "measured_ris_power", off)
+    system = dict(TINY_SYSTEM, seed=42)
+    config = write_config(tmp_path, system=system, experiments={"verify": VERIFY_BLOCK})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--experiment", "verify", "--output", str(out)]) == 1
+    rows = read_rows(out / "verify.csv")
+    assert all(r[-1] == "PASS" for r in rows[1:-1])
+    assert rows[-1][0] == "surface_power" and rows[-1][-1] == "FAIL"
 
 
 def test_verify_run_with_one_user(tmp_path):

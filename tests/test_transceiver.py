@@ -264,7 +264,7 @@ def test_measured_power_zero_without_sources(desk):
         p=0.0, eta=1.0, P_A=0.0,
         startup_met=True, sigma_v2_w=0.0,
     )
-    assert measured_ris_power(geom, cfg, phases, silent, trials=64) == 0.0
+    assert measured_ris_power(geom, cfg, phases, silent, trials=64) == (0.0, 0.0)
 
 
 def test_measured_power_quadratic_in_gain(desk):
@@ -275,8 +275,21 @@ def test_measured_power_quadratic_in_gain(desk):
     )
     base = measured_ris_power(geom, cfg, phases, budget, trials=500)
     four_x = measured_ris_power(geom, cfg, phases, doubled, trials=500)
-    # identical draws, so the quadratic scaling is exact
-    assert four_x == pytest.approx(4.0 * base, rel=1e-12)
+    # identical draws, so the quadratic scaling is exact, for the estimate
+    # and its standard error alike
+    assert four_x == pytest.approx((4.0 * base[0], 4.0 * base[1]), rel=1e-12)
+
+
+def test_measured_power_standard_error_is_the_per_trial_spread(desk):
+    # one trial has no spread; the error shrinks as 1/sqrt(T), and the
+    # identity's power lies within 4 of them
+    cfg, geom, phases, budget = desk
+    assert measured_ris_power(geom, cfg, phases, budget, trials=1)[1] == 0.0
+    power, std_err = measured_ris_power(geom, cfg, phases, budget, trials=4 * BATCH)
+    _, quarter = measured_ris_power(geom, cfg, phases, budget, trials=16 * BATCH)
+    assert 0.0 < std_err < 0.05 * power
+    assert 1.6 < std_err / quarter < 2.5
+    assert abs(power - budget.P_A) <= 4.0 * std_err
 
 
 def test_measured_power_builds_the_los_parts_once(desk, monkeypatch):
@@ -476,7 +489,10 @@ def test_kernel_slices_do_not_change_statistics():
 
 
 def test_trial_statistics_memory_is_about_one_planar_batch():
-    # the H2 planes of a batch dominate; no complex H2-sized array is formed
+    # the batch's real H2 plane dominates: the imaginary plane is drawn one
+    # kernel slice at a time, and no complex H2-sized array is formed, so
+    # beside the real plane there is one slice of both planes and the
+    # kernel's temporaries, at most as large again
     cfg = SystemConfig(M=144, N=64, K=4, seed=2)
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(3, 0))
@@ -487,14 +503,37 @@ def test_trial_statistics_memory_is_about_one_planar_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    planes = 16 * trials * cfg.M * cfg.N
-    assert peak <= 1.2 * planes
+    step = max(transceiver.KERNEL_MIN_TRIALS,
+               transceiver.KERNEL_BYTES // (16 * cfg.M * cfg.N))
+    real = 8 * trials * cfg.M * cfg.N
+    assert peak <= real + 2 * 16 * step * cfg.M * cfg.N
+
+
+def test_reduced_draw_memory_does_not_grow_with_the_antennas():
+    # a whole batch draws SU one kernel slice at a time, so doubling M
+    # leaves the traced peak where it was, within a fraction of a slice
+    peaks = []
+    for M in (144, 288):
+        cfg = SystemConfig(M=M, N=64, K=4, seed=2)
+        geom = make_geometry(cfg)
+        phases = PhaseConfig.random(cfg.N, substream(3, 0))
+        tracemalloc.start()
+        try:
+            trial_statistics(geom, cfg, phases, BATCH)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + transceiver.KERNEL_BYTES // 4
 
 
 def _reduced(geom, cfg, phases, batch):
-    """The reduced kernel on one whole `sample_gram_batch` draw."""
+    """The reduced kernel on one whole `sample_gram_batch` draw, whose SU
+    it consumes."""
+    X, T1, SU, T2 = batch
     site = transceiver._gram_site(geom, cfg, los_components(geom, cfg), phases.phi)
-    return transceiver._gram_statistics(*batch, site)
+    moments, roots = transceiver._gram_statistics(X, T1, SU, site)
+    moments.dynamic_noise[...] += transceiver._complement_noise(T2, roots)
+    return moments
 
 
 # the law check's systems: delta off {0, 1} with mixed Rician factors and a
@@ -618,6 +657,37 @@ def test_reduced_kernel_slices_do_not_change_statistics():
     batch = sample_gram_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 100)
     for name, value in zip(Moments._fields, _reduced(geom, cfg, phases, batch)):
         np.testing.assert_array_equal(getattr(stats, name), value, err_msg=name)
+
+
+@pytest.mark.parametrize("kwargs", [
+    # the reduced draw, in 12 slices of SU per full batch
+    dict(M=144, N=16, K=4, delta=0.5, epsilon=(10.0, 1.0, 0.0, 2.0), seed=3),
+    # the literal draw at N = K + 1, in 4 slices of the imaginary plane
+    dict(M=64, N=4, K=3, delta=0.5, epsilon=(10.0, 0.0, 1.0), seed=3),
+])
+def test_streamed_statistics_equal_the_kernels_on_whole_draws(kwargs):
+    # a batch's M-sized part is drawn and reduced slice by slice; the
+    # kernels on whole `sample_gram_batch` or `sample_channel_batch` draws
+    # of each batch give the same bits, at each of two phase vectors
+    cfg = SystemConfig(**kwargs)
+    reduced = reduced_draw_applies(cfg.M, cfg.N, cfg.K)
+    width = cfg.K + 1 if reduced else cfg.N
+    assert transceiver.KERNEL_BYTES // (16 * cfg.M * width) < BATCH // 3
+    geom = make_geometry(cfg)
+    los = los_components(geom, cfg)
+    phase_sets = [PhaseConfig.random(cfg.N, substream(6, j)) for j in range(2)]
+    shared = shared_trial_statistics(geom, cfg, phase_sets, BATCH + 9)
+    for moments, phases in zip(shared, phase_sets):
+        whole = []
+        for b_idx, count in ((0, BATCH), (1, 9)):
+            rng = substream(cfg.seed, STREAM_FADING, b_idx)
+            if reduced:
+                whole.append(_reduced(geom, cfg, phases, sample_gram_batch(geom, cfg, rng, count)))
+            else:
+                H1, H2 = sample_channel_batch(geom, cfg, rng, count, los)
+                whole.append(transceiver._batch_statistics(H1, H2, phases.phi))
+        for name, got, parts in zip(Moments._fields, moments, zip(*whole)):
+            np.testing.assert_array_equal(got, np.concatenate(parts), err_msg=name)
 
 
 @pytest.mark.parametrize("M, N, K", [(8, 4, 3), (8, 3, 3), (2, 8, 3)])
