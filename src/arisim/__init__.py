@@ -39,7 +39,6 @@ from .transceiver import (
     estimate_moments,
     measured_ris_power,
     monte_carlo_rate,
-    rate_from_statistics,
     sinr,
     trial_statistics,
 )

@@ -6,13 +6,13 @@ fixed; Monte Carlo trials vary only the small-scale fading.  The LoS
 steering vectors of a site (`los_components`) are built once per Monte
 Carlo run and passed to each of its batches.  A fading batch draws both
 hops in full (`sample_channel_batch`) or, for the Monte Carlo moments, only
-what they depend on, in Gram form (`sample_gram_batch`): the first hop's
-scattered part on a (K+1)-dimensional basis, the RIS-BS hop's scattered
-part on a basis of span{Phi H1, a_ris}, and Bartlett factors
-(`bartlett_factor`) whose complex Wishart Gram matrices stand for both
-hops' parts on the complements.  Each draw's M-sized part is trial-major
-in its stream, so the Monte Carlo kernel draws it slice by slice, with the
-functions that build the whole batch.  Every random
+what they depend on, in Gram form: the first hop's scattered part on a
+(K+1)-dimensional basis (`sample_gram_first_hop`), the RIS-BS hop's
+scattered part on a basis of span{Phi H1, a_ris} (`sample_gram_rows`), and
+Bartlett factors (`bartlett_factor`) whose complex Wishart Gram matrices
+stand for both hops' parts on the complements.  Each draw's M-sized part
+is trial-major in its stream, so the Monte Carlo kernel draws it slice by
+slice; `transceiver` sequences the Gram-form pieces.  Every random
 stream is derived from the master seed through `numpy.random.SeedSequence`
 spawn keys, so results are reproducible and independent of how trials are
 batched across workers.
@@ -223,42 +223,19 @@ def bartlett_factor(rng: np.random.Generator, count: int, n: int, K: int) -> np.
     return T
 
 
-def sample_gram_batch(
-    geom: Geometry,
-    cfg: SystemConfig,
-    rng: np.random.Generator,
-    count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw `count` trials of what the combined-channel moments need of the
-    two hops, in this order:
+def sample_gram_first_hop(cfg: SystemConfig, rng: np.random.Generator,
+                          count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first draws of a Gram-form batch of `count` trials, in this
+    order:
 
         X   complex (count, K+1, K), CN(0, 1): the first hop's scattered
             part on an (N, K+1) orthonormal basis V of a space that holds
             a_ris and Phi times the first hop's mean;
         T1  `bartlett_factor` with n = N-K-1: T1^H T1 stands for the Gram
-            matrix of that scattered part on V's complement;
-        SU  complex (count, M, K+1), CN(0, beta/(delta+1)): H2's scattered
-            part on an orthonormal basis U of span{Phi H1, a_ris};
-        T2  `bartlett_factor` with n = N-K-1, scaled by
-            sqrt(beta/(delta+1)): T2^H T2 stands for the Gram matrix of
-            the (N-K-1, K) normals through which H2's scattered part on
-            U's complement enters the dynamic noise.
+            matrix of that scattered part on V's complement.
 
-    The complex normals are (real, imaginary) pairs.  X and T1 come from
-    `sample_gram_first_hop`, SU from `sample_gram_rows` and T2 from
-    `sample_gram_complement`; SU is trial-major, so drawing it in
-    consecutive slices of trials, one `sample_gram_rows` call each, takes
-    the same draws.  The transceiver's reduced kernel maps them onto the
-    moments with exactly the law of full draws.  Needs N > K + 1.
+    The complex normals are (real, imaginary) pairs.  Needs N > K + 1.
     """
-    X, T1 = sample_gram_first_hop(cfg, rng, count)
-    SU = sample_gram_rows(geom, cfg, rng, count)
-    return X, T1, SU, sample_gram_complement(geom, cfg, rng, count)
-
-
-def sample_gram_first_hop(cfg: SystemConfig, rng: np.random.Generator,
-                          count: int) -> tuple[np.ndarray, np.ndarray]:
-    """X and T1 of `sample_gram_batch`, the first draws of its stream."""
     K = cfg.K
     if cfg.N <= K + 1:
         raise ValueError(f"the reduced draw needs N > K + 1, got N = {cfg.N}, K = {K}")
@@ -268,14 +245,21 @@ def sample_gram_first_hop(cfg: SystemConfig, rng: np.random.Generator,
 
 def sample_gram_rows(geom: Geometry, cfg: SystemConfig, rng: np.random.Generator,
                      count: int) -> np.ndarray:
-    """SU of `sample_gram_batch` for the next `count` trials of its stream."""
+    """SU, complex (count, M, K+1), CN(0, beta/(delta+1)), for the next
+    `count` trials of a Gram-form batch, drawn after X and T1: H2's
+    scattered part on an orthonormal basis U of span{Phi H1, a_ris}, as
+    (real, imaginary) pairs.  SU is trial-major, so drawing it in
+    consecutive slices of trials, one call each, takes the same draws."""
     scale = math.sqrt(0.5 * geom.beta / (cfg.delta + 1.0))
     return _interleaved(rng, (count, cfg.M, cfg.K + 1), scale)
 
 
 def sample_gram_complement(geom: Geometry, cfg: SystemConfig, rng: np.random.Generator,
                            count: int) -> np.ndarray:
-    """T2 of `sample_gram_batch`, the last draw of its stream."""
+    """T2, the last draw of a Gram-form batch, after all of SU:
+    `bartlett_factor` with n = N-K-1, scaled by sqrt(beta/(delta+1)).
+    T2^H T2 stands for the Gram matrix of the (N-K-1, K) normals through
+    which H2's scattered part on U's complement enters the dynamic noise."""
     T2 = bartlett_factor(rng, count, cfg.N - cfg.K - 1, cfg.K)
     T2 *= math.sqrt(geom.beta / (cfg.delta + 1.0))
     return T2

@@ -202,12 +202,13 @@ def _site_job(site: Site, geom) -> list:
     """`Rates` of every point of `site`, in point order, at the run's
     geometry `geom`, which depends on no sweep value (M, N, b, P_T_dbm,
     trials).  The closed-form site is built once, and the GA runs only when
-    the site has one."""
+    the site has one and its active surface starts up."""
     closed = closed_form_site(geom, site.cfg)
     phase_sets = [experiment_phases(site.cfg)]
     if site.ga is not None:
         budget = resolve_budget(site.cfg, geom.alpha, Mode.ACTIVE)
-        phase_sets.append(optimize_phases(geom, site.cfg, budget, site.ga, site=closed)[0])
+        if budget.startup_met:  # else the GA row is zero, as every dead point is
+            phase_sets.append(optimize_phases(geom, site.cfg, budget, site.ga, site=closed)[0])
     return _score(geom, closed, site.cfg, phase_sets, site.points)
 
 

@@ -20,8 +20,8 @@ seed and trial count, never on execution order or worker count.  The
 moments need the first hop only through the Gram matrix of
 B = [Phi H1, a_ris], and H2 only through H2 U, for an orthonormal basis U
 of B's columns, and through the norms ||H2^H g0_k||^2; so wherever
-N > K + 1 and M >= K a batch draws those in Gram form
-(`channel.sample_gram_batch`): Bartlett factors for the parts on the
+N > K + 1 and M >= K a batch draws those in Gram form (the stream
+pieces of `channel`): Bartlett factors for the parts on the
 complements, and only H2 U at full size, as the quantization moment needs
 every entry of G0.  The reduced kernel's moments have exactly the law of
 full draws.  The literal kernel on full draws of both hops serves the
@@ -219,33 +219,38 @@ def sinr(unit: Moments, budget: LinkBudget, cfg: SystemConfig) -> np.ndarray:
     return _sinr(unit, sinr_scalars(budget, cfg))
 
 
-def _gram(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of Y^H Y, (T, K, K) each, for a complex
-    (T, M, K) stack given as its float view (T, M, 2K) of [re, im] pairs."""
+def _gram(Y: np.ndarray) -> np.ndarray:
+    """Y^H Y, complex (T, K, K), for a complex (T, M, K) stack given as its
+    float view (T, M, 2K) of [re, im] pairs."""
     T, _, K2 = Y.shape
     K = K2 // 2
     R = (Y.swapaxes(1, 2) @ Y).reshape(T, K, 2, K, 2)
-    return R[:, :, 0, :, 0] + R[:, :, 1, :, 1], R[:, :, 0, :, 1] - R[:, :, 1, :, 0]
-
-
-def _hermitian(parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The complex array of a (real, imaginary) pair such as `_gram`'s."""
-    re, im = parts
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
+    out = np.empty((T, K, K), dtype=complex)
+    np.add(R[:, :, 0, :, 0], R[:, :, 1, :, 1], out=out.real)
+    np.subtract(R[:, :, 0, :, 1], R[:, :, 1, :, 0], out=out.imag)
     return out
 
 
-def _moments_of(norm2: np.ndarray, gram_re: np.ndarray, gram_im: np.ndarray,
-                dyn: np.ndarray, power: np.ndarray) -> Moments:
-    """Unit moments from the gains ||g0_k||^2, the Gram matrix G0^H G0, the
-    dynamic-noise terms and the entry powers |G0_mk|^2 (T, M, K).  Each
-    user's interference sums the pairs |g0_k^H g0_i|^2 with its own term
-    zeroed, not the whole row less ||g0_k||^4, which would cancel about
-    log10(M) digits."""
-    K = norm2.shape[1]
-    cross2 = gram_re * gram_re + gram_im * gram_im
+def _squared_modulus(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """|z|^2 of each entry of a complex stack given as its float view of
+    [re, im] pairs, squared in place; with `axis`, summed along it, the
+    real and the imaginary squares apart, before each pair is added."""
+    x *= x
+    if axis is not None:
+        x = x.sum(axis=axis)
+    return np.add(x[..., 0::2], x[..., 1::2])
+
+
+def _moments_of(gram: np.ndarray, dyn: np.ndarray, power: np.ndarray) -> Moments:
+    """Unit moments from the Gram matrix G0^H G0, complex (T, K, K), which
+    is consumed, the dynamic-noise terms and the entry powers |G0_mk|^2
+    (T, M, K).  The gains ||g0_k||^2 are its diagonal.  Each user's
+    interference sums the pairs |g0_k^H g0_i|^2 with its own term zeroed,
+    not the whole row less ||g0_k||^4, which would cancel about log10(M)
+    digits."""
+    K = gram.shape[-1]
+    norm2 = np.diagonal(gram.real, axis1=1, axis2=2).copy()
+    cross2 = _squared_modulus(gram.view(np.float64))
     diag = np.arange(K)
     cross2[:, diag, diag] = 0.0
     # g0_k^H diag(G0 G0^H) g0_k = sum_m |G0_mk|^2 sum_i |G0_mi|^2
@@ -276,19 +281,15 @@ def _batch_statistics(H1: np.ndarray, planes, phi: np.ndarray) -> Moments:
     del X
     Y[0] += Y[1]
     G = Y[0]                                         # G0 = H2 Phi H1 as [re, im] pairs
-    gram_re, gram_im = _gram(G)                      # g0_k^H g0_i
-    norm2 = np.diagonal(gram_re, axis1=1, axis2=2).copy()
+    gram = _gram(G)                                  # g0_k^H g0_i
     np.multiply(G.view(complex), -1j, out=Y[1].view(complex))
     Z = A.swapaxes(1, 2) @ G                         # A^T G0
     Z += B.swapaxes(1, 2) @ Y[1]                     # + B^T (-j G0): H2^H G0 as pairs
-    Z *= Z
-    z = Z.sum(axis=1)
-    dyn = z[:, 0::2] + z[:, 1::2]
+    dyn = _squared_modulus(Z, axis=1)
     del Z
-    Y[1] *= Y[1]
-    power = np.add(Y[1, ..., 0::2], Y[1, ..., 1::2])  # |G0_mk|^2, (T, M, K)
+    power = _squared_modulus(Y[1])                   # |G0_mk|^2, (T, M, K)
     del Y, G
-    return _moments_of(norm2, gram_re, gram_im, dyn, power)
+    return _moments_of(gram, dyn, power)
 
 
 def _square_root(A: np.ndarray) -> np.ndarray:
@@ -331,7 +332,7 @@ def _gram_site(geom: Geometry, cfg: SystemConfig, los, phi: np.ndarray) -> _Gram
 
 def _gram_statistics(X: np.ndarray, T1: np.ndarray, SU: np.ndarray,
                      site: _GramSite) -> tuple[Moments, np.ndarray]:
-    """Unit moments of every trial of a `sample_gram_batch` draw but T2,
+    """Unit moments of every trial of a Gram-form draw but T2,
     and a square root F of each trial's G0^H G0 (F F^H = G0^H G0): the
     reduced kernel, exact in law to `_batch_statistics` on full draws once
     `_complement_noise` of T2 and F is added to the dynamic noise.
@@ -361,7 +362,7 @@ def _gram_statistics(X: np.ndarray, T1: np.ndarray, SU: np.ndarray,
     Y += site.P
     np.multiply(T1, site.s, out=Z[:, K1:])
     C = np.empty((T, K1, K1), dtype=complex)
-    C[:, :K, :K] = _hermitian(_gram(Z.view(np.float64)))
+    C[:, :K, :K] = _gram(Z.view(np.float64))
     c = site.q.conj() @ Y                            # a_ris^H Phi H1, (T, K)
     C[:, K, :K] = c
     C[:, :K, K] = c.conj()
@@ -372,28 +373,20 @@ def _gram_statistics(X: np.ndarray, T1: np.ndarray, SU: np.ndarray,
     H2U = SU
     H2U += site.los_gain * R[:, None, :, K].conj()
     Rk = R[:, :, :K]
-    Q = _hermitian(_gram(H2U.view(np.float64)))     # (H2 U)^H H2 U, (T, K+1, K+1)
+    Q = _gram(H2U.view(np.float64))                  # (H2 U)^H H2 U, (T, K+1, K+1)
     P = Q @ Rk                                       # (H2 U)^H G0
     gram = Rk.conj().swapaxes(1, 2) @ P              # G0^H G0
-    P = P.view(np.float64)
-    P *= P
-    p = P.sum(axis=1)
-    dyn = p[:, 0::2] + p[:, 1::2]                    # the share through H2 U
-    G = (H2U @ Rk).view(np.float64)                  # G0 as [re, im] pairs
-    G *= G
-    power = np.add(G[..., 0::2], G[..., 1::2])       # |G0_mk|^2, (T, M, K)
-    norm2 = np.diagonal(gram.real, axis1=1, axis2=2).copy()
-    return _moments_of(norm2, gram.real, gram.imag, dyn, power), _square_root(gram)
+    F = _square_root(gram)
+    dyn = _squared_modulus(P.view(np.float64), axis=1)  # the share through H2 U
+    power = _squared_modulus((H2U @ Rk).view(np.float64))  # |G0_mk|^2, (T, M, K)
+    return _moments_of(gram, dyn, power), F
 
 
 def _complement_noise(T2: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The dynamic noise's share through H2's scattered part on U's
     complement, (T, K): the squared column norms of T2 F^H, for the
     `_gram_statistics` square roots F of the same trials."""
-    TF = (T2 @ F.conj().swapaxes(1, 2)).view(np.float64)
-    TF *= TF
-    t = TF.sum(axis=1)
-    return t[:, 0::2] + t[:, 1::2]
+    return _squared_modulus((T2 @ F.conj().swapaxes(1, 2)).view(np.float64), axis=1)
 
 
 def reduced_draw_applies(M: int, N: int, K: int) -> bool:
@@ -410,12 +403,14 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
     `Moments` of five contiguous (T, K) views of one array, from one set of
     reduced or of full draws, batch by batch.  Each batch's M-sized part is
     drawn and reduced in even slices of at most about KERNEL_BYTES, straight
-    into those views: a reduced batch draws X and T1, then each slice's
-    rows of SU, reduced at once to everything but the dynamic noise's
-    complement share, for which each trial keeps a K x K square root until
-    T2 is drawn; a full batch draws H1 and H2's real plane, then each
-    slice's rows of its imaginary plane.  The site's LoS parts are built
-    once and serve every batch."""
+    into those views.  A reduced batch is the Gram-form stream, and this is
+    the one place that sequences it: X and T1 (`sample_gram_first_hop`),
+    then each slice's rows of SU (`sample_gram_rows`), reduced at once to
+    everything but the dynamic noise's complement share, for which each
+    trial keeps a K x K square root until T2 (`sample_gram_complement`) is
+    drawn.  A full batch draws H1 and H2's real plane, then each slice's
+    rows of its imaginary plane.  The site's LoS parts are built once and
+    serve every batch."""
     T = cfg.trials if trials is None else trials
     if not _is_integer(T) or T < 1:
         raise ValueError(f"trials must be a positive integer, got {T!r}")
@@ -427,6 +422,8 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
     M, N, K = cfg.M, cfg.N, cfg.K
     views = [Moments(*np.empty((5, T, K))) for _ in phase_sets]
     last = len(phase_sets) - 1
+    # a slice's rows of SU hold M (K+1) complex values, of both H2 planes M N
+    step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * M * (K + 1 if reduced else N)))
 
     def store(fields, moments, part):
         for field, value in zip(fields, moments):
@@ -434,7 +431,6 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
 
     if reduced:
         sites = [_gram_site(geom, cfg, los, phases.phi) for phases in phase_sets]
-        step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * M * (K + 1)))
 
         def draw(rng, count, parts, out):
             X, T1 = sample_gram_first_hop(cfg, rng, count)
@@ -451,7 +447,6 @@ def _statistics(geom, cfg, phase_sets, trials, stream, reduced: bool) -> list:
                 for fields, F in zip(out, roots):
                     fields.dynamic_noise[part] += _complement_noise(T2[part], F[part])
     else:
-        step = max(KERNEL_MIN_TRIALS, KERNEL_BYTES // (16 * M * N))
         phis = [phases.phi for phases in phase_sets]
         mean = h2_mean(cfg, los)
 
@@ -488,12 +483,12 @@ def trial_statistics(
     Batch b comes from `substream(*stream, b)`, by default the fading
     stream `(cfg.seed, STREAM_FADING)`, so the result depends only on the
     stream and the trial count.  Where `reduced_draw_applies`, a batch
-    draws only what the moments need, in Gram form (`sample_gram_batch`),
-    whose moments have exactly the law of full draws; elsewhere it draws both
-    hops in full, as `literal_trial_statistics` always does.  Each batch's
-    M-sized part is drawn and reduced slice by slice, which takes the same
-    draws and so changes no value, and each batch is dropped before the
-    next one.
+    draws only what the moments need, in Gram form (`channel`'s stream
+    pieces), whose moments have exactly the law of full draws; elsewhere
+    it draws both hops in full, as `literal_trial_statistics` always does.
+    Each batch's M-sized part is drawn and reduced slice by slice, which
+    takes the same draws and so changes no value, and each batch is
+    dropped before the next one.
     """
     return shared_trial_statistics(geom, cfg, (phases,), trials, stream)[0]
 
@@ -542,19 +537,6 @@ def estimate_moments(
     return Moments(*mean), Moments(*std_err)
 
 
-def rate_from_statistics(stats: Moments, budget: LinkBudget, cfg: SystemConfig) -> RateReport:
-    """Per-user ergodic rates of one budget over the per-trial unit
-    moments of `trial_statistics`, scored where they lie, with no copy.
-    The sum rate and its standard error are the mean and standard error
-    of the per-trial sum rates."""
-    if not budget.startup_met:
-        return RateReport(np.zeros(cfg.K), 0.0, np.zeros(cfg.K), 0, 0.0)
-    rates = log_rates(stats, sinr_scalars(budget, cfg))
-    sum_rate, sum_std_err = _sample_mean(rates.sum(axis=-1))
-    per_user, std_err = _sample_mean(rates)
-    return RateReport(per_user, float(sum_rate), std_err, rates.shape[0], float(sum_std_err))
-
-
 def monte_carlo_rate(
     geom: Geometry,
     cfg: SystemConfig,
@@ -564,9 +546,19 @@ def monte_carlo_rate(
 ) -> RateReport:
     """Estimate per-user ergodic rates by averaging over fading draws.
 
-    Deterministic for a fixed (seed, trials) pair regardless of batching.
+    The per-trial unit moments of `trial_statistics` are scored where they
+    lie, with no copy, by `log_rates`; the sum rate and its standard error
+    are the mean and standard error of the per-trial sum rates.  A surface
+    that does not start up has zero rates from no trials.  Deterministic
+    for a fixed (seed, trials) pair regardless of batching.
     """
-    return rate_from_statistics(trial_statistics(geom, cfg, phases, trials), budget, cfg)
+    stats = trial_statistics(geom, cfg, phases, trials)
+    if not budget.startup_met:
+        return RateReport(np.zeros(cfg.K), 0.0, np.zeros(cfg.K), 0, 0.0)
+    rates = log_rates(stats, sinr_scalars(budget, cfg))
+    sum_rate, sum_std_err = _sample_mean(rates.sum(axis=-1))
+    per_user, std_err = _sample_mean(rates)
+    return RateReport(per_user, float(sum_rate), std_err, rates.shape[0], float(sum_std_err))
 
 
 def measured_ris_power(

@@ -95,6 +95,17 @@ def literal_draw(geom, cfg, *stream):
     return H1[0], H2[0, 0] + 1j * H2[1, 0]
 
 
+def gram_batch(geom, cfg, rng, count):
+    """X, T1, SU and T2 of one whole Gram-form batch of `count` trials from
+    `rng`, in stream order: `sample_gram_first_hop`, then all of SU in one
+    `sample_gram_rows` call, then `sample_gram_complement`."""
+    from arisim.channel import sample_gram_complement, sample_gram_first_hop, sample_gram_rows
+
+    X, T1 = sample_gram_first_hop(cfg, rng, count)
+    SU = sample_gram_rows(geom, cfg, rng, count)
+    return X, T1, SU, sample_gram_complement(geom, cfg, rng, count)
+
+
 def aligned_gains(geom, cfg, theta):
     """The aligned LoS gains f_k = a_ris^H Phi hbar_k of phases `theta`,
     (N,) or (P, N), as the closed-form site forms them: exp(j*theta) @ B."""

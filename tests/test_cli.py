@@ -186,10 +186,14 @@ def test_sweeps_draw_each_fading_batch_once(tmp_path, draws, experiment, block, 
         assert sum(rows) == trials
 
 
-def test_sweep_rates_match_monte_carlo_rate(tmp_path):
+@pytest.mark.parametrize("N", [16, 3], ids=["reduced", "literal"])
+def test_sweep_rates_match_monte_carlo_rate(tmp_path, N):
+    # N = 3 at K = 2 leaves no complement, so the site takes the literal
+    # route there
+    assert reduced_draw_applies(TINY_SYSTEM["M"], N, TINY_SYSTEM["K"]) == (N == 16)
     config = write_config(
         tmp_path,
-        experiments={"total-power": {"N": 16, "P_T_dbm_grid": [5.0, 30.0]}},
+        experiments={"total-power": {"N": N, "P_T_dbm_grid": [5.0, 30.0]}},
     )
     out = tmp_path / "out"
     assert main(["--config", config, "--experiment", "total-power",
@@ -197,11 +201,11 @@ def test_sweep_rates_match_monte_carlo_rate(tmp_path):
     rows = read_rows(out / "total_power.csv")
     header = rows[0]
     raw = load_config(config)
-    cfg = build_system(raw, N=16)
+    cfg = build_system(raw, N=N)
     geom = make_geometry(cfg)
     phases = experiment_phases(cfg)
     for row in rows[1:]:
-        point = build_system(raw, N=16, P_T_dbm=float(row[0]))
+        point = build_system(raw, N=N, P_T_dbm=float(row[0]))
         budget = resolve_budget(point, geom.alpha, Mode(row[header.index("mode")]))
         report = monte_carlo_rate(geom, point, phases, budget)
         assert row[header.index("mc_sum_rate")] == repr(report.sum_rate)
@@ -327,6 +331,32 @@ def test_sweep_ga_row_matches_the_optimize_experiment(tmp_path):
     summary_header, summary = read_rows(optimize / "optimize_summary.csv")
     for column in ("analytic_sum_rate", "mc_sum_rate", "mc_stderr"):
         assert row[header.index(column)] == summary[summary_header.index(f"optimized_{column}")]
+
+
+def test_optimized_sweep_writes_a_zero_ga_row_where_the_surface_is_down(tmp_path):
+    # at 10 dBm the active surface starts up at N = 4 but not at N = 64; the
+    # sweep used to fail whole with "cannot optimize a surface that does
+    # not start up" and write nothing
+    system = {"M": 16, "N": 16, "K": 4, "epsilon": 10.0, "trials": 64, "P_T_dbm": 10.0}
+    config = write_config(tmp_path, system=system, experiments={
+        "antennas-elements": {"M_grid": [16], "N_grid": [4, 64], "ga": SMALL_GA}})
+    rows = {}
+    for flags in ((), ("--optimize",)):
+        out = tmp_path / ("ga" if flags else "plain")
+        assert main(["--config", config, "--experiment", "antennas-elements",
+                     "--output", str(out), *flags]) == 0
+        rows[flags] = read_rows(out / "antennas_elements.csv")
+    plain, ga = rows[()], rows[("--optimize",)]
+    header = ga[0]
+    rates = [header.index(c) for c in ("analytic_sum_rate", "mc_sum_rate", "mc_stderr")]
+    searched = {r[1]: r for r in ga[1:] if r[-1] == "true"}
+    assert all(r[2] == "active" for r in searched.values())
+    assert [searched["64"][i] for i in rates] == ["0.0"] * 3
+    assert float(searched["4"][rates[0]]) > 0.0
+    # the down site's active row is zero without --optimize too, and every
+    # row but the GA's keeps its bytes
+    assert [r[i] for r in plain[1:] if r[1:3] == ["64", "active"] for i in rates] == ["0.0"] * 3
+    assert [r for r in ga if r[-1] != "true"] == plain
 
 
 def test_site_workers_bounds():

@@ -20,7 +20,6 @@ from arisim import (
     make_geometry,
     measured_ris_power,
     monte_carlo_rate,
-    rate_from_statistics,
     resolve_budget,
     sinr,
     trial_statistics,
@@ -30,7 +29,6 @@ from arisim.channel import (
     bartlett_factor,
     los_components,
     sample_channel_batch,
-    sample_gram_batch,
     substream,
 )
 from arisim import transceiver
@@ -44,7 +42,7 @@ from arisim.transceiver import (
     sinr_scalars,
 )
 
-from helpers import literal_draw, sinr_from_definition, sinr_terms_reference
+from helpers import gram_batch, literal_draw, sinr_from_definition, sinr_terms_reference
 
 
 def test_aqnm_alpha_table():
@@ -387,7 +385,7 @@ def test_trial_statistics_follow_the_batch_layout(desk):
     assert reduced_draw_applies(cfg.M, cfg.N, cfg.K)
     stats = trial_statistics(geom, cfg, phases, BATCH + 7)
     assert all(x.shape[0] == BATCH + 7 for x in stats)
-    batch = sample_gram_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
+    batch = gram_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 1), 7)
     want = _reduced(geom, cfg, phases, batch)
     for name, value in zip(Moments._fields, want):
         np.testing.assert_array_equal(getattr(stats, name)[BATCH:], value, err_msg=name)
@@ -467,7 +465,7 @@ def test_monte_carlo_rate_scores_the_moments_in_place():
 
 def test_one_trial_rates_have_zero_standard_errors(desk):
     cfg, geom, phases, budget = desk
-    report = rate_from_statistics(trial_statistics(geom, cfg, phases, np.int64(1)), budget, cfg)
+    report = monte_carlo_rate(geom, cfg, phases, budget, np.int64(1))
     assert report.trials_used == 1
     assert np.all(report.std_err == 0.0)
     assert report.sum_std_err == 0.0
@@ -527,7 +525,7 @@ def test_reduced_draw_memory_does_not_grow_with_the_antennas():
 
 
 def _reduced(geom, cfg, phases, batch):
-    """The reduced kernel on one whole `sample_gram_batch` draw, whose SU
+    """The reduced kernel on one whole `gram_batch` draw, whose SU
     it consumes."""
     X, T1, SU, T2 = batch
     site = transceiver._gram_site(geom, cfg, los_components(geom, cfg), phases.phi)
@@ -654,7 +652,7 @@ def test_reduced_kernel_slices_do_not_change_statistics():
     geom = make_geometry(cfg)
     phases = PhaseConfig.random(cfg.N, substream(4, 0))
     stats = trial_statistics(geom, cfg, phases, 100)
-    batch = sample_gram_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 100)
+    batch = gram_batch(geom, cfg, substream(cfg.seed, STREAM_FADING, 0), 100)
     for name, value in zip(Moments._fields, _reduced(geom, cfg, phases, batch)):
         np.testing.assert_array_equal(getattr(stats, name), value, err_msg=name)
 
@@ -667,7 +665,7 @@ def test_reduced_kernel_slices_do_not_change_statistics():
 ])
 def test_streamed_statistics_equal_the_kernels_on_whole_draws(kwargs):
     # a batch's M-sized part is drawn and reduced slice by slice; the
-    # kernels on whole `sample_gram_batch` or `sample_channel_batch` draws
+    # kernels on whole `gram_batch` or `sample_channel_batch` draws
     # of each batch give the same bits, at each of two phase vectors
     cfg = SystemConfig(**kwargs)
     reduced = reduced_draw_applies(cfg.M, cfg.N, cfg.K)
@@ -682,7 +680,7 @@ def test_streamed_statistics_equal_the_kernels_on_whole_draws(kwargs):
         for b_idx, count in ((0, BATCH), (1, 9)):
             rng = substream(cfg.seed, STREAM_FADING, b_idx)
             if reduced:
-                whole.append(_reduced(geom, cfg, phases, sample_gram_batch(geom, cfg, rng, count)))
+                whole.append(_reduced(geom, cfg, phases, gram_batch(geom, cfg, rng, count)))
             else:
                 H1, H2 = sample_channel_batch(geom, cfg, rng, count, los)
                 whole.append(transceiver._batch_statistics(H1, H2, phases.phi))
@@ -703,7 +701,7 @@ def test_literal_kernel_where_the_reduced_draw_does_not_apply(M, N, K):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
     if N <= K + 1:
         with pytest.raises(ValueError):
-            sample_gram_batch(geom, cfg, substream(7, 0), 4)
+            gram_batch(geom, cfg, substream(7, 0), 4)
 
 
 def test_reduced_draw_memory_is_far_below_one_planar_batch():
